@@ -19,7 +19,13 @@ from .baselines import (
     student_t_interval,
 )
 from .bootstrap import ConfidenceInterval, bootstrap_interval, quantile
-from .dm import dm_q, dm_value, dm_value_via_qe, empirical_on_policy_distribution
+from .dm import (
+    dm_bootstrap_replicas,
+    dm_q,
+    dm_value,
+    dm_value_via_qe,
+    empirical_on_policy_distribution,
+)
 from .empirical import (
     AugmentedDataset,
     EmpiricalModel,

@@ -44,8 +44,14 @@ class PerEpisodeEstimates:
 
 
 def _step_ratios(episode: Episode, target: Policy) -> np.ndarray:
+    num_states, num_actions = target.probs.shape
     ratios = np.empty(len(episode.steps))
     for i, step in enumerate(episode.steps):
+        if not (0 <= step.state < num_states and 0 <= step.action < num_actions):
+            raise ValidationError(
+                f"logged step (state {step.state}, action {step.action}) is outside the "
+                f"target policy's {num_states} states and {num_actions} actions"
+            )
         if step.behavior_prob <= 0.0:
             raise ValidationError(
                 f"logged behavior probability {step.behavior_prob} is not positive"

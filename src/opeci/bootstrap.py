@@ -31,6 +31,10 @@ class ConfidenceInterval:
     def __post_init__(self):
         if not 0.0 < self.confidence < 1.0:
             raise ValidationError("confidence must lie in (0, 1)")
+        if math.isnan(self.lower) or math.isnan(self.upper) or math.isnan(self.point_estimate):
+            raise ValidationError(
+                f"interval ({self.lower}, {self.upper}) around {self.point_estimate} holds NaN"
+            )
         if self.lower > self.upper:
             raise ValidationError(f"lower {self.lower} exceeds upper {self.upper}")
 
@@ -72,6 +76,16 @@ def default_resampler(data):
     raise ValidationError(f"no default resampler for {type(data).__name__}")
 
 
+def check_replicas(point: float, diffs: np.ndarray) -> None:
+    """Reject a non-finite point estimate or replica, naming the first bad replica."""
+    if not math.isfinite(point):
+        raise ValidationError(f"estimate on the original data is not finite ({point})")
+    bad = np.flatnonzero(~np.isfinite(diffs))
+    if bad.size:
+        k = int(bad[0])
+        raise ValidationError(f"bootstrap replica {k} is not finite (difference {diffs[k]})")
+
+
 def bootstrap_replicas(data, functional, b: int, rng_seed, resampler=None):
     """Point estimate plus the b recentered replica differences.
 
@@ -90,6 +104,7 @@ def bootstrap_replicas(data, functional, b: int, rng_seed, resampler=None):
             diffs[k] = float(functional(replica)) - point
         except Exception as exc:
             raise RuntimeError(f"estimator functional failed on bootstrap replica {k}") from exc
+    check_replicas(point, diffs)
     return point, diffs
 
 

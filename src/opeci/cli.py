@@ -21,8 +21,8 @@ from .baselines import (
     per_decision_is,
     student_t_interval,
 )
-from .bootstrap import bootstrap_interval
-from .dm import dm_value
+from .bootstrap import interval_from_replicas
+from .dm import dm_bootstrap_replicas
 from .empirical import augment_noisy_rewards, build_empirical_model, tuples_from_episodes
 from .errors import ValidationError
 from .harness import ExperimentConfig, emit_report, run_coverage_experiment
@@ -107,12 +107,10 @@ def _cmd_interval(args) -> int:
         data = tuples_from_episodes(episodes)
         if args.method == "dm-noisy-boot":
             data = augment_noisy_rewards(data, args.noise_coef * float(np.std(data.r)))
-        kappa = args.kappa
-
-        def functional(ds):
-            return dm_value(build_empirical_model(ds, None, kappa, discount=gamma), target)
-
-        ci = bootstrap_interval(data, functional, args.alpha, args.b, args.seed)
+        point, diffs = dm_bootstrap_replicas(
+            data, target, args.b, args.seed, kappa=args.kappa, discount=gamma
+        )
+        ci = interval_from_replicas(point, diffs, args.alpha)
     elif args.method == "is-boot":
         ci = is_bootstrap_interval(episodes, target, gamma, args.alpha, args.b, args.seed)
     elif args.method == "dr-boot":

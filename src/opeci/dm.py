@@ -3,16 +3,28 @@
 Two equivalent routes are provided: an exact linear solve on the blended
 model tables, and fixed-point Q-evaluation iterated from the prior-implied
 Q-function.  Their agreement is a built-in cross-check used by the tests.
+``dm_bootstrap_replicas`` computes the bootstrap replicas of the DM value in
+stacked batches.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .empirical import EmpiricalModel
+from .bootstrap import check_replicas
+from .empirical import (
+    EmpiricalModel,
+    blend_tables,
+    build_empirical_model,
+    resampled_count_tables,
+)
 from .errors import SolverError, ValidationError
 from .mdp import Policy
+from .seeding import seed_parts
 from . import solvers
+
+# Working memory of one stacked chunk of bootstrap replicas.
+_CHUNK_BYTES = 1 << 20
 
 
 def _check_dims(model: EmpiricalModel, policy: Policy) -> None:
@@ -102,3 +114,56 @@ def dm_value_via_qe(
     q, _ = qe_fixed_point(model, policy, tolerance, max_iters)
     p0 = solvers.initial_state_action(model.initial_dist, policy.probs)
     return float((1.0 - model.discount) * (p0 @ q.reshape(-1)))
+
+
+def replica_chunk_size(num_states: int, num_actions: int) -> int:
+    """Replicas per stacked solve, keeping a chunk's tables near 1 MB.
+
+    Per replica: the count tables, the blend and its temporaries (about four
+    (S, A, S) tables in all), and the S x S system.
+    """
+    S, A = num_states, num_actions
+    per_replica = 8 * (4 * S * A * S + 2 * S * S + 4 * S * A + 4 * S)
+    return max(1, _CHUNK_BYTES // per_replica)
+
+
+def dm_bootstrap_replicas(
+    data,
+    policy: Policy,
+    b: int,
+    rng_seed,
+    *,
+    kappa: float,
+    discount: float,
+) -> tuple:
+    """DM point estimate plus the b recentered bootstrap replica differences.
+
+    Equal to ``bootstrap_replicas`` over the functional
+    ``dm_value(build_empirical_model(d, kappa=kappa, discount=discount), policy)``:
+    replica k draws with the seed (rng_seed, k) through ``resample_indices``.
+    Each replica's draw is reduced to count tables, and a chunk of
+    ``replica_chunk_size`` replicas is blended and solved as one stack, so
+    chunking cannot change any replica's value.
+    """
+    if b < 2:
+        raise ValidationError("b must be >= 2")
+    model = build_empirical_model(data, kappa=kappa, discount=discount)
+    point = dm_value(model, policy)
+    parts = seed_parts(rng_seed)
+    chunk = replica_chunk_size(model.num_states, model.num_actions)
+    diffs = np.empty(b)
+    for start in range(0, b, chunk):
+        stop = min(start + chunk, b)
+        tables = resampled_count_tables(data, [parts + (k,) for k in range(start, stop)])
+        mean_reward, transitions, initial_dist = blend_tables(
+            *tables, float(data.n), model.priors, kappa
+        )
+        try:
+            values = solvers.policy_value(
+                mean_reward, transitions, initial_dist, policy.probs, discount
+            )
+        except SolverError as exc:
+            raise SolverError(f"bootstrap replicas {start}-{stop - 1}: {exc}") from exc
+        diffs[start:stop] = values - point
+    check_replicas(point, diffs)
+    return point, diffs

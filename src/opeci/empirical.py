@@ -204,7 +204,6 @@ def build_empirical_model(
     data = _materialized(data)
     priors = priors or PriorSpec()
     S, A = data.num_states, data.num_actions
-    prior_reward, prior_trans = priors.resolve(S, A)
 
     if weights is None:
         w = np.ones(data.n)
@@ -216,29 +215,12 @@ def build_empirical_model(
             raise ValidationError("weights must be nonnegative with positive sum")
     total = float(w.sum())
 
-    sa = data.s * A + data.a
-    counts = np.bincount(sa, weights=w, minlength=S * A).reshape(S, A)
-    reward_sums = np.bincount(sa, weights=w * data.r, minlength=S * A).reshape(S, A)
-    transition_counts = np.bincount(
-        sa * S + data.sp, weights=w, minlength=S * A * S
-    ).reshape(S, A, S)
-    initial_counts = np.bincount(data.s0, weights=w, minlength=S)
-
-    # Count-form blend: numerators/denominators scaled by total mass so the
-    # kappa pseudo-mass is dataset-size independent.
-    pseudo = kappa * total
-    denom = counts + pseudo
-    with np.errstate(divide="ignore", invalid="ignore"):
-        mean_reward = np.where(
-            denom > 0, (reward_sums + pseudo * prior_reward) / np.where(denom > 0, denom, 1.0),
-            prior_reward,
-        )
-        transitions = np.where(
-            denom[:, :, None] > 0,
-            (transition_counts + pseudo * prior_trans)
-            / np.where(denom[:, :, None] > 0, denom[:, :, None], 1.0),
-            prior_trans,
-        )
+    counts, reward_sums, transition_counts, initial_counts = (
+        table[0] for table in _count_tables(data, [None], weights=w)
+    )
+    mean_reward, transitions, initial_dist = blend_tables(
+        counts, reward_sums, transition_counts, initial_counts, total, priors, kappa
+    )
     return EmpiricalModel(
         num_states=S,
         num_actions=A,
@@ -252,8 +234,67 @@ def build_empirical_model(
         total_weight=total,
         mean_reward=mean_reward,
         transitions=transitions,
-        initial_dist=initial_counts / total,
+        initial_dist=initial_dist,
     )
+
+
+def _count_tables(pool: TupleDataset, draws, weights=None) -> tuple:
+    """Count tables of each draw from the pool, stacked on a leading axis.
+
+    Returns (counts, reward_sums, transition_counts, initial_counts).  A draw
+    is an index array into the pool, or None for every tuple in order;
+    ``weights`` gives each drawn tuple a mass (default 1).  Reward sums add
+    in draw order.
+    """
+    S, A = pool.num_states, pool.num_actions
+    sa = pool.s * A + pool.a
+    sas = sa * S + pool.sp
+    tables = ([], [], [], [])
+    for idx in draws:
+        sel = slice(None) if idx is None else idx
+        keys, r = sa[sel], pool.r[sel]
+        rw = r if weights is None else weights * r
+        tables[0].append(np.bincount(keys, weights=weights, minlength=S * A))
+        tables[1].append(np.bincount(keys, weights=rw, minlength=S * A))
+        tables[2].append(np.bincount(sas[sel], weights=weights, minlength=S * A * S))
+        tables[3].append(np.bincount(pool.s0[sel], weights=weights, minlength=S))
+    shapes = ((S, A), (S, A), (S, A, S), (S,))
+    return tuple(
+        np.array(table, dtype=np.float64).reshape((-1,) + shape)
+        for table, shape in zip(tables, shapes)
+    )
+
+
+def blend_tables(
+    counts: np.ndarray,
+    reward_sums: np.ndarray,
+    transition_counts: np.ndarray,
+    initial_counts: np.ndarray,
+    total: float,
+    priors: PriorSpec,
+    kappa: float,
+) -> tuple:
+    """(mean_reward, transitions, initial_dist) blended from count tables.
+
+    The tables may carry a leading replica axis; every replica shares
+    ``total``, ``priors`` and ``kappa``.  Numerators and denominators are
+    scaled by the total mass so the kappa pseudo-mass is dataset-size
+    independent.
+    """
+    S, A = counts.shape[-2:]
+    prior_reward, prior_trans = priors.resolve(S, A)
+    pseudo = kappa * total
+    denom = counts + pseudo
+    visited = denom > 0
+    safe = np.where(visited, denom, 1.0)[..., None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mean_reward = np.where(
+            visited, (reward_sums + pseudo * prior_reward) / safe[..., 0], prior_reward
+        )
+        transitions = np.where(
+            visited[..., None], (transition_counts + pseudo * prior_trans) / safe, prior_trans
+        )
+    return mean_reward, transitions, initial_counts / total
 
 
 def augment_noisy_rewards(data: TupleDataset, noise_scale: float) -> AugmentedDataset:
@@ -288,20 +329,35 @@ def sufficient_noise_scale(r_max: float, discount: float) -> float:
     return math.sqrt(1.5) * r_max / (1.0 - discount)
 
 
-def resample_tuples(data, rng_seed) -> TupleDataset:
-    """Uniform with-replacement resample of n tuples.
+def resample_indices(data, rng_seed) -> np.ndarray:
+    """Pool indices of one uniform with-replacement resample of n tuples.
 
     For an AugmentedDataset the pool is the 3n materialized view but the
-    output size stays at the base n.
+    resample size stays at the base n.  Every tuple resample draws here, so
+    a seed gives the same draws on every path.
     """
     rng = as_generator(rng_seed)
+    return rng.integers(0, _materialized(data).n, size=data.n)
+
+
+def resample_tuples(data, rng_seed) -> TupleDataset:
+    """Uniform with-replacement resample of n tuples (see ``resample_indices``)."""
     pool = _materialized(data)
-    out_n = data.n if isinstance(data, AugmentedDataset) else pool.n
-    idx = rng.integers(0, pool.n, size=out_n)
+    idx = resample_indices(data, rng_seed)
     return TupleDataset(
         pool.s0[idx], pool.s[idx], pool.a[idx], pool.r[idx], pool.sp[idx],
         pool.num_states, pool.num_actions,
     )
+
+
+def resampled_count_tables(data, seeds) -> tuple:
+    """Count tables of one ``resample_indices`` draw per seed.
+
+    Returns (counts, reward_sums, transition_counts, initial_counts), each
+    with a leading axis of len(seeds): the tables ``build_empirical_model``
+    would aggregate from the resampled datasets, without building them.
+    """
+    return _count_tables(_materialized(data), (resample_indices(data, seed) for seed in seeds))
 
 
 def resample_episodes(episodes: EpisodeSet, rng_seed) -> EpisodeSet:

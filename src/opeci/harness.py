@@ -19,6 +19,7 @@ from zlib import crc32
 import numpy as np
 
 from .baselines import (
+    _mean_functional,
     dr_estimate,
     empirical_bernstein_interval,
     hoeffding_interval,
@@ -26,7 +27,7 @@ from .baselines import (
     student_t_interval,
 )
 from .bootstrap import bootstrap_replicas, interval_from_replicas
-from .dm import dm_value
+from .dm import dm_bootstrap_replicas
 from .empirical import augment_noisy_rewards, build_empirical_model, tuples_from_episodes
 from .errors import ValidationError
 from .io import load_mdp, load_policy
@@ -178,10 +179,6 @@ class CoverageReport:
         raise KeyError((method, n, alpha))
 
 
-def _mean(values: np.ndarray) -> float:
-    return float(values.mean())
-
-
 def _method_intervals(method, episodes, target, config, seed, caches):
     """One (lower, upper) per alpha; bootstrap replicas are shared across alphas."""
     gamma = config.discount
@@ -190,21 +187,18 @@ def _method_intervals(method, episodes, target, config, seed, caches):
         if method == "dm-noisy-boot":
             scale = config.noise_coef * float(np.std(data.r))
             data = augment_noisy_rewards(data, scale)
-        kappa = config.kappa
-
-        def functional(ds):
-            return dm_value(build_empirical_model(ds, None, kappa, discount=gamma), target)
-
-        point, diffs = bootstrap_replicas(data, functional, config.bootstrap_b, seed)
+        point, diffs = dm_bootstrap_replicas(
+            data, target, config.bootstrap_b, seed, kappa=config.kappa, discount=gamma
+        )
         return {a: interval_from_replicas(point, diffs, a) for a in config.alphas}
     if method == "is-boot":
         values = caches["pdis"]().values
-        point, diffs = bootstrap_replicas(values, _mean, config.bootstrap_b, seed)
+        point, diffs = bootstrap_replicas(values, _mean_functional, config.bootstrap_b, seed)
         return {a: interval_from_replicas(point, diffs, a) for a in config.alphas}
     if method == "dr-boot":
         model = build_empirical_model(caches["tuples"](), None, config.kappa, discount=gamma)
         est = dr_estimate(episodes, target, model, gamma)
-        point, diffs = bootstrap_replicas(est.values, _mean, config.bootstrap_b, seed)
+        point, diffs = bootstrap_replicas(est.values, _mean_functional, config.bootstrap_b, seed)
         return {a: interval_from_replicas(point, diffs, a) for a in config.alphas}
     est = caches["pdis"]()
     formula = {

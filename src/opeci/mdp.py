@@ -94,7 +94,18 @@ class Policy:
     probs: np.ndarray  # (S, A)
 
     def __post_init__(self):
-        object.__setattr__(self, "probs", _freeze(np.asarray(self.probs)))
+        probs = _freeze(np.asarray(self.probs))
+        if probs.ndim != 2 or probs.size == 0:
+            raise ValidationError(
+                f"policy table must be a non-empty (S, A) array, not shape {probs.shape}"
+            )
+        deficit = np.abs(probs.sum(axis=1) - 1.0).max()
+        # NaN fails both comparisons and an infinite entry leaves an infinite deficit.
+        if not (probs.min() >= 0.0 and deficit <= _SUM_TOL):
+            raise ValidationError(
+                f"policy rows must be finite, non-negative and sum to 1 (worst deficit {deficit!r})"
+            )
+        object.__setattr__(self, "probs", probs)
 
     @property
     def num_states(self) -> int:

@@ -2,15 +2,24 @@
 
 Everything here operates on raw arrays (mean rewards, transition rows, an
 initial state distribution, policy rows, and a discount) so the same code
-serves both ground-truth MDPs and empirical models.  The policy value uses
-the (1-discount)-normalized convention throughout:
+serves both ground-truth MDPs and empirical models.  The model tables may
+carry leading axes (a stack of bootstrap replicas, say); each stacked model
+is solved on its own and the policy rows are shared.
 
-    value = (1-g) * rbar^T (I - g*M)^{-1} p0,
+Solves are at state level.  With P_pi[s, s'] = sum_a pi(a|s) T(s'|s,a) and
+r_pi[s] = sum_a pi(a|s) rbar(s,a),
 
-where M[(s,a),(s',a')] = T(s'|s,a) * pi(a'|s') and p0[(s,a)] = mu0(s)*pi(a|s).
-Systems up to ``DENSE_SIZE_LIMIT`` unknowns solve by dense LU with an explicit
-residual check; larger systems fall back to fixed-point iteration, which is a
-discount-rate contraction and cannot diverge.
+    V = (I - g*P_pi)^{-1} r_pi,    Q = rbar + g*T V,
+    value = (1-g) * mu0 . V,
+
+and the discounted visitation comes from the adjoint system
+
+    d_S = (1-g) * (I - g*P_pi^T)^{-1} mu0,    d(s,a) = d_S(s) * pi(a|s).
+
+Models with up to ``DENSE_SIZE_LIMIT`` states solve by dense LU with an
+explicit residual check per stacked system; larger ones fall back to
+fixed-point iteration, which is a discount-rate contraction and cannot
+diverge.
 """
 
 from __future__ import annotations
@@ -21,17 +30,9 @@ import numpy as np
 
 from .errors import SolverError
 
-DENSE_SIZE_LIMIT = 4096
+DENSE_SIZE_LIMIT = 4096  # states
 
 _RESIDUAL_TOL = 1e-10
-
-
-def forward_matrix(transitions: np.ndarray, policy_probs: np.ndarray) -> np.ndarray:
-    """State-action transition operator M[(s,a),(s',a')] = T(s'|s,a)*pi(a'|s')."""
-    num_states, num_actions = policy_probs.shape
-    flat_t = transitions.reshape(num_states * num_actions, num_states)
-    m = flat_t[:, :, None] * policy_probs[None, :, :]
-    return m.reshape(num_states * num_actions, num_states * num_actions)
 
 
 def initial_state_action(initial_dist: np.ndarray, policy_probs: np.ndarray) -> np.ndarray:
@@ -39,36 +40,24 @@ def initial_state_action(initial_dist: np.ndarray, policy_probs: np.ndarray) -> 
     return (initial_dist[:, None] * policy_probs).reshape(-1)
 
 
+def _policy_chain(transitions: np.ndarray, policy_probs: np.ndarray) -> np.ndarray:
+    """State transition matrix P_pi[..., s, s'] under the policy."""
+    return (policy_probs[:, :, None] * transitions).sum(axis=-2)
+
+
 def _solve_checked(a_mat: np.ndarray, b: np.ndarray, residual_tol: float) -> np.ndarray:
-    x = np.linalg.solve(a_mat, b)
-    residual = np.abs(a_mat @ x - b).max()
-    scale = max(np.abs(b).max(), 1.0)
-    if residual > residual_tol * scale:
+    """Solve each stacked system a_mat x = b and check its residual."""
+    x = np.linalg.solve(a_mat, b[..., None])[..., 0]
+    residual = np.abs((a_mat @ x[..., None])[..., 0] - b).max(axis=-1)
+    scale = np.maximum(np.abs(b).max(axis=-1), 1.0)
+    bad = residual > residual_tol * scale
+    if bad.any():
+        i = int(np.argmax(bad))
         raise SolverError(
-            f"linear solve residual {residual:.3e} exceeds {residual_tol:.1e} * {scale:.3e}"
+            f"linear solve residual {residual.flat[i]:.3e} exceeds "
+            f"{residual_tol:.1e} * {scale.flat[i]:.3e} in stacked system {i}"
         )
     return x
-
-
-def _iterate_q(
-    rbar_flat: np.ndarray,
-    transitions: np.ndarray,
-    policy_probs: np.ndarray,
-    discount: float,
-    tol: float,
-) -> np.ndarray:
-    num_states, num_actions = policy_probs.shape
-    flat_t = transitions.reshape(num_states * num_actions, num_states)
-    q = np.zeros_like(rbar_flat)
-    max_iters = _contraction_iteration_cap(discount, tol, np.abs(rbar_flat).max())
-    for _ in range(max_iters):
-        v = (policy_probs * q.reshape(num_states, num_actions)).sum(axis=1)
-        q_next = rbar_flat + discount * (flat_t @ v)
-        delta = np.abs(q_next - q).max()
-        q = q_next
-        if delta <= tol:
-            return q
-    raise SolverError(f"fixed-point iteration did not reach {tol:.1e} in {max_iters} steps")
 
 
 def _contraction_iteration_cap(discount: float, tol: float, reward_scale: float) -> int:
@@ -76,6 +65,56 @@ def _contraction_iteration_cap(discount: float, tol: float, reward_scale: float)
         return 2
     scale = max(reward_scale, 1.0) / (1.0 - discount)
     return int(math.ceil(math.log(max(tol, 1e-300) / (2.0 * scale)) / math.log(discount))) + 2
+
+
+def _iterate_values(r_pi: np.ndarray, p_pi: np.ndarray, discount: float, tol: float) -> np.ndarray:
+    v = np.zeros_like(r_pi)
+    max_iters = _contraction_iteration_cap(discount, tol, float(np.abs(r_pi).max()))
+    for _ in range(max_iters):
+        v_next = r_pi + discount * (p_pi @ v[..., None])[..., 0]
+        delta = np.abs(v_next - v).max()
+        v = v_next
+        if delta <= tol:
+            return v
+    raise SolverError(f"fixed-point iteration did not reach {tol:.1e} in {max_iters} steps")
+
+
+def _iterate_distribution(
+    initial_dist: np.ndarray, p_pi: np.ndarray, discount: float, tol: float
+) -> np.ndarray:
+    total = np.zeros(np.broadcast_shapes(initial_dist.shape, p_pi.shape[:-1]))
+    pulse = initial_dist
+    weight = 1.0 - discount
+    max_iters = _contraction_iteration_cap(discount, tol, 1.0)
+    for _ in range(max_iters):
+        total += weight * pulse
+        if weight * pulse.max() <= tol:
+            return total
+        pulse = (pulse[..., None, :] @ p_pi)[..., 0, :]
+        weight *= discount
+    raise SolverError(f"distribution iteration did not reach {tol:.1e}")
+
+
+def _dense(num_states: int, dense_limit: int | None) -> bool:
+    return num_states <= (DENSE_SIZE_LIMIT if dense_limit is None else dense_limit)
+
+
+def _solve_state_values(
+    mean_rewards: np.ndarray,
+    transitions: np.ndarray,
+    policy_probs: np.ndarray,
+    discount: float,
+    *,
+    residual_tol: float = _RESIDUAL_TOL,
+    dense_limit: int | None = None,
+) -> np.ndarray:
+    """V(s) = r_pi(s) + g*E[V(s')], the un-normalized state-level fixed point."""
+    num_states = policy_probs.shape[0]
+    p_pi = _policy_chain(transitions, policy_probs)
+    r_pi = (policy_probs * np.asarray(mean_rewards, dtype=np.float64)).sum(axis=-1)
+    if _dense(num_states, dense_limit):
+        return _solve_checked(np.eye(num_states) - discount * p_pi, r_pi, residual_tol)
+    return _iterate_values(r_pi, p_pi, discount, tol=1e-13)
 
 
 def q_table(
@@ -87,17 +126,12 @@ def q_table(
     residual_tol: float = _RESIDUAL_TOL,
     dense_limit: int | None = None,
 ) -> np.ndarray:
-    """Q(s,a) = rbar(s,a) + g*E[Q(s',a')], the un-normalized fixed point."""
-    num_states, num_actions = policy_probs.shape
-    size = num_states * num_actions
-    rbar_flat = np.asarray(mean_rewards, dtype=np.float64).reshape(size)
-    limit = DENSE_SIZE_LIMIT if dense_limit is None else dense_limit
-    if size <= limit:
-        a_mat = np.eye(size) - discount * forward_matrix(transitions, policy_probs)
-        q = _solve_checked(a_mat, rbar_flat, residual_tol)
-    else:
-        q = _iterate_q(rbar_flat, transitions, policy_probs, discount, tol=1e-13)
-    return q.reshape(num_states, num_actions)
+    """Q(s,a) = rbar(s,a) + g*E[V(s')], the un-normalized fixed point."""
+    v = _solve_state_values(
+        mean_rewards, transitions, policy_probs, discount,
+        residual_tol=residual_tol, dense_limit=dense_limit,
+    )
+    return mean_rewards + discount * (transitions @ v[..., None, :, None])[..., 0]
 
 
 def on_policy_distribution_table(
@@ -110,40 +144,16 @@ def on_policy_distribution_table(
     dense_limit: int | None = None,
 ) -> np.ndarray:
     """Discounted state-action visitation d(s,a), normalized to sum to 1."""
-    num_states, num_actions = policy_probs.shape
-    size = num_states * num_actions
-    p0 = initial_state_action(initial_dist, policy_probs)
-    limit = DENSE_SIZE_LIMIT if dense_limit is None else dense_limit
-    if size <= limit:
-        a_mat = np.eye(size) - discount * forward_matrix(transitions, policy_probs).T
-        d = _solve_checked(a_mat, (1.0 - discount) * p0, residual_tol)
+    num_states = policy_probs.shape[0]
+    p_pi = _policy_chain(transitions, policy_probs)
+    if _dense(num_states, dense_limit):
+        a_mat = np.eye(num_states) - discount * np.swapaxes(p_pi, -1, -2)
+        b = np.broadcast_to((1.0 - discount) * initial_dist, a_mat.shape[:-1])
+        d_states = _solve_checked(a_mat, b, residual_tol)
     else:
-        d = _iterate_distribution(transitions, p0, policy_probs, discount, tol=1e-15)
+        d_states = _iterate_distribution(initial_dist, p_pi, discount, tol=1e-15)
     # LU round-off can leave entries at -1e-17; the result is a distribution.
-    return np.maximum(d, 0.0).reshape(num_states, num_actions)
-
-
-def _iterate_distribution(
-    transitions: np.ndarray,
-    p0: np.ndarray,
-    policy_probs: np.ndarray,
-    discount: float,
-    tol: float,
-) -> np.ndarray:
-    num_states, num_actions = policy_probs.shape
-    flat_t = transitions.reshape(num_states * num_actions, num_states)
-    total = np.zeros_like(p0)
-    pulse = p0.copy()
-    weight = 1.0 - discount
-    max_iters = _contraction_iteration_cap(discount, tol, 1.0)
-    for _ in range(max_iters):
-        total += weight * pulse
-        if weight * pulse.max() <= tol:
-            return total
-        next_state_mass = flat_t.T @ pulse
-        pulse = (next_state_mass[:, None] * policy_probs).reshape(-1)
-        weight *= discount
-    raise SolverError(f"distribution iteration did not reach {tol:.1e}")
+    return np.maximum(d_states[..., None] * policy_probs, 0.0)
 
 
 def state_values(q: np.ndarray, policy_probs: np.ndarray) -> np.ndarray:
@@ -160,15 +170,14 @@ def policy_value(
     *,
     residual_tol: float = _RESIDUAL_TOL,
     dense_limit: int | None = None,
-) -> float:
-    """(1-discount)-normalized expected discounted reward of the policy."""
-    q = q_table(
-        mean_rewards,
-        transitions,
-        policy_probs,
-        discount,
-        residual_tol=residual_tol,
-        dense_limit=dense_limit,
+):
+    """(1-discount)-normalized expected discounted reward of the policy.
+
+    A float for one model; an array over the leading axes for stacked models.
+    """
+    v = _solve_state_values(
+        mean_rewards, transitions, policy_probs, discount,
+        residual_tol=residual_tol, dense_limit=dense_limit,
     )
-    p0 = initial_state_action(initial_dist, policy_probs)
-    return float((1.0 - discount) * (p0 @ q.reshape(-1)))
+    value = (1.0 - discount) * (initial_dist * v).sum(axis=-1)
+    return float(value) if np.ndim(value) == 0 else value

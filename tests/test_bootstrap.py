@@ -12,7 +12,8 @@ from opeci import (
     bootstrap_interval,
     quantile,
 )
-from opeci.bootstrap import bootstrap_replicas, interval_from_replicas
+from opeci.bootstrap import _resample_values, bootstrap_replicas, interval_from_replicas
+from opeci.seeding import seed_parts
 
 
 def mean_functional(values):
@@ -104,6 +105,21 @@ class TestBootstrapInterval:
         with pytest.raises(RuntimeError, match="replica 2"):
             bootstrap_interval(values, flaky, 0.1, 20, rng_seed=10)
 
+    def test_non_finite_replica_named(self):
+        # the values cancel in the original data; a replica drawing one twice overflows
+        values = np.array([1e308, -1e308])
+        first = next(
+            k for k in range(50)
+            if len(set(_resample_values(values, seed_parts(12) + (k,)).tolist())) == 1
+        )
+
+        def mean(v):
+            with np.errstate(over="ignore"):
+                return float(np.mean(v))
+
+        with pytest.raises(ValidationError, match=f"bootstrap replica {first} is not finite"):
+            bootstrap_replicas(values, mean, 50, rng_seed=12)
+
     def test_argument_validation(self):
         values = np.arange(5.0)
         with pytest.raises(ValidationError):
@@ -132,6 +148,13 @@ class TestConfidenceInterval:
             ConfidenceInterval(1.0, 0.0, 0.5, 0.9, 10)
         with pytest.raises(ValidationError):
             ConfidenceInterval(0.0, 1.0, 0.5, 1.0, 10)
+
+    def test_nan_rejected_infinities_allowed(self):
+        for bounds in ((math.nan, 1.0, 0.5), (0.0, math.nan, 0.5), (0.0, 1.0, math.nan)):
+            with pytest.raises(ValidationError, match="NaN"):
+                ConfidenceInterval(*bounds, 0.9, 10)
+        ci = ConfidenceInterval(-math.inf, math.inf, 0.5, 0.9, 10)
+        assert ci.contains(1e300)
 
     def test_width_and_contains(self):
         ci = ConfidenceInterval(-1.0, 3.0, 1.0, 0.9, 10)

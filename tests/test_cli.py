@@ -65,6 +65,17 @@ class TestEval:
         assert code == 0
         assert 0.0 < float(out.strip()) < 1.0
 
+    def test_non_distribution_policy_is_validation_error(self, tmp_path, capsys):
+        mdp_path, _ = all_ones_mdp_file(tmp_path)
+        policy_path = tmp_path / "bad_policy.json"
+        policy_path.write_text(json.dumps({"probs": [[3.0], [3.0]]}))
+        code, _, err = run_cli(
+            ["eval", "--mdp", str(mdp_path), "--policy", str(policy_path), "--gamma", "0.9"],
+            capsys,
+        )
+        assert code == 1
+        assert "sum to 1" in err
+
     def test_missing_file_is_validation_error(self, tmp_path, capsys):
         code, _, err = run_cli(
             ["eval", "--mdp", str(tmp_path / "nope.json"), "--policy", "x", "--gamma", "0.9"],
@@ -121,6 +132,28 @@ class TestGenDataAndInterval:
         assert code == 0
         doc = json.loads(out)
         assert doc["lower"] == doc["upper"] == doc["point"]
+
+    @pytest.mark.parametrize(
+        "method", ["is-boot", "dr-boot", "hoeffding", "bernstein", "student-t"]
+    )
+    def test_logged_state_outside_policy_is_validation_error(
+        self, lake_files, tmp_path, capsys, method
+    ):
+        _, target_path, _ = lake_files
+        step = [0, 2, 0.0, 4, 0.85, 0]
+        meta = {"num_states": 17, "num_actions": 4, "discount": 0.999}
+        lines = [json.dumps({"meta": meta})]
+        lines += [json.dumps({"initial_state": 0, "steps": [step]})] * 19
+        lines.append(json.dumps({"initial_state": 0, "steps": [[99] + step[1:]]}))
+        data_path = tmp_path / "state99.jsonl"
+        data_path.write_text("\n".join(lines) + "\n")
+        code, _, err = run_cli(
+            ["interval", "--data", str(data_path), "--method", method, "--b", "10",
+             "--policy", str(target_path)],
+            capsys,
+        )
+        assert code == 1
+        assert "error" in err and "Traceback" not in err
 
     def test_interval_determinism(self, lake_files, tmp_path, capsys):
         mdp_path, target_path, behavior_path = lake_files

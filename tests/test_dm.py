@@ -25,8 +25,14 @@ from opeci import (
     tuples_from_episodes,
     uniform_policy,
 )
-from opeci.dm import qe_fixed_point
-from opeci.empirical import sample_tuples
+from opeci import solvers
+from opeci.bootstrap import bootstrap_replicas
+from opeci.dm import dm_bootstrap_replicas, qe_fixed_point, replica_chunk_size
+from opeci.empirical import (
+    augment_noisy_rewards,
+    resample_indices,
+    sample_tuples,
+)
 from opeci.errors import ValidationError
 
 
@@ -217,3 +223,113 @@ class TestEmpiricalOnPolicyDistribution:
         dist = empirical_on_policy_distribution(model, make_random_policy(6, 2, rng_seed=26))
         assert abs(dist.sum() - 1.0) < 1e-10
         assert (dist >= 0).all()
+
+
+def loop_replicas(data, policy, b, seed, kappa, discount):
+    """The per-replica reference: resample, build the model, solve."""
+
+    def functional(d):
+        return dm_value(build_empirical_model(d, kappa=kappa, discount=discount), policy)
+
+    return bootstrap_replicas(data, functional, b, seed)
+
+
+def random_mdp_case():
+    mdp = make_random_mdp(12, 3, 0.9, rng_seed=30)
+    return sample_tuples(mdp, 150, rng_seed=31), make_random_policy(12, 3, rng_seed=32)
+
+
+def lake_case():
+    lake = make_frozen_lake()
+    target = optimal_policy(lake)
+    behavior = perturb_policy_epsilon_greedy(target, 0.2)
+    episodes = sample_episodes(lake, behavior, 15, 10_000, rng_seed=33)
+    return tuples_from_episodes(episodes), target
+
+
+class TestDmBootstrapReplicas:
+    @pytest.mark.parametrize("case", [random_mdp_case, lake_case])
+    @pytest.mark.parametrize("gamma", [0.0, 0.9, 0.999])
+    @pytest.mark.parametrize("kappa", [0.0, 0.05])
+    @pytest.mark.parametrize("noisy", [False, True])
+    def test_equals_per_replica_loop(self, case, gamma, kappa, noisy):
+        data, policy = case()
+        S, A = data.num_states, data.num_actions
+        if noisy:
+            data = augment_noisy_rewards(data, 0.25 * float(np.std(data.r)))
+        # more than one chunk, the last one partial
+        b = replica_chunk_size(S, A) + 7
+        point, diffs = dm_bootstrap_replicas(
+            data, policy, b, ("eq", 1), kappa=kappa, discount=gamma
+        )
+        ref_point, ref_diffs = loop_replicas(data, policy, b, ("eq", 1), kappa, gamma)
+        assert point == ref_point
+        assert np.abs(diffs - ref_diffs).max() <= 1e-12
+
+    def test_chunking_cannot_change_results(self):
+        data, policy = lake_case()
+        chunk = replica_chunk_size(data.num_states, data.num_actions)
+        small = dm_bootstrap_replicas(data, policy, chunk + 3, 5, kappa=0.0, discount=0.999)
+        large = dm_bootstrap_replicas(data, policy, 3 * chunk, 5, kappa=0.0, discount=0.999)
+        assert small[0] == large[0]
+        assert np.array_equal(small[1], large[1][: chunk + 3])
+
+    def test_non_finite_replica_named(self):
+        # the two rewards cancel in the original data; a replica drawing one twice overflows
+        data = TupleDataset.from_tuples([(0, 0, 0, 1e308, 0), (0, 0, 0, -1e308, 0)], 1, 1)
+        first = next(
+            k for k in range(100) if len(set(resample_indices(data, (9, k)).tolist())) == 1
+        )
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(ValidationError, match=f"bootstrap replica {first} is not finite"):
+                dm_bootstrap_replicas(data, uniform_policy(1, 1), 100, 9, kappa=0.0, discount=0.0)
+
+    def test_argument_validation(self):
+        data, policy = random_mdp_case()
+        with pytest.raises(ValidationError):
+            dm_bootstrap_replicas(data, policy, 1, 0, kappa=0.0, discount=0.9)
+        with pytest.raises(ValidationError):
+            dm_bootstrap_replicas(data, uniform_policy(3, 3), 10, 0, kappa=0.0, discount=0.9)
+
+
+class TestStackedSolves:
+    def stack(self, count=3):
+        models = [
+            build_empirical_model(
+                sample_tuples(make_random_mdp(5, 2, 0.95, rng_seed=40), 60, rng_seed=41 + i),
+                kappa=0.1, discount=0.95,
+            )
+            for i in range(count)
+        ]
+        rewards = np.stack([m.mean_reward for m in models])
+        transitions = np.stack([m.transitions for m in models])
+        initial = np.stack([m.initial_dist for m in models])
+        return models, rewards, transitions, initial
+
+    def test_stack_matches_single_solves(self):
+        models, rewards, transitions, initial = self.stack()
+        policy = make_random_policy(5, 2, rng_seed=45)
+        values = solvers.policy_value(rewards, transitions, initial, policy.probs, 0.95)
+        q = solvers.q_table(rewards, transitions, policy.probs, 0.95)
+        dist = solvers.on_policy_distribution_table(transitions, initial, policy.probs, 0.95)
+        for i, model in enumerate(models):
+            assert values[i] == dm_value(model, policy)
+            assert np.array_equal(q[i], dm_q(model, policy))
+            assert np.array_equal(dist[i], empirical_on_policy_distribution(model, policy))
+
+    def test_fixed_point_fallback_matches_dense(self):
+        _, rewards, transitions, initial = self.stack()
+        policy = make_random_policy(5, 2, rng_seed=46)
+        dense = solvers.policy_value(rewards, transitions, initial, policy.probs, 0.95)
+        iterated = solvers.policy_value(
+            rewards, transitions, initial, policy.probs, 0.95, dense_limit=0
+        )
+        assert np.abs(dense - iterated).max() < 1e-11
+        q_dense = solvers.q_table(rewards, transitions, policy.probs, 0.95)
+        q_iter = solvers.q_table(rewards, transitions, policy.probs, 0.95, dense_limit=0)
+        assert np.abs(q_dense - q_iter).max() < 1e-10
+        d_dense = solvers.on_policy_distribution_table(transitions, initial, policy.probs, 0.95)
+        d_iter = solvers.on_policy_distribution_table(
+            transitions, initial, policy.probs, 0.95, dense_limit=0
+        )
+        assert np.abs(d_dense - d_iter).max() < 1e-12

@@ -290,3 +290,16 @@ class TestEpsilonGreedy:
     def test_out_of_range_rejected(self):
         with pytest.raises(ValidationError):
             perturb_policy_epsilon_greedy(uniform_policy(2, 2), 1.5)
+
+
+class TestPolicyValidation:
+    @pytest.mark.parametrize(
+        "probs",
+        [[[3.0]], [[0.5, 0.6]], [[1.5, -0.5]], [[np.nan, 1.0]], [[np.inf, 0.0]], [0.5, 0.5], [[]]],
+    )
+    def test_non_distributions_rejected(self, probs):
+        with pytest.raises(ValidationError):
+            Policy(np.array(probs))
+
+    def test_round_off_within_tolerance_accepted(self):
+        Policy(np.array([[0.1, 0.2, 0.7 + 1e-15]]))
