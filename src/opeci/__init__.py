@@ -10,11 +10,9 @@ Importance-sampling baselines and a coverage harness round out the toolkit.
 
 from .baselines import (
     PerEpisodeEstimates,
-    dr_bootstrap_interval,
     dr_estimate,
     empirical_bernstein_interval,
     hoeffding_interval,
-    is_bootstrap_interval,
     per_decision_is,
     student_t_interval,
 )
@@ -45,6 +43,7 @@ from .harness import (
     CoverageReport,
     ExperimentConfig,
     emit_report,
+    method_intervals,
     read_report,
     run_coverage_experiment,
 )

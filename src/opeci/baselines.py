@@ -2,7 +2,8 @@
 
 Per-episode estimators produce one value per logged episode; intervals then
 come either from concentration inequalities (Hoeffding, empirical Bernstein,
-Student's t) or from bootstrapping the per-episode values.
+Student's t) or from bootstrapping the per-episode values, which
+``harness.method_intervals`` does for its ``is-boot`` and ``dr-boot`` methods.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import stats
 
-from .bootstrap import ConfidenceInterval, bootstrap_interval
+from .bootstrap import ConfidenceInterval
 from .dm import dm_q
 from .empirical import EmpiricalModel
 from .errors import ValidationError
@@ -77,20 +78,24 @@ def _recursive_estimate(
     return (1.0 - discount) * acc
 
 
+def _step_extremes(episodes: EpisodeSet, target: Policy) -> tuple:
+    """(largest step ratio, largest |reward|, longest episode) over the logged steps."""
+    rho_max, r_max, t_max = 0.0, 0.0, 0
+    for ep in episodes.episodes:
+        t_max = max(t_max, len(ep.steps))
+        for step in ep.steps:
+            rho_max = max(rho_max, target.probs[step.state, step.action] / step.behavior_prob)
+            r_max = max(r_max, abs(step.reward))
+    return rho_max, r_max, t_max
+
+
 def _pdis_range_bound(episodes: EpisodeSet, target: Policy, discount: float) -> float:
     """Analytic per-episode magnitude bound from the observed max step ratio.
 
     Optimistic when ratios are data-estimated: it reflects the dataset seen,
     not the environment's worst case.
     """
-    rho_max = 0.0
-    r_max = 0.0
-    t_max = 0
-    for ep in episodes.episodes:
-        t_max = max(t_max, len(ep.steps))
-        for step in ep.steps:
-            rho_max = max(rho_max, target.probs[step.state, step.action] / step.behavior_prob)
-            r_max = max(r_max, abs(step.reward))
+    rho_max, r_max, t_max = _step_extremes(episodes, target)
     if t_max == 0 or rho_max == 0.0 or r_max == 0.0:
         return 0.0
     t = np.arange(t_max)
@@ -109,6 +114,8 @@ def per_decision_is(
     ``trajectory_weighting=True`` switches to whole-trajectory weights (the
     higher-variance classical form); off by default.
     """
+    if not 0.0 <= discount < 1.0:
+        raise ValidationError("discount must lie in [0, 1)")
     values = np.empty(len(episodes.episodes))
     for j, ep in enumerate(episodes.episodes):
         ratios = _step_ratios(ep, target)
@@ -157,14 +164,7 @@ def dr_estimate(
 
 
 def _dr_range_bound(episodes, target, discount, q, v) -> float:
-    rho_max = 0.0
-    r_max = 0.0
-    t_max = 0
-    for ep in episodes.episodes:
-        t_max = max(t_max, len(ep.steps))
-        for step in ep.steps:
-            rho_max = max(rho_max, target.probs[step.state, step.action] / step.behavior_prob)
-            r_max = max(r_max, abs(step.reward))
+    rho_max, r_max, t_max = _step_extremes(episodes, target)
     bound = 0.0
     v_max = float(np.abs(v).max()) if v.size else 0.0
     q_max = float(np.abs(q).max()) if q.size else 0.0
@@ -207,39 +207,3 @@ def student_t_interval(est: PerEpisodeEstimates, alpha: float) -> ConfidenceInte
     sd = float(est.values.std(ddof=1))
     half = float(stats.t.ppf(1.0 - alpha / 2.0, m - 1)) * sd / math.sqrt(m)
     return ConfidenceInterval(mean - half, mean + half, mean, 1.0 - alpha, 0)
-
-
-def _mean_functional(values: np.ndarray) -> float:
-    return float(values.mean())
-
-
-def is_bootstrap_interval(
-    episodes: EpisodeSet,
-    target: Policy,
-    discount: float,
-    alpha: float,
-    b: int,
-    rng_seed,
-) -> ConfidenceInterval:
-    """Bootstrap the mean of per-decision IS estimates at episode granularity.
-
-    Estimates are episode-local, so resampling the per-episode value multiset
-    draws the same law (and the same indices, given the seed) as resampling
-    episodes and re-estimating.
-    """
-    est = per_decision_is(episodes, target, discount)
-    return bootstrap_interval(est.values, _mean_functional, alpha, b, rng_seed)
-
-
-def dr_bootstrap_interval(
-    episodes: EpisodeSet,
-    target: Policy,
-    model: EmpiricalModel,
-    discount: float,
-    alpha: float,
-    b: int,
-    rng_seed,
-) -> ConfidenceInterval:
-    """Bootstrap the mean of doubly-robust estimates (model held fixed)."""
-    est = dr_estimate(episodes, target, model, discount)
-    return bootstrap_interval(est.values, _mean_functional, alpha, b, rng_seed)

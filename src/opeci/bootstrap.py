@@ -1,10 +1,10 @@
 """Non-parametric bias-corrected percentile bootstrap.
 
-Generic over the estimator functional and the resampling granularity: tuple
-datasets, augmented datasets, episode sets, and plain value arrays all have
-default resamplers, and any ``(data, seed) -> data`` callable can be
-substituted.  Replica seeds derive from (master seed, replica index), so
-replicas are order-independent and may be evaluated concurrently.
+Generic over the estimator functional; the resampling granularity follows
+the data type: tuple datasets and augmented datasets resample tuples,
+episode sets resample episodes, and plain value arrays resample values.
+Replica seeds derive from (master seed, replica index), so replicas are
+order-independent and may be evaluated concurrently.
 """
 
 from __future__ import annotations
@@ -86,7 +86,7 @@ def check_replicas(point: float, diffs: np.ndarray) -> None:
         raise ValidationError(f"bootstrap replica {k} is not finite (difference {diffs[k]})")
 
 
-def bootstrap_replicas(data, functional, b: int, rng_seed, resampler=None):
+def bootstrap_replicas(data, functional, b: int, rng_seed):
     """Point estimate plus the b recentered replica differences.
 
     Computing these once lets several confidence levels share one set of
@@ -94,7 +94,7 @@ def bootstrap_replicas(data, functional, b: int, rng_seed, resampler=None):
     """
     if b < 2:
         raise ValidationError("b must be >= 2")
-    resampler = resampler or default_resampler(data)
+    resampler = default_resampler(data)
     parts = seed_parts(rng_seed)
     point = float(functional(data))
     diffs = np.empty(b)
@@ -141,12 +141,11 @@ def bootstrap_interval(
     b: int,
     rng_seed,
     side: str = "two",
-    resampler=None,
 ) -> ConfidenceInterval:
     """Resample ``data`` b times, re-evaluate ``functional``, and invert the
     recentered replica distribution into a confidence interval.
 
     Deterministic given (data, seed, b, alpha, side).
     """
-    point, diffs = bootstrap_replicas(data, functional, b, rng_seed, resampler)
+    point, diffs = bootstrap_replicas(data, functional, b, rng_seed)
     return interval_from_replicas(point, diffs, alpha, side)

@@ -11,34 +11,13 @@ import json
 import sys
 import traceback
 
-import numpy as np
-
-from .baselines import (
-    dr_bootstrap_interval,
-    empirical_bernstein_interval,
-    hoeffding_interval,
-    is_bootstrap_interval,
-    per_decision_is,
-    student_t_interval,
-)
-from .bootstrap import interval_from_replicas
-from .dm import dm_bootstrap_replicas
-from .empirical import augment_noisy_rewards, build_empirical_model, tuples_from_episodes
 from .errors import ValidationError
-from .harness import ExperimentConfig, emit_report, run_coverage_experiment
+from .harness import (
+    METHODS, ExperimentConfig, emit_report, method_intervals, run_coverage_experiment,
+)
 from .io import load_episodes, load_mdp, load_policy, save_episodes
 from .mdp import exact_policy_value, sample_episodes, validate
 from .sensitivity import check_gradients, counterexample_blowup_probe
-
-_INTERVAL_METHODS = (
-    "dm-boot",
-    "dm-noisy-boot",
-    "is-boot",
-    "dr-boot",
-    "hoeffding",
-    "bernstein",
-    "student-t",
-)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -52,7 +31,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_int = sub.add_parser("interval", help="confidence interval from logged episodes")
     p_int.add_argument("--data", required=True, help="episodes file written by gen-data")
-    p_int.add_argument("--method", required=True, choices=_INTERVAL_METHODS)
+    p_int.add_argument("--method", required=True, choices=METHODS)
     p_int.add_argument("--alpha", type=float, default=0.1)
     p_int.add_argument("--b", type=int, default=1000)
     p_int.add_argument("--kappa", type=float, default=0.0)
@@ -103,29 +82,10 @@ def _cmd_interval(args) -> int:
     if gamma is None:
         raise ValidationError("data file records no discount; pass --gamma")
     target = load_policy(args.policy)
-    if args.method in ("dm-boot", "dm-noisy-boot"):
-        data = tuples_from_episodes(episodes)
-        if args.method == "dm-noisy-boot":
-            data = augment_noisy_rewards(data, args.noise_coef * float(np.std(data.r)))
-        point, diffs = dm_bootstrap_replicas(
-            data, target, args.b, args.seed, kappa=args.kappa, discount=gamma
-        )
-        ci = interval_from_replicas(point, diffs, args.alpha)
-    elif args.method == "is-boot":
-        ci = is_bootstrap_interval(episodes, target, gamma, args.alpha, args.b, args.seed)
-    elif args.method == "dr-boot":
-        model = build_empirical_model(
-            tuples_from_episodes(episodes), None, args.kappa, discount=gamma
-        )
-        ci = dr_bootstrap_interval(episodes, target, model, gamma, args.alpha, args.b, args.seed)
-    else:
-        est = per_decision_is(episodes, target, gamma)
-        formula = {
-            "hoeffding": hoeffding_interval,
-            "bernstein": empirical_bernstein_interval,
-            "student-t": student_t_interval,
-        }[args.method]
-        ci = formula(est, args.alpha)
+    ci = method_intervals(
+        args.method, episodes, target, discount=gamma, alphas=(args.alpha,), b=args.b,
+        kappa=args.kappa, noise_coef=args.noise_coef, seed=args.seed,
+    )[args.alpha]
     print(json.dumps({"lower": ci.lower, "upper": ci.upper, "point": ci.point_estimate}))
     return 0
 

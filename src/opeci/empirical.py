@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .mdp import EpisodeSet
+from .mdp import EpisodeSet, _CategoricalTables, _pick
 from .seeding import as_generator
 
 
@@ -106,9 +106,9 @@ class PriorSpec:
     rows: an unvisited pair keeps paying its prior reward from the same
     state forever, which with the zero reward prior contributes nothing to
     the value.  This matches what zero-initialized Q-evaluation does with
-    pairs the data never updates.  (A uniform row prior is available via
-    ``uniform_transition_prior``, but on goal-seeking domains it acts as a
-    teleporter out of absorbing states and badly inflates values.)
+    pairs the data never updates.  (A uniform row prior would act on
+    goal-seeking domains as a teleporter out of absorbing states and badly
+    inflate values.)
     """
 
     reward_mean: float | np.ndarray = 0.0
@@ -154,11 +154,6 @@ class EmpiricalModel:
     def pair_mass(self) -> np.ndarray:
         """Empirical state-action mass d(s, a), summing to 1."""
         return self.counts / self.total_weight
-
-
-def uniform_transition_prior(num_states: int, num_actions: int) -> np.ndarray:
-    """Uniform next-state rows, for callers that want maximum-entropy fallback."""
-    return np.full((num_states, num_actions, num_states), 1.0 / num_states)
 
 
 def tuples_from_episodes(episodes: EpisodeSet) -> TupleDataset:
@@ -387,19 +382,9 @@ def sample_tuples(mdp, count: int, rng_seed, state_action_dist: np.ndarray | Non
     s, a = sa // A, sa % A
     r = np.empty(count)
     sp = np.empty(count, dtype=np.int64)
-    trans_cum = np.cumsum(mdp.transitions, axis=2)
+    tables = _CategoricalTables(mdp)
     for i in range(count):
         si, ai = int(s[i]), int(a[i])
-        support = mdp.rewards[si][ai]
-        u = rng.random()
-        acc = 0.0
-        r[i] = support[-1][0]
-        for value, prob in support:
-            acc += prob
-            if u < acc:
-                r[i] = value
-                break
-        sp[i] = min(
-            int(np.searchsorted(trans_cum[si, ai], rng.random(), side="right")), S - 1
-        )
+        r[i] = tables.reward_values[si][ai][_pick(tables.reward_cum[si][ai], rng.random())]
+        sp[i] = _pick(tables.trans_cum[si, ai], rng.random())
     return TupleDataset(s0, s, a, r, sp, S, A)

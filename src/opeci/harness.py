@@ -19,7 +19,6 @@ from zlib import crc32
 import numpy as np
 
 from .baselines import (
-    _mean_functional,
     dr_estimate,
     empirical_bernstein_interval,
     hoeffding_interval,
@@ -30,7 +29,7 @@ from .bootstrap import bootstrap_replicas, interval_from_replicas
 from .dm import dm_bootstrap_replicas
 from .empirical import augment_noisy_rewards, build_empirical_model, tuples_from_episodes
 from .errors import ValidationError
-from .io import load_mdp, load_policy
+from .io import load_mdp, load_policy, policy_from_doc
 from .mdp import (
     DEFAULT_LAKE_MAP,
     Policy,
@@ -54,9 +53,6 @@ METHODS = (
     "bernstein",
     "student-t",
 )
-
-_BOOTSTRAP_METHODS = ("dm-boot", "dm-noisy-boot", "is-boot", "dr-boot")
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -87,8 +83,8 @@ class ExperimentConfig:
             raise ValidationError(f"unknown config fields: {sorted(unknown)}")
         try:
             return cls(**doc)
-        except TypeError as exc:
-            raise ValidationError(f"incomplete config: {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"invalid config: {exc}") from exc
 
     def to_dict(self) -> dict:
         out = asdict(self)
@@ -108,7 +104,7 @@ def validate_config(config: ExperimentConfig) -> None:
     unknown = [m for m in config.methods if m not in METHODS]
     if unknown:
         raise ValidationError(f"unknown methods {unknown}; expected a subset of {METHODS}")
-    if config.bootstrap_b < 2 and any(m in _BOOTSTRAP_METHODS for m in config.methods):
+    if config.bootstrap_b < 2 and any(m.endswith("-boot") for m in config.methods):
         raise ValidationError("bootstrap_b must be >= 2")
     if not 0.0 <= config.behavior_epsilon <= 1.0:
         raise ValidationError("behavior_epsilon must lie in [0, 1]")
@@ -145,7 +141,7 @@ def resolve_target(mdp: TabularMdp, config: ExperimentConfig) -> Policy:
     if isinstance(spec, dict) and "path" in spec:
         return load_policy(spec["path"])
     if isinstance(spec, dict) and "probs" in spec:
-        return Policy(np.array(spec["probs"], dtype=np.float64))
+        return policy_from_doc(spec, "target_policy")
     raise ValidationError(f"cannot resolve target policy from {spec!r}")
 
 
@@ -179,34 +175,50 @@ class CoverageReport:
         raise KeyError((method, n, alpha))
 
 
-def _method_intervals(method, episodes, target, config, seed, caches):
-    """One (lower, upper) per alpha; bootstrap replicas are shared across alphas."""
-    gamma = config.discount
+def method_intervals(
+    method, episodes, target, *, discount, alphas, b, kappa, noise_coef, seed, cache=None
+) -> dict:
+    """{alpha: ConfidenceInterval} from one interval method on logged episodes.
+
+    The one dispatch over ``METHODS``, for the coverage harness and ``opeci
+    interval`` alike; bootstrap replicas are shared across alphas.  ``cache``
+    keeps the flattened tuples and PDIS estimates of these episodes across
+    calls.  Estimators are looked up by name in this module at call time.
+    """
+    if method not in METHODS:
+        raise ValidationError(f"unknown method {method!r}; expected one of {METHODS}")
+    cache = {} if cache is None else cache
+
+    def tuples():
+        if "tuples" not in cache:
+            cache["tuples"] = tuples_from_episodes(episodes)
+        return cache["tuples"]
+
+    def pdis():
+        if "pdis" not in cache:
+            cache["pdis"] = per_decision_is(episodes, target, discount)
+        return cache["pdis"]
+
     if method in ("dm-boot", "dm-noisy-boot"):
-        data = caches["tuples"]()
+        data = tuples()
         if method == "dm-noisy-boot":
-            scale = config.noise_coef * float(np.std(data.r))
-            data = augment_noisy_rewards(data, scale)
-        point, diffs = dm_bootstrap_replicas(
-            data, target, config.bootstrap_b, seed, kappa=config.kappa, discount=gamma
-        )
-        return {a: interval_from_replicas(point, diffs, a) for a in config.alphas}
-    if method == "is-boot":
-        values = caches["pdis"]().values
-        point, diffs = bootstrap_replicas(values, _mean_functional, config.bootstrap_b, seed)
-        return {a: interval_from_replicas(point, diffs, a) for a in config.alphas}
-    if method == "dr-boot":
-        model = build_empirical_model(caches["tuples"](), None, config.kappa, discount=gamma)
-        est = dr_estimate(episodes, target, model, gamma)
-        point, diffs = bootstrap_replicas(est.values, _mean_functional, config.bootstrap_b, seed)
-        return {a: interval_from_replicas(point, diffs, a) for a in config.alphas}
-    est = caches["pdis"]()
-    formula = {
-        "hoeffding": hoeffding_interval,
-        "bernstein": empirical_bernstein_interval,
-        "student-t": student_t_interval,
-    }[method]
-    return {a: formula(est, a) for a in config.alphas}
+            data = augment_noisy_rewards(data, noise_coef * float(np.std(data.r)))
+        point, diffs = dm_bootstrap_replicas(data, target, b, seed, kappa=kappa, discount=discount)
+    elif method == "is-boot":
+        point, diffs = bootstrap_replicas(pdis().values, np.mean, b, seed)
+    elif method == "dr-boot":
+        model = build_empirical_model(tuples(), None, kappa, discount=discount)
+        values = dr_estimate(episodes, target, model, discount).values
+        point, diffs = bootstrap_replicas(values, np.mean, b, seed)
+    else:
+        formula = {
+            "hoeffding": hoeffding_interval,
+            "bernstein": empirical_bernstein_interval,
+            "student-t": student_t_interval,
+        }[method]
+        est = pdis()
+        return {a: formula(est, a) for a in alphas}
+    return {a: interval_from_replicas(point, diffs, a) for a in alphas}
 
 
 def run_single_trial(config: ExperimentConfig, mdp, target, behavior, n: int, trial: int):
@@ -220,25 +232,15 @@ def run_single_trial(config: ExperimentConfig, mdp, target, behavior, n: int, tr
         ("episodes", config.master_seed, env_key, n, trial),
     )
     cache: dict = {}
-
-    def tuples():
-        if "tuples" not in cache:
-            cache["tuples"] = tuples_from_episodes(episodes)
-        return cache["tuples"]
-
-    def pdis():
-        if "pdis" not in cache:
-            cache["pdis"] = per_decision_is(episodes, target, config.discount)
-        return cache["pdis"]
-
-    caches = {"tuples": tuples, "pdis": pdis}
     rows = []
     for method in config.methods:
-        seed = ("interval", config.master_seed, env_key, n, trial, method)
-        intervals = _method_intervals(method, episodes, target, config, seed, caches)
-        for alpha in config.alphas:
-            ci = intervals[alpha]
-            rows.append((method, alpha, ci.lower, ci.upper))
+        intervals = method_intervals(
+            method, episodes, target,
+            discount=config.discount, alphas=config.alphas, b=config.bootstrap_b,
+            kappa=config.kappa, noise_coef=config.noise_coef,
+            seed=("interval", config.master_seed, env_key, n, trial, method), cache=cache,
+        )
+        rows.extend((method, a, intervals[a].lower, intervals[a].upper) for a in config.alphas)
     return rows
 
 

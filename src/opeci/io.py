@@ -41,13 +41,13 @@ def load_mdp(path) -> TabularMdp:
         doc = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ValidationError(f"cannot read MDP spec {path}: {exc}") from exc
-    if "map" in doc:
-        return make_frozen_lake(
-            slip_prob=doc.get("slip_prob", 0.25),
-            grid=doc["map"],
-            discount=doc.get("discount", 0.999),
-        )
     try:
+        if "map" in doc:
+            return make_frozen_lake(
+                slip_prob=doc.get("slip_prob", 0.25),
+                grid=doc["map"],
+                discount=doc.get("discount", 0.999),
+            )
         return TabularMdp(
             num_states=int(doc["num_states"]),
             num_actions=int(doc["num_actions"]),
@@ -58,7 +58,7 @@ def load_mdp(path) -> TabularMdp:
             terminal_states=frozenset(doc.get("terminal_states", [])),
             r_max=float(doc.get("r_max", 1.0)),
         )
-    except (KeyError, TypeError, IndexError) as exc:
+    except (KeyError, TypeError, IndexError, ValueError) as exc:
         raise ValidationError(f"malformed MDP spec {path}: {exc}") from exc
 
 
@@ -66,12 +66,20 @@ def save_policy(policy: Policy, path) -> None:
     Path(path).write_text(json.dumps({"probs": policy.probs.tolist()}))
 
 
+def policy_from_doc(doc, source) -> Policy:
+    """Policy from a ``{"probs": [[...], ...]}`` document read from ``source``."""
+    try:
+        return Policy(np.array(doc["probs"], dtype=np.float64))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValidationError(f"cannot read policy {source}: {exc}") from exc
+
+
 def load_policy(path) -> Policy:
     try:
         doc = json.loads(Path(path).read_text())
-        return Policy(np.array(doc["probs"], dtype=np.float64))
-    except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
+    except (OSError, json.JSONDecodeError) as exc:
         raise ValidationError(f"cannot read policy {path}: {exc}") from exc
+    return policy_from_doc(doc, path)
 
 
 def save_episodes(episodes: EpisodeSet, path, discount: float | None = None) -> None:

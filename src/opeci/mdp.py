@@ -229,11 +229,9 @@ def normalized_return(episode: Episode, discount: float) -> float:
 
 
 class _CategoricalTables:
-    """Pre-computed cumulative tables for fast per-step sampling."""
+    """Pre-computed cumulative tables of an MDP for fast per-step sampling."""
 
-    def __init__(self, mdp: TabularMdp, policy: Policy):
-        self.policy_cum = np.cumsum(policy.probs, axis=1)
-        self.policy_probs = policy.probs
+    def __init__(self, mdp: TabularMdp):
         self.trans_cum = np.cumsum(mdp.transitions, axis=2)
         self.init_cum = np.cumsum(mdp.initial_dist)
         self.reward_values = [
@@ -268,7 +266,8 @@ def sample_episodes(
         raise ValidationError("max_horizon must be >= 1")
     _check_compat(mdp, policy)
     rng = as_generator(rng_seed)
-    tables = _CategoricalTables(mdp, policy)
+    tables = _CategoricalTables(mdp)
+    policy_cum = np.cumsum(policy.probs, axis=1)
     terminal = mdp.terminal_states
     episodes = []
     for _ in range(count):
@@ -278,10 +277,10 @@ def sample_episodes(
         for _ in range(max_horizon):
             if s in terminal:
                 break
-            a = _pick(tables.policy_cum[s], rng.random())
+            a = _pick(policy_cum[s], rng.random())
             r = float(tables.reward_values[s][a][_pick(tables.reward_cum[s][a], rng.random())])
             ns = _pick(tables.trans_cum[s, a], rng.random())
-            steps.append(Step(s, a, r, ns, float(tables.policy_probs[s, a]), ns in terminal))
+            steps.append(Step(s, a, r, ns, float(policy.probs[s, a]), ns in terminal))
             s = ns
         episodes.append(Episode(initial_state=s0, steps=tuple(steps)))
     return EpisodeSet(tuple(episodes), mdp.num_states, mdp.num_actions)

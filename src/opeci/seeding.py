@@ -13,9 +13,6 @@ from zlib import crc32
 
 import numpy as np
 
-# Anything accepted as a seed by the public API.
-SeedLike = "int | str | tuple | np.random.SeedSequence | np.random.Generator"
-
 _MASK = (1 << 63) - 1
 
 
@@ -38,12 +35,7 @@ def seed_parts(seed) -> tuple[int, ...]:
 
 
 def as_generator(seed) -> np.random.Generator:
-    """Build a Generator from any SeedLike; Generators pass through as-is."""
+    """Build a Generator from any seed ``seed_parts`` accepts; Generators pass through as-is."""
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.default_rng(np.random.SeedSequence(seed_parts(seed)))
-
-
-def derive(seed, *context) -> tuple[int, ...]:
-    """Extend a seed with context labels, yielding a new derivable seed."""
-    return seed_parts(seed) + seed_parts(tuple(context))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dm import dm_q, empirical_on_policy_distribution
+from .dm import dm_q, dm_value, empirical_on_policy_distribution
 from .empirical import (
     EmpiricalModel,
     PriorSpec,
@@ -108,22 +108,6 @@ def influence(model: EmpiricalModel, policy: Policy, tup) -> InfluenceBreakdown:
     )
 
 
-def _dm_value_of_weighted(
-    data: TupleDataset,
-    weights: np.ndarray,
-    policy: Policy,
-    kappa: float,
-    discount: float,
-    priors: PriorSpec | None,
-) -> float:
-    model = build_empirical_model(
-        data, priors, kappa, discount=discount, weights=weights
-    )
-    return solvers.policy_value(
-        model.mean_reward, model.transitions, model.initial_dist, policy.probs, model.discount
-    )
-
-
 def finite_difference_influence(
     data: TupleDataset,
     policy: Policy,
@@ -155,9 +139,9 @@ def finite_difference_influence(
         data.num_actions,
     )
     mixed_w = np.append((1.0 - t) * base_w, t)
-    f_base = _dm_value_of_weighted(data, base_w, policy, kappa, discount, priors)
-    f_mixed = _dm_value_of_weighted(mixed, mixed_w, policy, kappa, discount, priors)
-    return (f_mixed - f_base) / t
+    base = build_empirical_model(data, priors, kappa, discount=discount, weights=base_w)
+    tilted = build_empirical_model(mixed, priors, kappa, discount=discount, weights=mixed_w)
+    return (dm_value(tilted, policy) - dm_value(base, policy)) / t
 
 
 @dataclass(frozen=True)
@@ -318,7 +302,8 @@ def counterexample_blowup_probe(
         reward_mean=1.0,
         transition_probs=_point_transition_prior(mdp.num_states, 1, term),
     )
-    f_base = _dm_value_of_weighted(data, weights, policy, kappa, discount, probe_priors)
+    base = build_empirical_model(data, probe_priors, kappa, discount=discount, weights=weights)
+    f_base = dm_value(base, policy)
 
     unvisited_tuple = (start, n_intermediate, 0, 0.0, term)
     crowd_tuple = (start, 1, 0, 0.0, term)
@@ -338,9 +323,10 @@ def counterexample_blowup_probe(
         else:
             extra = np.array([0.0, eps])
         mixed_w = np.append((1.0 - eps) * weights, extra)
-        f_mixed = _dm_value_of_weighted(
-            extended, mixed_w, policy, kappa, discount, probe_priors
+        model = build_empirical_model(
+            extended, probe_priors, kappa, discount=discount, weights=mixed_w
         )
+        f_mixed = dm_value(model, policy)
         out.append((eps, (f_mixed - f_base) / eps))
     return out
 

@@ -45,17 +45,17 @@ def _policy_chain(transitions: np.ndarray, policy_probs: np.ndarray) -> np.ndarr
     return (policy_probs[:, :, None] * transitions).sum(axis=-2)
 
 
-def _solve_checked(a_mat: np.ndarray, b: np.ndarray, residual_tol: float) -> np.ndarray:
+def _solve_checked(a_mat: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve each stacked system a_mat x = b and check its residual."""
     x = np.linalg.solve(a_mat, b[..., None])[..., 0]
     residual = np.abs((a_mat @ x[..., None])[..., 0] - b).max(axis=-1)
     scale = np.maximum(np.abs(b).max(axis=-1), 1.0)
-    bad = residual > residual_tol * scale
+    bad = residual > _RESIDUAL_TOL * scale
     if bad.any():
         i = int(np.argmax(bad))
         raise SolverError(
             f"linear solve residual {residual.flat[i]:.3e} exceeds "
-            f"{residual_tol:.1e} * {scale.flat[i]:.3e} in stacked system {i}"
+            f"{_RESIDUAL_TOL:.1e} * {scale.flat[i]:.3e} in stacked system {i}"
         )
     return x
 
@@ -105,7 +105,6 @@ def _solve_state_values(
     policy_probs: np.ndarray,
     discount: float,
     *,
-    residual_tol: float = _RESIDUAL_TOL,
     dense_limit: int | None = None,
 ) -> np.ndarray:
     """V(s) = r_pi(s) + g*E[V(s')], the un-normalized state-level fixed point."""
@@ -113,7 +112,7 @@ def _solve_state_values(
     p_pi = _policy_chain(transitions, policy_probs)
     r_pi = (policy_probs * np.asarray(mean_rewards, dtype=np.float64)).sum(axis=-1)
     if _dense(num_states, dense_limit):
-        return _solve_checked(np.eye(num_states) - discount * p_pi, r_pi, residual_tol)
+        return _solve_checked(np.eye(num_states) - discount * p_pi, r_pi)
     return _iterate_values(r_pi, p_pi, discount, tol=1e-13)
 
 
@@ -123,13 +122,11 @@ def q_table(
     policy_probs: np.ndarray,
     discount: float,
     *,
-    residual_tol: float = _RESIDUAL_TOL,
     dense_limit: int | None = None,
 ) -> np.ndarray:
     """Q(s,a) = rbar(s,a) + g*E[V(s')], the un-normalized fixed point."""
     v = _solve_state_values(
-        mean_rewards, transitions, policy_probs, discount,
-        residual_tol=residual_tol, dense_limit=dense_limit,
+        mean_rewards, transitions, policy_probs, discount, dense_limit=dense_limit
     )
     return mean_rewards + discount * (transitions @ v[..., None, :, None])[..., 0]
 
@@ -140,7 +137,6 @@ def on_policy_distribution_table(
     policy_probs: np.ndarray,
     discount: float,
     *,
-    residual_tol: float = _RESIDUAL_TOL,
     dense_limit: int | None = None,
 ) -> np.ndarray:
     """Discounted state-action visitation d(s,a), normalized to sum to 1."""
@@ -149,7 +145,7 @@ def on_policy_distribution_table(
     if _dense(num_states, dense_limit):
         a_mat = np.eye(num_states) - discount * np.swapaxes(p_pi, -1, -2)
         b = np.broadcast_to((1.0 - discount) * initial_dist, a_mat.shape[:-1])
-        d_states = _solve_checked(a_mat, b, residual_tol)
+        d_states = _solve_checked(a_mat, b)
     else:
         d_states = _iterate_distribution(initial_dist, p_pi, discount, tol=1e-15)
     # LU round-off can leave entries at -1e-17; the result is a distribution.
@@ -168,7 +164,6 @@ def policy_value(
     policy_probs: np.ndarray,
     discount: float,
     *,
-    residual_tol: float = _RESIDUAL_TOL,
     dense_limit: int | None = None,
 ):
     """(1-discount)-normalized expected discounted reward of the policy.
@@ -176,8 +171,7 @@ def policy_value(
     A float for one model; an array over the leading axes for stacked models.
     """
     v = _solve_state_values(
-        mean_rewards, transitions, policy_probs, discount,
-        residual_tol=residual_tol, dense_limit=dense_limit,
+        mean_rewards, transitions, policy_probs, discount, dense_limit=dense_limit
     )
     value = (1.0 - discount) * (initial_dist * v).sum(axis=-1)
     return float(value) if np.ndim(value) == 0 else value

@@ -11,13 +11,12 @@ from opeci import (
     TabularMdp,
     ValidationError,
     build_empirical_model,
-    dr_bootstrap_interval,
     dr_estimate,
     empirical_bernstein_interval,
     exact_policy_value,
     hoeffding_interval,
-    is_bootstrap_interval,
     make_frozen_lake,
+    method_intervals,
     optimal_policy,
     per_decision_is,
     perturb_policy_epsilon_greedy,
@@ -239,26 +238,33 @@ class TestConcentrationIntervals:
             student_t_interval(est, 0.1)
 
 
+def bootstrap_ci(method, eps, target, discount, alpha, b, seed):
+    """The ``is-boot`` / ``dr-boot`` interval at one alpha (kappa 0)."""
+    return method_intervals(
+        method, eps, target, discount=discount, alphas=(alpha,), b=b, kappa=0.0,
+        noise_coef=0.25, seed=seed,
+    )[alpha]
+
+
 class TestBootstrapBaselines:
     def test_degenerate_identical_returns(self):
         bandit = two_armed_bandit(r0=1.0, r1=1.0)
         behavior = uniform_policy(1, 2)
         eps = sample_episodes(bandit, behavior, 20, 1, rng_seed=13)
-        ci = is_bootstrap_interval(eps, behavior, 0.0, 0.1, 100, rng_seed=14)
+        ci = bootstrap_ci("is-boot", eps, behavior, 0.0, 0.1, 100, seed=14)
         assert ci.lower == ci.upper == ci.point_estimate == 1.0
 
     def test_single_episode_single_point(self):
         mdp, target, behavior = lake_setup()
         eps = sample_episodes(mdp, behavior, 1, 300, rng_seed=15)
-        ci = is_bootstrap_interval(eps, behavior, 0.95, 0.1, 50, rng_seed=16)
+        ci = bootstrap_ci("is-boot", eps, behavior, 0.95, 0.1, 50, seed=16)
         assert ci.lower == ci.upper == ci.point_estimate
 
     def test_dr_bootstrap_runs_and_is_deterministic(self):
         mdp, target, behavior = lake_setup()
         eps = sample_episodes(mdp, behavior, 30, 300, rng_seed=17)
-        model = build_empirical_model(tuples_from_episodes(eps), discount=0.95)
-        a = dr_bootstrap_interval(eps, target, model, 0.95, 0.1, 100, rng_seed=18)
-        b = dr_bootstrap_interval(eps, target, model, 0.95, 0.1, 100, rng_seed=18)
+        a = bootstrap_ci("dr-boot", eps, target, 0.95, 0.1, 100, seed=18)
+        b = bootstrap_ci("dr-boot", eps, target, 0.95, 0.1, 100, seed=18)
         assert (a.lower, a.upper) == (b.lower, b.upper)
         assert a.lower <= a.upper
 
@@ -272,6 +278,6 @@ class TestBootstrapBaselines:
         trials = 200
         for k in range(trials):
             eps = sample_episodes(bandit, policy, 300, 1, rng_seed=("band", k))
-            ci = is_bootstrap_interval(eps, policy, 0.0, 0.1, 200, rng_seed=("ci", k))
+            ci = bootstrap_ci("is-boot", eps, policy, 0.0, 0.1, 200, seed=("ci", k))
             covered += ci.lower <= 0.5 <= ci.upper
         assert 0.82 <= covered / trials <= 0.97

@@ -1,5 +1,6 @@
 """Command-line interface: flags, exit codes, outputs, determinism."""
 
+import argparse
 import json
 import subprocess
 import sys
@@ -8,8 +9,9 @@ import numpy as np
 import pytest
 
 from opeci import make_frozen_lake, optimal_policy, perturb_policy_epsilon_greedy
-from opeci.cli import main
-from opeci.io import save_mdp, save_policy
+from opeci.cli import _build_parser, main
+from opeci.harness import METHODS, method_intervals
+from opeci.io import load_episodes, load_policy, save_mdp, save_policy
 from opeci.mdp import TabularMdp, uniform_policy
 
 
@@ -155,6 +157,28 @@ class TestGenDataAndInterval:
         assert code == 1
         assert "error" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("method", ["is-boot", "hoeffding"])
+    def test_discount_outside_unit_interval_is_validation_error(
+        self, lake_files, tmp_path, capsys, method
+    ):
+        mdp_path, target_path, behavior_path = lake_files
+        data_path = tmp_path / "episodes.jsonl"
+        run_cli(
+            [
+                "gen-data", "--mdp", str(mdp_path), "--policy", str(behavior_path),
+                "--episodes", "20", "--horizon", "100", "--seed", "6", "--out", str(data_path),
+            ],
+            capsys,
+        )
+        for gamma in ("1.0", "1.5"):
+            code, _, err = run_cli(
+                ["interval", "--data", str(data_path), "--method", method, "--b", "10",
+                 "--gamma", gamma, "--policy", str(target_path)],
+                capsys,
+            )
+            assert code == 1
+            assert "discount" in err
+
     def test_interval_determinism(self, lake_files, tmp_path, capsys):
         mdp_path, target_path, behavior_path = lake_files
         data_path = tmp_path / "episodes.jsonl"
@@ -172,6 +196,102 @@ class TestGenDataAndInterval:
         _, out1, _ = run_cli(args, capsys)
         _, out2, _ = run_cli(args, capsys)
         assert out1 == out2
+
+
+class TestFrontEndsAgree:
+    """``opeci interval`` and the harness share one method registry."""
+
+    def test_method_choices_are_the_registry(self):
+        sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        method = next(a for a in sub.choices["interval"]._actions if a.dest == "method")
+        assert tuple(method.choices) == METHODS
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_interval_json_equals_method_intervals(self, lake_files, tmp_path, capsys, method):
+        mdp_path, target_path, behavior_path = lake_files
+        data_path = tmp_path / "episodes.jsonl"
+        run_cli(
+            [
+                "gen-data", "--mdp", str(mdp_path), "--policy", str(behavior_path),
+                "--episodes", "40", "--horizon", "200", "--seed", "4", "--out", str(data_path),
+            ],
+            capsys,
+        )
+        code, out, _ = run_cli(
+            [
+                "interval", "--data", str(data_path), "--method", method, "--alpha", "0.1",
+                "--b", "60", "--kappa", "0.05", "--seed", "9", "--policy", str(target_path),
+            ],
+            capsys,
+        )
+        assert code == 0
+        episodes, gamma = load_episodes(data_path)
+        ci = method_intervals(
+            method, episodes, load_policy(target_path), discount=gamma, alphas=(0.1,), b=60,
+            kappa=0.05, noise_coef=0.25, seed=9,
+        )[0.1]
+        assert json.loads(out) == {"lower": ci.lower, "upper": ci.upper, "point": ci.point_estimate}
+
+
+class TestMalformedInputs:
+    """Malformed files exit 1 with an error line, never 2 with a traceback."""
+
+    def assert_validation_exit(self, args, capsys):
+        code, _, err = run_cli(args, capsys)
+        assert code == 1
+        assert "error" in err and "Traceback" not in err
+
+    def test_ragged_policy(self, tmp_path, capsys):
+        mdp_path, _ = all_ones_mdp_file(tmp_path)
+        policy_path = tmp_path / "ragged.json"
+        policy_path.write_text(json.dumps({"probs": [[1.0], [0.5, 0.5]]}))
+        self.assert_validation_exit(
+            ["eval", "--mdp", str(mdp_path), "--policy", str(policy_path), "--gamma", "0.9"],
+            capsys,
+        )
+
+    @pytest.mark.parametrize(
+        "field, value", [("num_states", "x"), ("transitions", [[[0.0, 1.0]], [[1.0]]])]
+    )
+    def test_malformed_mdp_field(self, tmp_path, capsys, field, value):
+        mdp_path, policy_path = all_ones_mdp_file(tmp_path)
+        doc = json.loads(mdp_path.read_text())
+        doc[field] = value
+        mdp_path.write_text(json.dumps(doc))
+        self.assert_validation_exit(
+            ["eval", "--mdp", str(mdp_path), "--policy", str(policy_path), "--gamma", "0.9"],
+            capsys,
+        )
+
+    @pytest.mark.parametrize("doc", [{"map": 5}, {"map": ["SG"], "slip_prob": "x"}, [1, 2]])
+    def test_malformed_grid_mdp(self, tmp_path, capsys, doc):
+        _, policy_path = all_ones_mdp_file(tmp_path)
+        mdp_path = tmp_path / "grid.json"
+        mdp_path.write_text(json.dumps(doc))
+        self.assert_validation_exit(
+            ["eval", "--mdp", str(mdp_path), "--policy", str(policy_path), "--gamma", "0.9"],
+            capsys,
+        )
+
+    @pytest.mark.parametrize(
+        "override",
+        [{"sizes": ["ten"]}, {"target_policy": {"probs": [[1.0], [0.5, 0.5]]}}],
+        ids=["sizes", "target_policy"],
+    )
+    def test_malformed_coverage_config(self, tmp_path, capsys, override):
+        config = {
+            "environment": {"type": "bernoulli_bandit", "p": 0.5},
+            "discount": 0.0,
+            "sizes": [10],
+            "methods": ["student-t"],
+            "trials": 2,
+            "max_horizon": 1,
+        }
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({**config, **override}))
+        self.assert_validation_exit(
+            ["coverage", "--config", str(config_path), "--out", str(tmp_path / "x.csv")], capsys
+        )
 
 
 class TestCoverageCommand:

@@ -1,5 +1,7 @@
 """Dataset containers, empirical models, noise augmentation, resampling."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -231,3 +233,31 @@ class TestResampling:
         b = resample_episodes(many, rng_seed=19)
         assert a == b
         assert all(e in many.episodes for e in a.episodes)
+
+
+def tuple_digest(data):
+    h = hashlib.sha256()
+    for col, dtype in (
+        (data.s0, "<i8"), (data.s, "<i8"), (data.a, "<i8"), (data.r, "<f8"), (data.sp, "<i8")
+    ):
+        h.update(np.ascontiguousarray(col, dtype=dtype).tobytes())
+    return h.hexdigest()
+
+
+class TestSampleTuples:
+    def test_golden_hash_random_mdp(self):
+        # Three-point reward supports exercise the reward draw as well as s'.
+        data = sample_tuples(make_random_mdp(6, 3, 0.9, rng_seed=1), 400, rng_seed=2)
+        assert tuple_digest(data) == (
+            "986a9848500d310b38a285150f1c91ee1d2d6be87ac80049c6a7823edaac1afb"
+        )
+
+    def test_golden_hash_lake_weighted_pairs(self):
+        lake = make_frozen_lake()
+        dist = np.arange(1.0, lake.num_states * lake.num_actions + 1).reshape(
+            lake.num_states, lake.num_actions
+        )
+        data = sample_tuples(lake, 400, rng_seed=3, state_action_dist=dist)
+        assert tuple_digest(data) == (
+            "a123e3fa62f1082f1f7e24d434eb5bea5278bc96fa1a561c72c9188eb99e4a14"
+        )
