@@ -18,7 +18,7 @@ from .bootstrap import ConfidenceInterval
 from .dm import dm_q
 from .empirical import EmpiricalModel
 from .errors import ValidationError
-from .mdp import Episode, EpisodeSet, Policy
+from .mdp import EpisodeSet, Policy
 from . import solvers
 
 
@@ -44,93 +44,54 @@ class PerEpisodeEstimates:
         return float(self.values.mean())
 
 
-def _step_ratios(episode: Episode, target: Policy) -> np.ndarray:
-    num_states, num_actions = target.probs.shape
-    ratios = np.empty(len(episode.steps))
-    for i, step in enumerate(episode.steps):
-        if not (0 <= step.state < num_states and 0 <= step.action < num_actions):
-            raise ValidationError(
-                f"logged step (state {step.state}, action {step.action}) is outside the "
-                f"target policy's {num_states} states and {num_actions} actions"
-            )
-        if step.behavior_prob <= 0.0:
-            raise ValidationError(
-                f"logged behavior probability {step.behavior_prob} is not positive"
-            )
-        ratios[i] = target.probs[step.state, step.action] / step.behavior_prob
-    return ratios
-
-
-def _recursive_estimate(
-    episode: Episode,
-    ratios: np.ndarray,
-    discount: float,
-    q: np.ndarray | None,
-    v: np.ndarray | None,
-) -> float:
-    """Backward recursion shared by PDIS (q=v=0) and DR."""
-    acc = 0.0
-    for i in range(len(episode.steps) - 1, -1, -1):
-        step = episode.steps[i]
-        baseline = 0.0 if v is None else v[step.state]
-        control = 0.0 if q is None else q[step.state, step.action]
-        acc = baseline + ratios[i] * (step.reward + discount * acc - control)
-    return (1.0 - discount) * acc
-
-
-def _step_extremes(episodes: EpisodeSet, target: Policy) -> tuple:
-    """(largest step ratio, largest |reward|, longest episode) over the logged steps."""
-    rho_max, r_max, t_max = 0.0, 0.0, 0
-    for ep in episodes.episodes:
-        t_max = max(t_max, len(ep.steps))
-        for step in ep.steps:
-            rho_max = max(rho_max, target.probs[step.state, step.action] / step.behavior_prob)
-            r_max = max(r_max, abs(step.reward))
-    return rho_max, r_max, t_max
-
-
-def _pdis_range_bound(episodes: EpisodeSet, target: Policy, discount: float) -> float:
-    """Analytic per-episode magnitude bound from the observed max step ratio.
-
-    Optimistic when ratios are data-estimated: it reflects the dataset seen,
-    not the environment's worst case.
-    """
-    rho_max, r_max, t_max = _step_extremes(episodes, target)
-    if t_max == 0 or rho_max == 0.0 or r_max == 0.0:
-        return 0.0
-    t = np.arange(t_max)
-    return float((1.0 - discount) * ((discount**t) * rho_max ** (t + 1)).sum() * r_max)
-
-
-def per_decision_is(
+def _backward_sweep(
     episodes: EpisodeSet,
     target: Policy,
     discount: float,
-    trajectory_weighting: bool = False,
-) -> PerEpisodeEstimates:
-    """Per-decision importance sampling: step t is re-weighted by the product
-    of target/behavior ratios up to t.
+    q: np.ndarray,
+    v: np.ndarray,
+) -> tuple:
+    """(per-episode values, largest step ratio, largest |reward|, longest episode).
 
-    ``trajectory_weighting=True`` switches to whole-trajectory weights (the
-    higher-variance classical form); off by default.
+    One backward recursion over all episodes at once, a step from the end at
+    a time:  acc = V(s) + ratio * (r + discount*acc - Q(s, a)),  with V and Q
+    zero for PDIS.
     """
     if not 0.0 <= discount < 1.0:
         raise ValidationError("discount must lie in [0, 1)")
-    values = np.empty(len(episodes.episodes))
-    for j, ep in enumerate(episodes.episodes):
-        ratios = _step_ratios(ep, target)
-        if trajectory_weighting and len(ratios):
-            full = float(np.prod(ratios))
-            rewards = np.array([s.reward for s in ep.steps])
-            weights = discount ** np.arange(len(ratios))
-            values[j] = (1.0 - discount) * full * float(weights @ rewards)
-        else:
-            values[j] = _recursive_estimate(ep, ratios, discount, None, None)
-    return PerEpisodeEstimates(
-        values=values,
-        estimator_tag="PDIS",
-        range_bound=_pdis_range_bound(episodes, target, discount),
-    )
+    shape = (episodes.num_states, episodes.num_actions)
+    if target.probs.shape != shape:
+        raise ValidationError(f"target policy shape {target.probs.shape} != the episodes' {shape}")
+    cols = episodes.columns
+    ratio = target.probs[cols.s, cols.a] / cols.behavior_prob
+    base, control = v[cols.s], q[cols.s, cols.a]
+    ends = np.cumsum(cols.lengths)
+    t_max = int(cols.lengths.max(initial=0))
+    acc = np.zeros(len(ends))
+    for k in range(t_max):
+        live = np.flatnonzero(cols.lengths > k)
+        i = ends[live] - 1 - k
+        acc[live] = base[i] + ratio[i] * (cols.r[i] + discount * acc[live] - control[i])
+    rho_max = float(ratio.max(initial=0.0))
+    r_max = float(np.abs(cols.r).max(initial=0.0))
+    return (1.0 - discount) * acc, rho_max, r_max, t_max
+
+
+def per_decision_is(episodes: EpisodeSet, target: Policy, discount: float) -> PerEpisodeEstimates:
+    """Per-decision importance sampling: step t is re-weighted by the product
+    of target/behavior ratios up to t.
+
+    The range bound is analytic in the observed max step ratio, so it is
+    optimistic when ratios are data-estimated: it reflects the dataset seen,
+    not the environment's worst case.
+    """
+    zeros = np.zeros(target.probs.shape)
+    values, rho_max, r_max, t_max = _backward_sweep(episodes, target, discount, zeros, zeros[:, 0])
+    bound = 0.0
+    if t_max and rho_max and r_max:
+        t = np.arange(t_max)
+        bound = float((1.0 - discount) * ((discount**t) * rho_max ** (t + 1)).sum() * r_max)
+    return PerEpisodeEstimates(values=values, estimator_tag="PDIS", range_bound=bound)
 
 
 def dr_estimate(
@@ -152,25 +113,13 @@ def dr_estimate(
     else:
         q = np.asarray(q_table, dtype=np.float64)
     v = solvers.state_values(q, target.probs)
-    values = np.empty(len(episodes.episodes))
-    for j, ep in enumerate(episodes.episodes):
-        ratios = _step_ratios(ep, target)
-        values[j] = _recursive_estimate(ep, ratios, discount, q, v)
-    return PerEpisodeEstimates(
-        values=values,
-        estimator_tag="DR",
-        range_bound=_dr_range_bound(episodes, target, discount, q, v),
-    )
-
-
-def _dr_range_bound(episodes, target, discount, q, v) -> float:
-    rho_max, r_max, t_max = _step_extremes(episodes, target)
+    values, rho_max, r_max, t_max = _backward_sweep(episodes, target, discount, q, v)
+    v_max, q_max = float(np.abs(v).max()), float(np.abs(q).max())
     bound = 0.0
-    v_max = float(np.abs(v).max()) if v.size else 0.0
-    q_max = float(np.abs(q).max()) if q.size else 0.0
     for _ in range(t_max):
         bound = v_max + rho_max * (r_max + discount * bound + q_max)
-    return (1.0 - discount) * bound
+    bound *= 1.0 - discount
+    return PerEpisodeEstimates(values=values, estimator_tag="DR", range_bound=bound)
 
 
 def _mean_and_size(est: PerEpisodeEstimates, minimum: int) -> tuple:

@@ -131,6 +131,12 @@ def _cmd_gen_data(args) -> int:
     policy = load_policy(args.policy)
     episodes = sample_episodes(mdp, policy, args.episodes, args.horizon, args.seed)
     save_episodes(episodes, args.out, discount=mdp.discount)
+    if episodes.truncated:
+        print(
+            f"warning: {episodes.truncated} of {len(episodes)} episodes stopped at "
+            f"--horizon {args.horizon} before a terminal state",
+            file=sys.stderr,
+        )
     return 0
 
 

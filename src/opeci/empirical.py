@@ -158,18 +158,11 @@ class EmpiricalModel:
 
 def tuples_from_episodes(episodes: EpisodeSet) -> TupleDataset:
     """Flatten episodes to tuples; each tuple's s0 is its episode's start."""
-    s0, s, a, r, sp = [], [], [], [], []
-    for ep in episodes.episodes:
-        for step in ep.steps:
-            s0.append(ep.initial_state)
-            s.append(step.state)
-            a.append(step.action)
-            r.append(step.reward)
-            sp.append(step.next_state)
-    if not s:
+    cols = episodes.columns
+    if not cols.s.size:
         raise ValidationError("episode set contains no steps")
     return TupleDataset(
-        np.array(s0), np.array(s), np.array(a), np.array(r), np.array(sp),
+        np.repeat(cols.s0, cols.lengths), cols.s, cols.a, cols.r, cols.sp,
         episodes.num_states, episodes.num_actions,
     )
 

@@ -176,38 +176,28 @@ class CoverageReport:
 
 
 def method_intervals(
-    method, episodes, target, *, discount, alphas, b, kappa, noise_coef, seed, cache=None
+    method, episodes, target, *, discount, alphas, b, kappa, noise_coef, seed
 ) -> dict:
     """{alpha: ConfidenceInterval} from one interval method on logged episodes.
 
     The one dispatch over ``METHODS``, for the coverage harness and ``opeci
-    interval`` alike; bootstrap replicas are shared across alphas.  ``cache``
-    keeps the flattened tuples and PDIS estimates of these episodes across
-    calls.  Estimators are looked up by name in this module at call time.
+    interval`` alike; bootstrap replicas are shared across alphas.
+    Estimators are looked up by name in this module at call time.
     """
     if method not in METHODS:
         raise ValidationError(f"unknown method {method!r}; expected one of {METHODS}")
-    cache = {} if cache is None else cache
-
-    def tuples():
-        if "tuples" not in cache:
-            cache["tuples"] = tuples_from_episodes(episodes)
-        return cache["tuples"]
-
-    def pdis():
-        if "pdis" not in cache:
-            cache["pdis"] = per_decision_is(episodes, target, discount)
-        return cache["pdis"]
-
     if method in ("dm-boot", "dm-noisy-boot"):
-        data = tuples()
+        data = tuples_from_episodes(episodes)
         if method == "dm-noisy-boot":
             data = augment_noisy_rewards(data, noise_coef * float(np.std(data.r)))
         point, diffs = dm_bootstrap_replicas(data, target, b, seed, kappa=kappa, discount=discount)
     elif method == "is-boot":
-        point, diffs = bootstrap_replicas(pdis().values, np.mean, b, seed)
+        values = per_decision_is(episodes, target, discount).values
+        point, diffs = bootstrap_replicas(values, np.mean, b, seed)
     elif method == "dr-boot":
-        model = build_empirical_model(tuples(), None, kappa, discount=discount)
+        model = build_empirical_model(
+            tuples_from_episodes(episodes), None, kappa, discount=discount
+        )
         values = dr_estimate(episodes, target, model, discount).values
         point, diffs = bootstrap_replicas(values, np.mean, b, seed)
     else:
@@ -216,7 +206,7 @@ def method_intervals(
             "bernstein": empirical_bernstein_interval,
             "student-t": student_t_interval,
         }[method]
-        est = pdis()
+        est = per_decision_is(episodes, target, discount)
         return {a: formula(est, a) for a in alphas}
     return {a: interval_from_replicas(point, diffs, a) for a in alphas}
 
@@ -231,14 +221,13 @@ def run_single_trial(config: ExperimentConfig, mdp, target, behavior, n: int, tr
         mdp, behavior, n, config.max_horizon,
         ("episodes", config.master_seed, env_key, n, trial),
     )
-    cache: dict = {}
     rows = []
     for method in config.methods:
         intervals = method_intervals(
             method, episodes, target,
             discount=config.discount, alphas=config.alphas, b=config.bootstrap_b,
             kappa=config.kappa, noise_coef=config.noise_coef,
-            seed=("interval", config.master_seed, env_key, n, trial, method), cache=cache,
+            seed=("interval", config.master_seed, env_key, n, trial, method),
         )
         rows.extend((method, a, intervals[a].lower, intervals[a].upper) for a in config.alphas)
     return rows

@@ -128,7 +128,7 @@ def load_episodes(path) -> tuple:
             EpisodeSet(tuple(episodes), int(header["num_states"]), int(header["num_actions"])),
             header.get("discount"),
         )
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed episodes file {path}: {exc}") from exc
 
 

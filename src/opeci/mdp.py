@@ -74,14 +74,12 @@ class TabularMdp:
             self, "rewards", _as_reward_table(self.rewards, self.num_states, self.num_actions)
         )
         object.__setattr__(self, "terminal_states", frozenset(int(s) for s in self.terminal_states))
+        means = [[sum(v * p for v, p in support) for support in row] for row in self.rewards]
+        object.__setattr__(self, "_mean_rewards", _freeze(means))
 
     def mean_rewards(self) -> np.ndarray:
-        """Expected reward per (s, a)."""
-        out = np.zeros((self.num_states, self.num_actions))
-        for s in range(self.num_states):
-            for a in range(self.num_actions):
-                out[s, a] = sum(v * p for v, p in self.rewards[s][a])
-        return out
+        """Expected reward per (s, a), read-only."""
+        return self._mean_rewards
 
     def with_discount(self, discount: float) -> "TabularMdp":
         return replace(self, discount=float(discount))
@@ -131,14 +129,65 @@ class Episode:
     steps: tuple  # tuple[Step, ...]
 
 
+class StepColumns(NamedTuple):
+    """Read-only step columns in episode order; ``s0`` and ``lengths`` hold
+    one entry per episode."""
+
+    s0: np.ndarray
+    s: np.ndarray
+    a: np.ndarray
+    r: np.ndarray
+    sp: np.ndarray
+    behavior_prob: np.ndarray
+    terminal: np.ndarray
+    lengths: np.ndarray
+
+
+_STEP_DTYPE = np.dtype(list(zip(Step._fields, ("i8", "i8", "f8", "i8", "f8", "?"))))
+
+
 @dataclass(frozen=True)
 class EpisodeSet:
+    """Logged episodes, validated and flattened to ``columns`` on construction."""
+
     episodes: tuple  # tuple[Episode, ...]
     num_states: int
     num_actions: int
 
+    def __post_init__(self):
+        lengths = np.fromiter((len(ep.steps) for ep in self.episodes), np.int64)
+        s0 = np.fromiter((ep.initial_state for ep in self.episodes), np.int64)
+        table = np.fromiter(
+            (step for ep in self.episodes for step in ep.steps), _STEP_DTYPE,
+            count=int(lengths.sum()),
+        )
+        # Copies, so no view keeps the staging table alive.
+        cols = StepColumns(s0, *(table[name].copy() for name in table.dtype.names), lengths)
+        for column in cols:
+            column.setflags(write=False)
+        S, A, p = self.num_states, self.num_actions, cols.behavior_prob
+        for name, column, ok, allowed in (
+            ("initial state", cols.s0, (cols.s0 >= 0) & (cols.s0 < S), f"[0, {S})"),
+            ("state", cols.s, (cols.s >= 0) & (cols.s < S), f"[0, {S})"),
+            ("next state", cols.sp, (cols.sp >= 0) & (cols.sp < S), f"[0, {S})"),
+            ("action", cols.a, (cols.a >= 0) & (cols.a < A), f"[0, {A})"),
+            ("behavior probability", p, (p > 0.0) & (p <= 1.0), "(0, 1]"),  # NaN fails both
+            ("reward", cols.r, np.isfinite(cols.r), "the finite numbers"),
+        ):
+            bad = np.flatnonzero(~ok)
+            if bad.size:
+                raise ValidationError(f"logged {name} {column[bad[0]]} is outside {allowed}")
+        object.__setattr__(self, "columns", cols)
+
     def __len__(self) -> int:
         return len(self.episodes)
+
+    @property
+    def truncated(self) -> int:
+        """Episodes with at least one step whose last step is not terminal."""
+        lengths = self.columns.lengths
+        last = np.cumsum(lengths)[lengths > 0] - 1
+        return int(np.count_nonzero(~self.columns.terminal[last]))
 
 
 def validate(mdp: TabularMdp) -> list:

@@ -1,8 +1,10 @@
-"""Independent sampling oracles used to cross-check the linear-solve paths.
+"""Independent oracles used to cross-check the package's vectorized paths.
 
-These deliberately avoid the package's solver code: they simulate the MDP
-forward with vectorized numpy and report Monte-Carlo means with standard
-errors, so solver bugs cannot hide in both sides of a comparison.
+The sampling oracles deliberately avoid the package's solver code: they
+simulate the MDP forward with vectorized numpy and report Monte-Carlo means
+with standard errors, so solver bugs cannot hide in both sides of a
+comparison.  The recursion oracles compute PDIS and DR one logged step
+object at a time, against the flat-column sweep in ``opeci.baselines``.
 """
 
 import numpy as np
@@ -77,3 +79,36 @@ def mc_visitation(mdp, policy, n_episodes, horizon, seed):
     mean = visits.mean(axis=0).reshape(S, A)
     se = (visits.std(axis=0, ddof=1) / np.sqrt(n_episodes)).reshape(S, A)
     return mean, se
+
+
+def recursive_estimate(episode, target, discount, q=None, v=None):
+    """Scalar per-episode PDIS (q = v = None) or DR value by the backward
+    recursion  acc = V(s) + ratio * (r + discount*acc - Q(s, a)),  one step
+    object at a time."""
+    acc = 0.0
+    for step in reversed(episode.steps):
+        ratio = target.probs[step.state, step.action] / step.behavior_prob
+        baseline = 0.0 if v is None else v[step.state]
+        control = 0.0 if q is None else q[step.state, step.action]
+        acc = baseline + ratio * (step.reward + discount * acc - control)
+    return (1.0 - discount) * acc
+
+
+def range_bounds(episodes, target, discount, q, v):
+    """(PDIS bound, DR bound) from a scalar scan of the largest step ratio,
+    largest |reward| and longest episode."""
+    rho_max, r_max, t_max = 0.0, 0.0, 0
+    for ep in episodes.episodes:
+        t_max = max(t_max, len(ep.steps))
+        for step in ep.steps:
+            rho_max = max(rho_max, target.probs[step.state, step.action] / step.behavior_prob)
+            r_max = max(r_max, abs(step.reward))
+    pdis = 0.0
+    if t_max and rho_max and r_max:
+        t = np.arange(t_max)
+        pdis = float((1.0 - discount) * ((discount**t) * rho_max ** (t + 1)).sum() * r_max)
+    dr = 0.0
+    v_max, q_max = float(np.abs(v).max()), float(np.abs(q).max())
+    for _ in range(t_max):
+        dr = v_max + rho_max * (r_max + discount * dr + q_max)
+    return pdis, (1.0 - discount) * dr

@@ -26,7 +26,10 @@ from opeci import (
     tuples_from_episodes,
     uniform_policy,
 )
+from opeci import solvers
 from opeci.mdp import Episode, EpisodeSet, Step, normalized_return
+
+from _oracles import range_bounds, recursive_estimate
 
 
 def two_armed_bandit(r0=1.0, r1=0.0):
@@ -84,26 +87,56 @@ class TestPerDecisionIs:
         with pytest.raises(ValidationError):
             per_decision_is(EpisodeSet((ep,), 1, 1), uniform_policy(1, 1), 0.5)
 
-    def test_trajectory_weighting_variant(self):
-        # needs per-step rewards: with rewards only at an absorbing goal the
-        # two weightings coincide, so use a dense random MDP instead
-        from opeci import make_random_mdp, make_random_policy
+    @pytest.mark.parametrize("estimator", ["pdis", "dr"])
+    def test_wrong_target_shape_rejected(self, estimator):
+        mdp, target, behavior = lake_setup()
+        eps = sample_episodes(mdp, behavior, 5, 50, rng_seed=5)
+        wrong = uniform_policy(mdp.num_states + 1, mdp.num_actions)
+        with pytest.raises(ValidationError, match="shape"):
+            if estimator == "pdis":
+                per_decision_is(eps, wrong, 0.95)
+            else:
+                model = build_empirical_model(tuples_from_episodes(eps), discount=0.95)
+                dr_estimate(eps, wrong, model, 0.95)
 
-        mdp = make_random_mdp(4, 2, 0.8, rng_seed=50)
-        behavior = make_random_policy(4, 2, rng_seed=51)
-        target = make_random_policy(4, 2, rng_seed=52)
-        # short horizon: long products degenerate to 0 with an unsampled tail
-        eps = sample_episodes(mdp, behavior, 20000, 3, rng_seed=53)
-        per_decision = per_decision_is(eps, target, 0.8)
-        trajectory = per_decision_is(eps, target, 0.8, trajectory_weighting=True)
-        # both unbiased for the same target; whole-trajectory weights add
-        # variance by re-weighting early rewards with future ratios
-        assert trajectory.values.var() > per_decision.values.var()
-        pooled_se = math.sqrt(
-            trajectory.values.var(ddof=1) / trajectory.m
-            + per_decision.values.var(ddof=1) / per_decision.m
+
+def hand_built_set():
+    """Two states, two actions; one episode has no steps."""
+    steps = (
+        Step(0, 1, 0.5, 1, 0.25, False),
+        Step(1, 0, -1.0, 1, 0.6, False),
+        Step(1, 1, 2.0, 0, 0.4, True),
+    )
+    episodes = (Episode(0, steps), Episode(1, ()), Episode(1, steps[1:2]), Episode(0, steps[:1]))
+    return EpisodeSet(episodes, 2, 2)
+
+
+class TestRecursionOracle:
+    """The flat-column sweep equals the scalar per-step recursion bit for bit."""
+
+    @pytest.mark.parametrize("case", ["lake-ragged", "hand-built-empty-episode"])
+    def test_values_and_range_bounds_equal_oracle(self, case):
+        if case == "lake-ragged":
+            mdp, target, behavior = lake_setup()
+            eps = sample_episodes(mdp, behavior, 200, 300, rng_seed=12)
+            q = q_values(mdp, target)
+            discount = 0.95
+            assert len(set(eps.columns.lengths.tolist())) > 10
+        else:
+            eps = hand_built_set()
+            target = Policy(np.array([[0.7, 0.3], [0.4, 0.6]]))
+            q = np.array([[0.3, -0.2], [0.1, 0.5]])
+            discount = 0.9
+        v = solvers.state_values(q, target.probs)
+        pdis = per_decision_is(eps, target, discount)
+        dr = dr_estimate(eps, target, None, discount, q_table=q)
+        assert np.array_equal(
+            pdis.values, [recursive_estimate(ep, target, discount) for ep in eps.episodes]
         )
-        assert abs(trajectory.values.mean() - per_decision.values.mean()) < 4 * pooled_se
+        assert np.array_equal(
+            dr.values, [recursive_estimate(ep, target, discount, q, v) for ep in eps.episodes]
+        )
+        assert (pdis.range_bound, dr.range_bound) == range_bounds(eps, target, discount, q, v)
 
 
 class TestDoublyRobust:

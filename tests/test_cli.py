@@ -2,12 +2,15 @@
 
 import argparse
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import opeci
 from opeci import make_frozen_lake, optimal_policy, perturb_policy_epsilon_greedy
 from opeci.cli import _build_parser, main
 from opeci.harness import METHODS, method_intervals
@@ -156,6 +159,40 @@ class TestGenDataAndInterval:
         )
         assert code == 1
         assert "error" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("method", ["dm-boot", "is-boot"])
+    def test_zero_behavior_prob_is_validation_error(self, lake_files, tmp_path, capsys, method):
+        _, target_path, _ = lake_files
+        meta = {"num_states": 17, "num_actions": 4, "discount": 0.999}
+        steps = [[0, 2, 0.0, 4, 0.85, 0], [4, 1, 0.0, 8, 0.0, 0]]
+        lines = [json.dumps({"meta": meta})]
+        lines += [json.dumps({"initial_state": 0, "steps": steps})] * 5
+        data_path = tmp_path / "zero_prob.jsonl"
+        data_path.write_text("\n".join(lines) + "\n")
+        code, _, err = run_cli(
+            ["interval", "--data", str(data_path), "--method", method, "--b", "10",
+             "--policy", str(target_path)],
+            capsys,
+        )
+        assert code == 1
+        assert "behavior probability" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("horizon, warning", [
+        (5, "warning: 45 of 50 episodes stopped at --horizon 5 before a terminal state\n"),
+        (10000, ""),
+    ])
+    def test_gen_data_warns_on_truncation(self, lake_files, tmp_path, capsys, horizon, warning):
+        mdp_path, _, behavior_path = lake_files
+        code, _, err = run_cli(
+            [
+                "gen-data", "--mdp", str(mdp_path), "--policy", str(behavior_path),
+                "--episodes", "50", "--horizon", str(horizon), "--seed", "0",
+                "--out", str(tmp_path / "episodes.jsonl"),
+            ],
+            capsys,
+        )
+        assert code == 0
+        assert err == warning
 
     @pytest.mark.parametrize("method", ["is-boot", "hoeffding"])
     def test_discount_outside_unit_interval_is_validation_error(
@@ -361,12 +398,21 @@ class TestProbesAndChecks:
         assert quotients[-1] > quotients[0]
 
 
+def child_env():
+    """This environment with the imported package's source directory first on
+    PYTHONPATH, so a child interpreter imports the same opeci."""
+    src = str(Path(opeci.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    return env
+
+
 class TestArgumentHandling:
     def test_unknown_flag_rejected_with_usage(self):
         proc = subprocess.run(
             [sys.executable, "-m", "opeci.cli", "eval", "--mdp", "x", "--policy", "y",
              "--gamma", "0.9", "--frobnicate"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=child_env(),
         )
         assert proc.returncode != 0
         assert "usage" in proc.stderr.lower()
@@ -374,7 +420,7 @@ class TestArgumentHandling:
     def test_unknown_subcommand_rejected(self):
         proc = subprocess.run(
             [sys.executable, "-m", "opeci.cli", "transmogrify"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=child_env(),
         )
         assert proc.returncode != 0
         assert "usage" in proc.stderr.lower()

@@ -22,7 +22,7 @@ from opeci import (
     uniform_policy,
     validate,
 )
-from opeci.mdp import normalized_return
+from opeci.mdp import Episode, EpisodeSet, Step, normalized_return
 
 from _oracles import mc_value, mc_visitation
 
@@ -169,6 +169,15 @@ class TestQValues:
         assert abs((dist * mdp.mean_rewards()).sum() - value) < 1e-9
 
 
+def test_mean_rewards_read_only_and_exact():
+    mdp = make_random_mdp(5, 3, 0.9, rng_seed=14)
+    means = mdp.mean_rewards()
+    assert not means.flags.writeable
+    for s in range(5):
+        for a in range(3):
+            assert means[s, a] == sum(v * p for v, p in mdp.rewards[s][a])
+
+
 class TestSampleEpisodes:
     def test_deterministic_mdp_identical_episodes(self):
         mdp = TabularMdp(1, 1, np.ones((1, 1, 1)), [[((0.5, 1.0),)]], np.ones(1), 0.9)
@@ -211,6 +220,51 @@ class TestSampleEpisodes:
         mdp = all_ones_mdp()
         with pytest.raises(ValidationError):
             sample_episodes(mdp, uniform_policy(3, 2), 1, 0, rng_seed=0)
+
+
+class TestEpisodeSet:
+    def test_columns_mirror_steps(self):
+        mdp = make_frozen_lake()
+        policy = perturb_policy_epsilon_greedy(optimal_policy(mdp), 0.2)
+        eps = sample_episodes(mdp, policy, 30, 5, rng_seed=8)
+        cols = eps.columns
+        steps = [step for ep in eps.episodes for step in ep.steps]
+        assert cols.lengths.tolist() == [len(ep.steps) for ep in eps.episodes]
+        assert cols.s0.tolist() == [ep.initial_state for ep in eps.episodes]
+        for i, name in enumerate(("s", "a", "r", "sp", "behavior_prob", "terminal")):
+            assert getattr(cols, name).tolist() == [step[i] for step in steps]
+            assert not getattr(cols, name).flags.writeable
+        assert eps.truncated == sum(not ep.steps[-1].terminal for ep in eps.episodes)
+
+    def test_truncated_skips_empty_episodes(self):
+        done, cut = Step(0, 0, 0.0, 1, 1.0, True), Step(0, 0, 0.0, 0, 1.0, False)
+        episodes = (Episode(0, ()), Episode(0, (cut, done)), Episode(0, (done, cut)))
+        assert EpisodeSet(episodes, 2, 1).truncated == 1
+
+    @pytest.mark.parametrize(
+        "initial, step",
+        [
+            (3, (0, 0, 0.0, 0, 0.5, False)),
+            (-1, (0, 0, 0.0, 0, 0.5, False)),
+            (0, (2, 0, 0.0, 0, 0.5, False)),
+            (0, (-1, 0, 0.0, 0, 0.5, False)),
+            (0, (0, 2, 0.0, 0, 0.5, False)),
+            (0, (0, -1, 0.0, 0, 0.5, False)),
+            (0, (0, 0, 0.0, 2, 0.5, False)),
+            (0, (0, 0, 0.0, 0, 0.0, False)),
+            (0, (0, 0, 0.0, 0, 1.5, False)),
+            (0, (0, 0, 0.0, 0, math.nan, False)),
+            (0, (0, 0, math.nan, 0, 0.5, False)),
+            (0, (0, 0, math.inf, 0, 0.5, False)),
+        ],
+        ids=["initial-high", "initial-negative", "state-high", "state-negative", "action-high",
+             "action-negative", "next-state-high", "prob-zero", "prob-above-one", "prob-nan",
+             "reward-nan", "reward-inf"],
+    )
+    def test_malformed_step_rejected(self, initial, step):
+        good = Episode(0, (Step(1, 1, 1.0, 0, 1.0, True),))
+        with pytest.raises(ValidationError):
+            EpisodeSet((good, Episode(initial, (Step(*step),))), 2, 2)
 
 
 class TestFrozenLake:
