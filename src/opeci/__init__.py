@@ -31,8 +31,6 @@ from .empirical import (
     TupleDataset,
     augment_noisy_rewards,
     build_empirical_model,
-    default_noise_scale,
-    resample_episodes,
     resample_tuples,
     sufficient_noise_scale,
     tuples_from_episodes,

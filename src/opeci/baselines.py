@@ -27,7 +27,6 @@ class PerEpisodeEstimates:
     """One value-estimate per episode plus an a-priori magnitude bound."""
 
     values: np.ndarray
-    estimator_tag: str  # "PDIS" or "DR"
     range_bound: float
 
     def __post_init__(self):
@@ -91,7 +90,7 @@ def per_decision_is(episodes: EpisodeSet, target: Policy, discount: float) -> Pe
     if t_max and rho_max and r_max:
         t = np.arange(t_max)
         bound = float((1.0 - discount) * ((discount**t) * rho_max ** (t + 1)).sum() * r_max)
-    return PerEpisodeEstimates(values=values, estimator_tag="PDIS", range_bound=bound)
+    return PerEpisodeEstimates(values=values, range_bound=bound)
 
 
 def dr_estimate(
@@ -119,7 +118,7 @@ def dr_estimate(
     for _ in range(t_max):
         bound = v_max + rho_max * (r_max + discount * bound + q_max)
     bound *= 1.0 - discount
-    return PerEpisodeEstimates(values=values, estimator_tag="DR", range_bound=bound)
+    return PerEpisodeEstimates(values=values, range_bound=bound)
 
 
 def _mean_and_size(est: PerEpisodeEstimates, minimum: int) -> tuple:

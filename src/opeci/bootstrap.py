@@ -1,8 +1,8 @@
 """Non-parametric bias-corrected percentile bootstrap.
 
 Generic over the estimator functional; the resampling granularity follows
-the data type: tuple datasets and augmented datasets resample tuples,
-episode sets resample episodes, and plain value arrays resample values.
+the data type: tuple datasets and augmented datasets resample tuples, and
+plain value arrays resample values.
 Replica seeds derive from (master seed, replica index), so replicas are
 order-independent and may be evaluated concurrently.
 """
@@ -14,9 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .empirical import AugmentedDataset, TupleDataset, resample_episodes, resample_tuples
+from .empirical import AugmentedDataset, TupleDataset, resample_tuples
 from .errors import ValidationError
-from .mdp import EpisodeSet
 from .seeding import as_generator, seed_parts
 
 
@@ -57,7 +56,7 @@ def quantile(values, q: float) -> float:
         raise ValidationError("quantile of empty sequence")
     if not 0.0 <= q <= 1.0:
         raise ValidationError("q must lie in [0, 1]")
-    return float(np.quantile(arr, q))
+    return float(np.quantile(arr, q, method="linear"))
 
 
 def _resample_values(values: np.ndarray, rng_seed) -> np.ndarray:
@@ -69,8 +68,6 @@ def _resample_values(values: np.ndarray, rng_seed) -> np.ndarray:
 def default_resampler(data):
     if isinstance(data, (TupleDataset, AugmentedDataset)):
         return resample_tuples
-    if isinstance(data, EpisodeSet):
-        return resample_episodes
     if isinstance(data, np.ndarray):
         return _resample_values
     raise ValidationError(f"no default resampler for {type(data).__name__}")

@@ -15,7 +15,7 @@ from .errors import ValidationError
 from .harness import (
     METHODS, ExperimentConfig, emit_report, method_intervals, run_coverage_experiment,
 )
-from .io import load_episodes, load_mdp, load_policy, save_episodes
+from .io import load_episodes, load_mdp, load_policy, read_json, save_episodes
 from .mdp import exact_policy_value, sample_episodes, validate
 from .sensitivity import check_gradients, counterexample_blowup_probe
 
@@ -91,11 +91,7 @@ def _cmd_interval(args) -> int:
 
 
 def _cmd_coverage(args) -> int:
-    try:
-        doc = json.loads(open(args.config).read())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ValidationError(f"cannot read config {args.config}: {exc}") from exc
-    config = ExperimentConfig.from_dict(doc)
+    config = ExperimentConfig.from_dict(read_json(args.config, "config"))
     report = run_coverage_experiment(config, workers=args.workers)
     emit_report(report, args.out)
     return 0

@@ -57,28 +57,14 @@ def empirical_on_policy_distribution(model: EmpiricalModel, policy: Policy) -> n
     )
 
 
-def prior_q_table(model: EmpiricalModel, policy: Policy) -> np.ndarray:
-    """Q-function of the policy under the pure-prior model.
-
-    This is the natural initialization for Q-evaluation: it makes the prior
-    semantics of unvisited pairs explicit instead of leaving them to whatever
-    the iteration started from.
-    """
-    _check_dims(model, policy)
-    prior_reward, prior_trans = model.priors.resolve(model.num_states, model.num_actions)
-    return solvers.q_table(prior_reward, prior_trans, policy.probs, model.discount)
-
-
-def qe_fixed_point(
-    model: EmpiricalModel,
-    policy: Policy,
-    tolerance: float = 1e-12,
-    max_iters: int | None = None,
-) -> tuple:
+def qe_fixed_point(model: EmpiricalModel, policy: Policy, tolerance: float = 1e-12) -> tuple:
     """Iterate the tabular backup to its fixed point.
 
     Returns (q_table, iterations) where ``iterations`` counts backups
-    performed until the sup-norm change dropped to ``tolerance``.
+    performed until the sup-norm change dropped to ``tolerance``.  The
+    iteration starts from the policy's Q-function under the pure-prior
+    model, which makes the prior semantics of unvisited pairs explicit
+    instead of leaving them to whatever the iteration started from.
     """
     if tolerance <= 0:
         raise ValidationError("tolerance must be > 0")
@@ -87,11 +73,11 @@ def qe_fixed_point(
     rbar = model.mean_reward.reshape(S * A)
     flat_t = model.transitions.reshape(S * A, S)
     gamma = model.discount
-    q = prior_q_table(model, policy).reshape(S * A)
-    if max_iters is None:
-        max_iters = max(
-            1000, solvers._contraction_iteration_cap(gamma, tolerance, float(np.abs(rbar).max()))
-        )
+    prior_reward, prior_trans = model.priors.resolve(S, A)
+    q = solvers.q_table(prior_reward, prior_trans, policy.probs, gamma).reshape(S * A)
+    max_iters = max(
+        1000, solvers._contraction_iteration_cap(gamma, tolerance, float(np.abs(rbar).max()))
+    )
     for iteration in range(1, max_iters + 1):
         v = (policy.probs * q.reshape(S, A)).sum(axis=1)
         q_next = rbar + gamma * (flat_t @ v)
@@ -104,14 +90,9 @@ def qe_fixed_point(
     )
 
 
-def dm_value_via_qe(
-    model: EmpiricalModel,
-    policy: Policy,
-    tolerance: float = 1e-12,
-    max_iters: int | None = None,
-) -> float:
+def dm_value_via_qe(model: EmpiricalModel, policy: Policy, tolerance: float = 1e-12) -> float:
     """Direct-method value via Q-evaluation instead of a linear solve."""
-    q, _ = qe_fixed_point(model, policy, tolerance, max_iters)
+    q, _ = qe_fixed_point(model, policy, tolerance)
     p0 = solvers.initial_state_action(model.initial_dist, policy.probs)
     return float((1.0 - model.discount) * (p0 @ q.reshape(-1)))
 

@@ -305,11 +305,6 @@ def augment_noisy_rewards(data: TupleDataset, noise_scale: float) -> AugmentedDa
     return AugmentedDataset(base=data, noise_scale=float(noise_scale), view=view)
 
 
-def default_noise_scale(data: TupleDataset) -> float:
-    """Quarter of the reward standard deviation (population convention)."""
-    return 0.25 * float(np.std(data.r))
-
-
 def sufficient_noise_scale(r_max: float, discount: float) -> float:
     """Noise scale large enough to offset bootstrap under-coverage entirely."""
     if not 0.0 <= discount < 1.0:
@@ -346,16 +341,6 @@ def resampled_count_tables(data, seeds) -> tuple:
     would aggregate from the resampled datasets, without building them.
     """
     return _count_tables(_materialized(data), (resample_indices(data, seed) for seed in seeds))
-
-
-def resample_episodes(episodes: EpisodeSet, rng_seed) -> EpisodeSet:
-    """Uniform with-replacement resample at episode granularity."""
-    rng = as_generator(rng_seed)
-    n = len(episodes.episodes)
-    idx = rng.integers(0, n, size=n)
-    return EpisodeSet(
-        tuple(episodes.episodes[i] for i in idx), episodes.num_states, episodes.num_actions
-    )
 
 
 def sample_tuples(mdp, count: int, rng_seed, state_action_dist: np.ndarray | None = None) -> TupleDataset:

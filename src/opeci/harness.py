@@ -29,7 +29,7 @@ from .bootstrap import bootstrap_replicas, interval_from_replicas
 from .dm import dm_bootstrap_replicas
 from .empirical import augment_noisy_rewards, build_empirical_model, tuples_from_episodes
 from .errors import ValidationError
-from .io import load_mdp, load_policy, policy_from_doc
+from .io import load_mdp, load_policy, policy_from_doc, read_json
 from .mdp import (
     DEFAULT_LAKE_MAP,
     Policy,
@@ -77,6 +77,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
+        if not isinstance(doc, dict):
+            raise ValidationError(f"config must be a JSON object, not {type(doc).__name__}")
         known = {f for f in cls.__dataclass_fields__}
         unknown = set(doc) - known
         if unknown:
@@ -87,11 +89,7 @@ class ExperimentConfig:
             raise ValidationError(f"invalid config: {exc}") from exc
 
     def to_dict(self) -> dict:
-        out = asdict(self)
-        out["sizes"] = list(self.sizes)
-        out["methods"] = list(self.methods)
-        out["alphas"] = list(self.alphas)
-        return out
+        return asdict(self)
 
 
 def validate_config(config: ExperimentConfig) -> None:
@@ -333,10 +331,6 @@ def emit_report(report: CoverageReport, path) -> None:
 
 def read_report(path) -> CoverageReport:
     """Reconstruct a report from the sidecar written by emit_report."""
-    sidecar_path = Path(str(path) + ".json")
-    try:
-        doc = json.loads(sidecar_path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ValidationError(f"cannot read report sidecar {sidecar_path}: {exc}") from exc
+    doc = read_json(str(path) + ".json", "report sidecar")
     cells = tuple(CoverageCell(**c) for c in doc["cells"])
     return CoverageReport(cells=cells, config=ExperimentConfig.from_dict(doc["config"]))

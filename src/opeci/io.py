@@ -1,22 +1,44 @@
-"""File formats: MDP specs, policies, episode sets, and tuple datasets.
+"""File formats: MDP specs, policies and episode sets.
 
 MDP spec files are JSON documents mirroring the TabularMdp fields; a grid
 world may instead be given as a "map" of row strings (S/F/H/G) plus a slip
-probability.  Episode sets and tuple datasets are JSON lines, one record per
-line; episode files start with a metadata header line carrying the state and
-action space sizes and the generating discount.
+probability.  Episode sets are JSON lines, one episode per line after a
+metadata header line carrying the state and action space sizes and the
+generating discount.  Every input file is read through ``read_json``.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
 
-from .empirical import TupleDataset
 from .errors import ValidationError
 from .mdp import Episode, EpisodeSet, Policy, Step, TabularMdp, make_frozen_lake
+
+
+def read_json(path, what: str, *, lines: bool = False):
+    """The JSON document in a UTF-8 file or, with ``lines``, an iterator over
+    the documents on its non-blank lines, each parsed as it is reached.
+
+    A file that cannot be opened, decoded or parsed raises ValidationError.
+    """
+    docs = _parse(path, what, lines)
+    return docs if lines else next(docs)
+
+
+def _parse(path, what: str, lines: bool):
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for text in fh if lines else [fh.read()]:
+                if not lines or text.strip():
+                    yield json.loads(text)
+    # ValueError covers JSONDecodeError, UnicodeDecodeError and over-long
+    # integers; deep nesting raises RecursionError.
+    except (OSError, ValueError, RecursionError) as exc:
+        raise ValidationError(f"cannot read {what} {path}: {exc}") from exc
 
 
 def save_mdp(mdp: TabularMdp, path) -> None:
@@ -37,10 +59,7 @@ def save_mdp(mdp: TabularMdp, path) -> None:
 
 
 def load_mdp(path) -> TabularMdp:
-    try:
-        doc = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ValidationError(f"cannot read MDP spec {path}: {exc}") from exc
+    doc = read_json(path, "MDP spec")
     try:
         if "map" in doc:
             return make_frozen_lake(
@@ -58,7 +77,7 @@ def load_mdp(path) -> TabularMdp:
             terminal_states=frozenset(doc.get("terminal_states", [])),
             r_max=float(doc.get("r_max", 1.0)),
         )
-    except (KeyError, TypeError, IndexError, ValueError) as exc:
+    except (KeyError, TypeError, IndexError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed MDP spec {path}: {exc}") from exc
 
 
@@ -70,16 +89,12 @@ def policy_from_doc(doc, source) -> Policy:
     """Policy from a ``{"probs": [[...], ...]}`` document read from ``source``."""
     try:
         return Policy(np.array(doc["probs"], dtype=np.float64))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"cannot read policy {source}: {exc}") from exc
 
 
 def load_policy(path) -> Policy:
-    try:
-        doc = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ValidationError(f"cannot read policy {path}: {exc}") from exc
-    return policy_from_doc(doc, path)
+    return policy_from_doc(read_json(path, "policy"), path)
 
 
 def save_episodes(episodes: EpisodeSet, path, discount: float | None = None) -> None:
@@ -105,56 +120,43 @@ def save_episodes(episodes: EpisodeSet, path, discount: float | None = None) -> 
 
 
 def load_episodes(path) -> tuple:
-    """Returns (EpisodeSet, discount-or-None)."""
+    """Returns (EpisodeSet, discount-or-None).
+
+    Indices must be JSON integers, rewards and behavior probabilities JSON
+    numbers and terminal flags 0, 1, true or false; nothing is coerced.
+    """
+    docs = read_json(path, "episodes", lines=True)
     try:
-        lines = Path(path).read_text().splitlines()
-    except OSError as exc:
-        raise ValidationError(f"cannot read episodes {path}: {exc}") from exc
-    if not lines:
-        raise ValidationError(f"episodes file {path} is empty")
-    try:
-        header = json.loads(lines[0])["meta"]
-        episodes = []
-        for line in lines[1:]:
-            if not line.strip():
-                continue
-            doc = json.loads(line)
-            steps = tuple(
-                Step(int(s), int(a), float(r), int(ns), float(bp), bool(term))
-                for s, a, r, ns, bp, term in doc["steps"]
-            )
-            episodes.append(Episode(int(doc["initial_state"]), steps))
-        return (
-            EpisodeSet(tuple(episodes), int(header["num_states"]), int(header["num_actions"])),
-            header.get("discount"),
-        )
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError) as exc:
+        first = next(docs, None)
+        if first is None:
+            raise ValidationError(f"episodes file {path} is empty")
+        header = first["meta"]
+        num_states, num_actions = header["num_states"], header["num_actions"]
+        discount = header.get("discount")
+        if not {type(num_states), type(num_actions)} <= {int}:
+            raise ValidationError("header state and action counts must be JSON integers")
+        if discount is not None and type(discount) not in (int, float):
+            raise ValidationError("header discount must be a JSON number or null")
+        episodes = tuple(_episode(doc) for doc in docs)
+        return EpisodeSet(episodes, num_states, num_actions), discount
+    except ValidationError:
+        raise
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed episodes file {path}: {exc}") from exc
 
 
-def save_tuples(data: TupleDataset, path) -> None:
-    lines = []
-    for i in range(data.n):
-        s0, s, a, r, sp = data.tuple_at(i)
-        lines.append(json.dumps({"s0": s0, "s": s, "a": a, "r": r, "sp": sp}))
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def load_tuples(path, num_states: int | None = None, num_actions: int | None = None) -> TupleDataset:
-    """Sizes default to one past the largest index seen in the file."""
-    try:
-        records = [
-            json.loads(line)
-            for line in Path(path).read_text().splitlines()
-            if line.strip()
-        ]
-        tuples = [(d["s0"], d["s"], d["a"], d["r"], d["sp"]) for d in records]
-    except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
-        raise ValidationError(f"cannot read tuples {path}: {exc}") from exc
-    if not tuples:
-        raise ValidationError(f"tuples file {path} is empty")
-    if num_states is None:
-        num_states = 1 + max(max(t[0], t[1], t[4]) for t in tuples)
-    if num_actions is None:
-        num_actions = 1 + max(t[2] for t in tuples)
-    return TupleDataset.from_tuples(tuples, num_states, num_actions)
+def _episode(doc) -> Episode:
+    s0, rows = doc["initial_state"], doc["steps"]
+    if type(rows) is not list or not set(map(len, rows)) <= {6}:
+        raise ValidationError("steps must be a list of [s, a, r, s', p, terminal] lists")
+    s, a, r, sp, p, terminal = zip(*rows) if rows else ((),) * 6
+    # A bool is not an index here, and nothing is coerced.
+    if not {type(s0), *map(type, s), *map(type, a), *map(type, sp)} <= {int}:
+        raise ValidationError("logged states and actions must be JSON integers")
+    if not {*map(type, r), *map(type, p)} <= {int, float}:
+        raise ValidationError("logged rewards and behavior probabilities must be JSON numbers")
+    if not (set(map(type, terminal)) <= {int, bool} and set(terminal) <= {0, 1}):
+        raise ValidationError("logged terminal flags must be 0, 1, true or false")
+    fields = zip(s, a, map(float, r), sp, map(float, p), map(bool, terminal))
+    # tuple.__new__ builds each Step without a Python-level call per step.
+    return Episode(s0, tuple(map(tuple.__new__, repeat(Step), fields)))

@@ -267,16 +267,6 @@ def q_values(mdp: TabularMdp, policy: Policy) -> np.ndarray:
     return solvers.q_table(mdp.mean_rewards(), mdp.transitions, policy.probs, mdp.discount)
 
 
-def normalized_return(episode: Episode, discount: float) -> float:
-    """(1-discount)-normalized discounted return of one episode."""
-    total = 0.0
-    weight = 1.0
-    for step in episode.steps:
-        total += weight * step.reward
-        weight *= discount
-    return (1.0 - discount) * total
-
-
 class _CategoricalTables:
     """Pre-computed cumulative tables of an MDP for fast per-step sampling."""
 
@@ -506,23 +496,17 @@ def optimal_policy(mdp: TabularMdp, tol: float = 1e-12) -> Policy:
     return Policy(probs)
 
 
-def make_random_mdp(
-    num_states: int,
-    num_actions: int,
-    discount: float,
-    rng_seed,
-    reward_support_size: int = 3,
-    r_max: float = 1.0,
-) -> TabularMdp:
-    """Random dense MDP with Dirichlet rows; handy for oracle cross-checks."""
+def make_random_mdp(num_states: int, num_actions: int, discount: float, rng_seed) -> TabularMdp:
+    """Random dense MDP with Dirichlet rows and three-point rewards in
+    [-1, 1]; handy for oracle cross-checks."""
     rng = as_generator(rng_seed)
     transitions = rng.dirichlet(np.ones(num_states), size=(num_states, num_actions))
     rewards = []
     for _ in range(num_states):
         row = []
         for _ in range(num_actions):
-            values = rng.uniform(-r_max, r_max, size=reward_support_size)
-            probs = rng.dirichlet(np.ones(reward_support_size))
+            values = rng.uniform(-1.0, 1.0, size=3)
+            probs = rng.dirichlet(np.ones(3))
             row.append(tuple(zip(values.tolist(), probs.tolist())))
         rewards.append(row)
     initial_dist = rng.dirichlet(np.ones(num_states))
@@ -534,7 +518,7 @@ def make_random_mdp(
         initial_dist=initial_dist,
         discount=float(discount),
         terminal_states=frozenset(),
-        r_max=r_max,
+        r_max=1.0,
     )
 
 

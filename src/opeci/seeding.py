@@ -22,8 +22,6 @@ def seed_parts(seed) -> tuple[int, ...]:
     Strings hash via crc32 (stable across platforms and runs); ints are
     masked into the nonnegative range SeedSequence accepts.
     """
-    if isinstance(seed, np.random.SeedSequence):
-        return tuple(int(x) for x in np.atleast_1d(seed.entropy))
     if isinstance(seed, (tuple, list)):
         out: list[int] = []
         for part in seed:

@@ -116,8 +116,6 @@ def finite_difference_influence(
     kappa: float,
     *,
     discount: float,
-    weights: np.ndarray | None = None,
-    priors: PriorSpec | None = None,
 ) -> float:
     """Forward difference quotient of the DM value along delta_tuple - d.
 
@@ -126,29 +124,28 @@ def finite_difference_influence(
     """
     if not 0.0 < t <= 1.0:
         raise ValidationError("t must lie in (0, 1]")
-    base_w = np.ones(data.n) if weights is None else np.asarray(weights, dtype=np.float64)
-    base_w = base_w / base_w.sum()
-    s0x, sx, ax, rx, spx = tup
-    mixed = TupleDataset(
-        np.append(data.s0, int(s0x)),
-        np.append(data.s, int(sx)),
-        np.append(data.a, int(ax)),
-        np.append(data.r, float(rx)),
-        np.append(data.sp, int(spx)),
-        data.num_states,
-        data.num_actions,
-    )
+    base_w = np.ones(data.n) / data.n
     mixed_w = np.append((1.0 - t) * base_w, t)
-    base = build_empirical_model(data, priors, kappa, discount=discount, weights=base_w)
-    tilted = build_empirical_model(mixed, priors, kappa, discount=discount, weights=mixed_w)
+    base = build_empirical_model(data, None, kappa, discount=discount, weights=base_w)
+    tilted = build_empirical_model(
+        _appended(data, [tup]), None, kappa, discount=discount, weights=mixed_w
+    )
     return (dm_value(tilted, policy) - dm_value(base, policy)) / t
+
+
+def _appended(data: TupleDataset, tuples) -> TupleDataset:
+    """``data`` with the (s0, s, a, r, s') ``tuples`` added at the end."""
+    columns = (data.s0, data.s, data.a, data.r, data.sp)
+    return TupleDataset(
+        *(np.append(column, extra) for column, extra in zip(columns, zip(*tuples))),
+        data.num_states, data.num_actions,
+    )
 
 
 @dataclass(frozen=True)
 class GradientCase:
     case_index: int
     max_rel_error: float
-    worst_tuple: tuple | None
     error: str | None
 
 
@@ -177,16 +174,8 @@ def _random_case_data(rng, num_states, num_actions, full_support):
         # Guarantee one visit to every pair, then pad with random draws.
         s = np.repeat(np.arange(num_states), num_actions)
         a = np.tile(np.arange(num_actions), num_states)
-        fill = TupleDataset(
-            np.append(extra.s0, extra.s0[: len(s)]),
-            np.append(extra.s, s),
-            np.append(extra.a, a),
-            np.append(extra.r, np.zeros(len(s))),
-            np.append(extra.sp, extra.sp[: len(s)]),
-            num_states,
-            num_actions,
-        )
-        data = fill
+        n = len(s)
+        data = _appended(extra, zip(extra.s0[:n], s, a, np.zeros(n), extra.sp[:n]))
     else:
         # Restrict visits to half the pairs so some stay empty.
         keep = extra.s * num_actions + extra.a < (num_states * num_actions) // 2
@@ -206,18 +195,17 @@ def check_gradients(
     kappa: float = 0.0,
     rng_seed=0,
     t: float = 1e-6,
-    num_states: int = 4,
-    num_actions: int = 2,
     full_support: bool = True,
 ) -> GradientCheckReport:
     """Compare closed-form influence against finite differences on random
-    seeded models.
+    seeded 4-state, 2-action models.
 
     Relative errors use an absolute floor of 1e-3 times the largest influence
     magnitude in the case, so near-stationary probe directions do not divide
     by zero.  A case records an error string instead of a number when the
     closed form's precondition is breached (kappa=0 at an unvisited pair).
     """
+    num_states, num_actions = 4, 2
     report_cases = []
     for case in range(cases):
         rng = as_generator(("gradcheck", rng_seed, case))
@@ -239,17 +227,13 @@ def check_gradients(
                 failure = str(exc)
                 break
             fd = finite_difference_influence(data, policy, tup, t, kappa, discount=gamma)
-            pairs.append((closed, fd, tup))
+            pairs.append((closed, fd))
         if failure is not None:
-            report_cases.append(GradientCase(case, float("nan"), None, failure))
+            report_cases.append(GradientCase(case, float("nan"), failure))
             continue
-        floor = max(1e-3 * max(max(abs(c), abs(f)) for c, f, _ in pairs), 1e-12)
-        worst_err, worst_tup = 0.0, None
-        for closed, fd, tup in pairs:
-            err = abs(closed - fd) / max(abs(closed), abs(fd), floor)
-            if err > worst_err:
-                worst_err, worst_tup = err, tup
-        report_cases.append(GradientCase(case, worst_err, worst_tup, None))
+        floor = max(1e-3 * max(max(abs(c), abs(f)) for c, f in pairs), 1e-12)
+        errors = [abs(c - f) / max(abs(c), abs(f), floor) for c, f in pairs]
+        report_cases.append(GradientCase(case, max([0.0] + errors), None))
     return GradientCheckReport(tol=tol, kappa=kappa, cases=tuple(report_cases))
 
 
@@ -279,11 +263,10 @@ def counterexample_blowup_probe(
     n_intermediate: int,
     kappa: float,
     steps,
-    discount: float = 0.5,
     include_unvisited_mass: bool = True,
 ) -> list:
     """Difference quotients of the DM value along a perturbation sequence
-    that re-populates an unvisited pair.
+    that re-populates an unvisited pair of the chain at discount 0.5.
 
     Returns [(epsilon, quotient), ...].  With kappa=0 the quotients grow like
     1/epsilon (the derivative does not exist); with kappa>0 they converge.
@@ -296,6 +279,7 @@ def counterexample_blowup_probe(
     if any(later >= earlier for earlier, later in zip(steps, steps[1:])):
         raise ValidationError("steps must be strictly decreasing")
 
+    discount = 0.5
     mdp, policy, data, weights = _chain_tuple_distribution(n_intermediate, discount)
     start, term = 0, mdp.num_states - 1
     probe_priors = PriorSpec(
@@ -307,15 +291,7 @@ def counterexample_blowup_probe(
 
     unvisited_tuple = (start, n_intermediate, 0, 0.0, term)
     crowd_tuple = (start, 1, 0, 0.0, term)
-    extended = TupleDataset(
-        np.append(data.s0, [unvisited_tuple[0], crowd_tuple[0]]),
-        np.append(data.s, [unvisited_tuple[1], crowd_tuple[1]]),
-        np.append(data.a, [unvisited_tuple[2], crowd_tuple[2]]),
-        np.append(data.r, [unvisited_tuple[3], crowd_tuple[3]]),
-        np.append(data.sp, [unvisited_tuple[4], crowd_tuple[4]]),
-        data.num_states,
-        data.num_actions,
-    )
+    extended = _appended(data, [unvisited_tuple, crowd_tuple])
     out = []
     for eps in steps:
         if include_unvisited_mass:

@@ -95,39 +95,23 @@ def _iterate_distribution(
     raise SolverError(f"distribution iteration did not reach {tol:.1e}")
 
 
-def _dense(num_states: int, dense_limit: int | None) -> bool:
-    return num_states <= (DENSE_SIZE_LIMIT if dense_limit is None else dense_limit)
-
-
 def _solve_state_values(
-    mean_rewards: np.ndarray,
-    transitions: np.ndarray,
-    policy_probs: np.ndarray,
-    discount: float,
-    *,
-    dense_limit: int | None = None,
+    mean_rewards: np.ndarray, transitions: np.ndarray, policy_probs: np.ndarray, discount: float
 ) -> np.ndarray:
     """V(s) = r_pi(s) + g*E[V(s')], the un-normalized state-level fixed point."""
     num_states = policy_probs.shape[0]
     p_pi = _policy_chain(transitions, policy_probs)
     r_pi = (policy_probs * np.asarray(mean_rewards, dtype=np.float64)).sum(axis=-1)
-    if _dense(num_states, dense_limit):
+    if num_states <= DENSE_SIZE_LIMIT:
         return _solve_checked(np.eye(num_states) - discount * p_pi, r_pi)
     return _iterate_values(r_pi, p_pi, discount, tol=1e-13)
 
 
 def q_table(
-    mean_rewards: np.ndarray,
-    transitions: np.ndarray,
-    policy_probs: np.ndarray,
-    discount: float,
-    *,
-    dense_limit: int | None = None,
+    mean_rewards: np.ndarray, transitions: np.ndarray, policy_probs: np.ndarray, discount: float
 ) -> np.ndarray:
     """Q(s,a) = rbar(s,a) + g*E[V(s')], the un-normalized fixed point."""
-    v = _solve_state_values(
-        mean_rewards, transitions, policy_probs, discount, dense_limit=dense_limit
-    )
+    v = _solve_state_values(mean_rewards, transitions, policy_probs, discount)
     return mean_rewards + discount * (transitions @ v[..., None, :, None])[..., 0]
 
 
@@ -136,13 +120,11 @@ def on_policy_distribution_table(
     initial_dist: np.ndarray,
     policy_probs: np.ndarray,
     discount: float,
-    *,
-    dense_limit: int | None = None,
 ) -> np.ndarray:
     """Discounted state-action visitation d(s,a), normalized to sum to 1."""
     num_states = policy_probs.shape[0]
     p_pi = _policy_chain(transitions, policy_probs)
-    if _dense(num_states, dense_limit):
+    if num_states <= DENSE_SIZE_LIMIT:
         a_mat = np.eye(num_states) - discount * np.swapaxes(p_pi, -1, -2)
         b = np.broadcast_to((1.0 - discount) * initial_dist, a_mat.shape[:-1])
         d_states = _solve_checked(a_mat, b)
@@ -163,15 +145,11 @@ def policy_value(
     initial_dist: np.ndarray,
     policy_probs: np.ndarray,
     discount: float,
-    *,
-    dense_limit: int | None = None,
 ):
     """(1-discount)-normalized expected discounted reward of the policy.
 
     A float for one model; an array over the leading axes for stacked models.
     """
-    v = _solve_state_values(
-        mean_rewards, transitions, policy_probs, discount, dense_limit=dense_limit
-    )
+    v = _solve_state_values(mean_rewards, transitions, policy_probs, discount)
     value = (1.0 - discount) * (initial_dist * v).sum(axis=-1)
     return float(value) if np.ndim(value) == 0 else value

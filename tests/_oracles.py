@@ -81,6 +81,16 @@ def mc_visitation(mdp, policy, n_episodes, horizon, seed):
     return mean, se
 
 
+def normalized_return(episode, discount):
+    """(1-discount)-normalized discounted return of one episode."""
+    total = 0.0
+    weight = 1.0
+    for step in episode.steps:
+        total += weight * step.reward
+        weight *= discount
+    return (1.0 - discount) * total
+
+
 def recursive_estimate(episode, target, discount, q=None, v=None):
     """Scalar per-episode PDIS (q = v = None) or DR value by the backward
     recursion  acc = V(s) + ratio * (r + discount*acc - Q(s, a)),  one step

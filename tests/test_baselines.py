@@ -27,9 +27,9 @@ from opeci import (
     uniform_policy,
 )
 from opeci import solvers
-from opeci.mdp import Episode, EpisodeSet, Step, normalized_return
+from opeci.mdp import Episode, EpisodeSet, Step
 
-from _oracles import range_bounds, recursive_estimate
+from _oracles import normalized_return, range_bounds, recursive_estimate
 
 
 def two_armed_bandit(r0=1.0, r1=0.0):
@@ -182,7 +182,7 @@ class TestDoublyRobust:
 
 class TestConcentrationIntervals:
     def test_hoeffding_center_and_width(self):
-        est = PerEpisodeEstimates(np.full(50, 3.0), "PDIS", 4.0)
+        est = PerEpisodeEstimates(np.full(50, 3.0), 4.0)
         ci = hoeffding_interval(est, 0.1)
         half = 4.0 * math.sqrt(math.log(2 / 0.1) / (2 * 50))
         assert ci.point_estimate == 3.0
@@ -190,25 +190,25 @@ class TestConcentrationIntervals:
         assert ci.upper == pytest.approx(3.0 + half, abs=1e-12)
 
     def test_hoeffding_width_quarters_with_four_x_samples(self):
-        small = PerEpisodeEstimates(np.zeros(25), "PDIS", 1.0)
-        large = PerEpisodeEstimates(np.zeros(100), "PDIS", 1.0)
+        small = PerEpisodeEstimates(np.zeros(25), 1.0)
+        large = PerEpisodeEstimates(np.zeros(100), 1.0)
         assert hoeffding_interval(small, 0.05).width == pytest.approx(
             2 * hoeffding_interval(large, 0.05).width, abs=1e-12
         )
 
     def test_hoeffding_numeric_case(self):
-        est = PerEpisodeEstimates(np.zeros(100), "PDIS", 1.0)
+        est = PerEpisodeEstimates(np.zeros(100), 1.0)
         half = hoeffding_interval(est, 0.05).width / 2
         assert half == pytest.approx(math.sqrt(math.log(40) / 200), abs=1e-12)
         assert half == pytest.approx(0.1358, abs=2e-4)
 
     def test_hoeffding_infinite_range_rejected(self):
-        est = PerEpisodeEstimates(np.zeros(5), "PDIS", math.inf)
+        est = PerEpisodeEstimates(np.zeros(5), math.inf)
         with pytest.raises(ValidationError):
             hoeffding_interval(est, 0.1)
 
     def test_bernstein_zero_variance_width(self):
-        est = PerEpisodeEstimates(np.full(30, 2.0), "PDIS", 5.0)
+        est = PerEpisodeEstimates(np.full(30, 2.0), 5.0)
         ci = empirical_bernstein_interval(est, 0.1)
         expected_half = 7 * 5.0 * math.log(2 / 0.1) / (3 * 29)
         assert ci.width / 2 == pytest.approx(expected_half, abs=1e-12)
@@ -218,7 +218,7 @@ class TestConcentrationIntervals:
         # term equals Hoeffding's width and the range term is negligible
         m = 1_000_000
         values = np.tile([0.5, -0.5], m // 2)
-        est = PerEpisodeEstimates(values, "PDIS", 1.0)
+        est = PerEpisodeEstimates(values, 1.0)
         bern = empirical_bernstein_interval(est, 0.05)
         hoef = hoeffding_interval(est, 0.05)
         assert bern.width <= 1.01 * hoef.width
@@ -226,20 +226,20 @@ class TestConcentrationIntervals:
     def test_bernstein_numeric_case(self):
         rng = np.random.default_rng(10)
         values = rng.choice([0.0, 1.0], size=100)
-        est = PerEpisodeEstimates(values, "PDIS", 1.0)
+        est = PerEpisodeEstimates(values, 1.0)
         ci = empirical_bernstein_interval(est, 0.05)
         log_term = math.log(2 / 0.05)
         expected = math.sqrt(2 * values.var(ddof=1) * log_term / 100) + 7 * log_term / (3 * 99)
         assert ci.width / 2 == pytest.approx(expected, abs=1e-12)
 
     def test_student_t_two_sample_case(self):
-        est = PerEpisodeEstimates(np.array([0.0, 2.0]), "PDIS", 10.0)
+        est = PerEpisodeEstimates(np.array([0.0, 2.0]), 10.0)
         ci = student_t_interval(est, 0.05)
         assert ci.point_estimate == 1.0
         assert ci.width / 2 == pytest.approx(12.7062, abs=1e-3)
 
     def test_student_t_zero_variance(self):
-        est = PerEpisodeEstimates(np.full(10, 1.5), "PDIS", 2.0)
+        est = PerEpisodeEstimates(np.full(10, 1.5), 2.0)
         ci = student_t_interval(est, 0.05)
         assert ci.lower == ci.upper == 1.5
 
@@ -249,7 +249,7 @@ class TestConcentrationIntervals:
         covered = 0
         for _ in range(trials):
             sample = rng.normal(size=m)
-            ci = student_t_interval(PerEpisodeEstimates(sample, "PDIS", 100.0), 0.1)
+            ci = student_t_interval(PerEpisodeEstimates(sample, 100.0), 0.1)
             covered += ci.lower <= 0.0 <= ci.upper
         assert abs(covered / trials - 0.9) < 0.02
 
@@ -257,14 +257,14 @@ class TestConcentrationIntervals:
         rng = np.random.default_rng(12)
         values = rng.uniform(-1, 1, size=1000)
         for maker in (hoeffding_interval, empirical_bernstein_interval, student_t_interval):
-            small = maker(PerEpisodeEstimates(values[:100], "PDIS", 1.0), 0.1)
-            large = maker(PerEpisodeEstimates(values, "PDIS", 1.0), 0.1)
+            small = maker(PerEpisodeEstimates(values[:100], 1.0), 0.1)
+            large = maker(PerEpisodeEstimates(values, 1.0), 0.1)
             assert large.width < small.width
-            loose = maker(PerEpisodeEstimates(values, "PDIS", 1.0), 0.2)
+            loose = maker(PerEpisodeEstimates(values, 1.0), 0.2)
             assert loose.width < large.width
 
     def test_minimum_sample_sizes(self):
-        est = PerEpisodeEstimates(np.array([1.0]), "PDIS", 1.0)
+        est = PerEpisodeEstimates(np.array([1.0]), 1.0)
         with pytest.raises(ValidationError):
             empirical_bernstein_interval(est, 0.1)
         with pytest.raises(ValidationError):

@@ -331,6 +331,62 @@ class TestMalformedInputs:
         )
 
 
+    @pytest.mark.parametrize("doc", [5, [["sizes"]]])
+    def test_coverage_config_not_an_object(self, tmp_path, capsys, doc):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(doc))
+        self.assert_validation_exit(
+            ["coverage", "--config", str(config_path), "--out", str(tmp_path / "x.csv")], capsys
+        )
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [("interval", "--data"), ("interval", "--policy"), ("eval", "--mdp"), ("coverage", "--config")],
+    )
+    def test_non_utf8_file(self, lake_files, tmp_path, capsys, command, flag):
+        mdp_path, target_path, behavior_path = lake_files
+        data_path, config_path = tmp_path / "episodes.jsonl", tmp_path / "config.json"
+        assert main(["gen-data", "--mdp", str(mdp_path), "--policy", str(behavior_path),
+                     "--episodes", "5", "--horizon", "100", "--seed", "0",
+                     "--out", str(data_path)]) == 0
+        config_path.write_text(json.dumps({
+            "environment": {"type": "bernoulli_bandit"}, "discount": 0.0, "sizes": [10],
+            "methods": ["student-t"], "trials": 2, "max_horizon": 1,
+        }))
+        args = {
+            "interval": ["interval", "--data", str(data_path), "--method", "is-boot",
+                         "--b", "10", "--policy", str(target_path)],
+            "eval": ["eval", "--mdp", str(mdp_path), "--policy", str(target_path), "--gamma", "0.9"],
+            "coverage": ["coverage", "--config", str(config_path), "--out", str(tmp_path / "x.csv")],
+        }[command]
+        assert run_cli(args, capsys)[0] == 0
+        good = Path(args[args.index(flag) + 1])
+        bad = tmp_path / ("utf16-" + good.name)
+        bad.write_text(good.read_text(), encoding="utf-16")  # starts with the bytes ff fe
+        args[args.index(flag) + 1] = str(bad)
+        self.assert_validation_exit(args, capsys)
+
+    @pytest.mark.parametrize("field, value", [
+        (0, 1.5), (1, 2.7), (0, True), (5, "false"), (5, 2), (2, "1.0"),
+    ], ids=["state-1.5", "action-2.7", "state-true", "terminal-string", "terminal-2", "reward-string"])
+    def test_episode_value_not_coerced(self, lake_files, tmp_path, capsys, field, value):
+        _, target_path, _ = lake_files
+        data_path = tmp_path / "one_step.jsonl"
+        args = ["interval", "--data", str(data_path), "--method", "is-boot", "--b", "10",
+                "--policy", str(target_path)]
+        meta = {"num_states": 17, "num_actions": 4, "discount": 0.999}
+        step = [0, 2, 0.0, 4, 0.85, 0]
+
+        def write_step():
+            episode = {"initial_state": 0, "steps": [step]}
+            data_path.write_text(json.dumps({"meta": meta}) + "\n" + json.dumps(episode) + "\n")
+
+        write_step()
+        assert run_cli(args, capsys)[0] == 0
+        step[field] = value
+        write_step()
+        self.assert_validation_exit(args, capsys)
+
 class TestCoverageCommand:
     def test_worker_counts_byte_identical(self, tmp_path, capsys):
         config = {

@@ -317,19 +317,16 @@ class TestStackedSolves:
             assert np.array_equal(q[i], dm_q(model, policy))
             assert np.array_equal(dist[i], empirical_on_policy_distribution(model, policy))
 
-    def test_fixed_point_fallback_matches_dense(self):
+    def test_fixed_point_fallback_matches_dense(self, monkeypatch):
         _, rewards, transitions, initial = self.stack()
         policy = make_random_policy(5, 2, rng_seed=46)
         dense = solvers.policy_value(rewards, transitions, initial, policy.probs, 0.95)
-        iterated = solvers.policy_value(
-            rewards, transitions, initial, policy.probs, 0.95, dense_limit=0
-        )
-        assert np.abs(dense - iterated).max() < 1e-11
         q_dense = solvers.q_table(rewards, transitions, policy.probs, 0.95)
-        q_iter = solvers.q_table(rewards, transitions, policy.probs, 0.95, dense_limit=0)
-        assert np.abs(q_dense - q_iter).max() < 1e-10
         d_dense = solvers.on_policy_distribution_table(transitions, initial, policy.probs, 0.95)
-        d_iter = solvers.on_policy_distribution_table(
-            transitions, initial, policy.probs, 0.95, dense_limit=0
-        )
+        monkeypatch.setattr(solvers, "DENSE_SIZE_LIMIT", 0)
+        iterated = solvers.policy_value(rewards, transitions, initial, policy.probs, 0.95)
+        assert np.abs(dense - iterated).max() < 1e-11
+        q_iter = solvers.q_table(rewards, transitions, policy.probs, 0.95)
+        assert np.abs(q_dense - q_iter).max() < 1e-10
+        d_iter = solvers.on_policy_distribution_table(transitions, initial, policy.probs, 0.95)
         assert np.abs(d_dense - d_iter).max() < 1e-12

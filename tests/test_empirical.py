@@ -12,11 +12,9 @@ from opeci import (
     ValidationError,
     augment_noisy_rewards,
     build_empirical_model,
-    default_noise_scale,
     make_frozen_lake,
     optimal_policy,
     perturb_policy_epsilon_greedy,
-    resample_episodes,
     resample_tuples,
     sample_episodes,
     sufficient_noise_scale,
@@ -162,15 +160,6 @@ class TestNoiseAugmentation:
 
 
 class TestNoiseScales:
-    def test_default_scale_constant_rewards(self):
-        data = TupleDataset.from_tuples([(0, 0, 0, 2.0, 0)] * 5, 1, 1)
-        assert default_noise_scale(data) == 0.0
-
-    @pytest.mark.parametrize("rewards", [(0.0, 2.0), (-1.0, 1.0)])
-    def test_default_scale_unit_variance(self, rewards):
-        data = TupleDataset.from_tuples([(0, 0, 0, r, 0) for r in rewards], 1, 1)
-        assert default_noise_scale(data) == pytest.approx(0.25, abs=1e-15)
-
     def test_sufficient_scale_values(self):
         assert sufficient_noise_scale(0.0, 0.5) == 0.0
         assert sufficient_noise_scale(1.0, 0.5) == pytest.approx(np.sqrt(1.5) * 2, abs=1e-12)
@@ -222,17 +211,6 @@ class TestResampling:
         out = resample_tuples(aug, rng_seed=15)
         assert out.n == 8
         assert set(out.r.tolist()) <= {-1.0, 0.0, 1.0}
-
-    def test_episode_resampling(self):
-        mdp = make_frozen_lake()
-        behavior = perturb_policy_epsilon_greedy(optimal_policy(mdp), 0.2)
-        eps = sample_episodes(mdp, behavior, 1, 50, rng_seed=16)
-        assert resample_episodes(eps, rng_seed=17) == eps
-        many = sample_episodes(mdp, behavior, 25, 50, rng_seed=18)
-        a = resample_episodes(many, rng_seed=19)
-        b = resample_episodes(many, rng_seed=19)
-        assert a == b
-        assert all(e in many.episodes for e in a.episodes)
 
 
 def tuple_digest(data):

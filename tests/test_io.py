@@ -1,4 +1,4 @@
-"""File-format round trips for MDPs, policies, episodes, and tuples."""
+"""File-format round trips and input checks for MDPs, policies and episodes."""
 
 import json
 
@@ -13,18 +13,9 @@ from opeci import (
     make_random_policy,
     optimal_policy,
     sample_episodes,
-    tuples_from_episodes,
 )
-from opeci.io import (
-    load_episodes,
-    load_mdp,
-    load_policy,
-    load_tuples,
-    save_episodes,
-    save_mdp,
-    save_policy,
-    save_tuples,
-)
+from opeci.io import load_episodes, load_mdp, load_policy, save_episodes, save_mdp, save_policy
+from opeci.mdp import Step
 
 
 class TestMdpFiles:
@@ -110,29 +101,47 @@ class TestEpisodeFiles:
             load_episodes(path)
 
 
-class TestTupleFiles:
-    def test_round_trip(self, tmp_path):
-        mdp = make_frozen_lake()
-        behavior = optimal_policy(mdp)
-        data = tuples_from_episodes(sample_episodes(mdp, behavior, 10, 60, rng_seed=6))
-        path = tmp_path / "tuples.jsonl"
-        save_tuples(data, path)
-        loaded = load_tuples(path, num_states=mdp.num_states, num_actions=mdp.num_actions)
-        assert loaded.n == data.n
-        assert np.array_equal(loaded.r, data.r)
-        assert np.array_equal(loaded.s, data.s)
+    def test_flags_and_integer_numbers_accepted(self, tmp_path):
+        path = tmp_path / "kinds.jsonl"
+        lines = [{"meta": {"num_states": 3, "num_actions": 2, "discount": 0}},
+                 {"initial_state": 0, "steps": [[0, 1, 1, 2, 1, True], [2, 0, -0.5, 1, 0.5, False]]}]
+        path.write_text("\n".join(json.dumps(d) for d in lines) + "\n")
+        loaded, discount = load_episodes(path)
+        first, second = loaded.episodes[0].steps
+        assert first == Step(0, 1, 1.0, 2, 1.0, True) and second.terminal is False
+        assert type(first.reward) is float and type(first.terminal) is bool
+        assert discount == 0
 
-    def test_five_field_records(self, tmp_path):
-        data = tuples_from_episodes(
-            sample_episodes(make_frozen_lake(), optimal_policy(make_frozen_lake()), 2, 30, 7)
-        )
-        path = tmp_path / "tuples.jsonl"
-        save_tuples(data, path)
-        for line in path.read_text().strip().splitlines():
-            assert set(json.loads(line)) == {"s0", "s", "a", "r", "sp"}
+    @pytest.mark.parametrize("field, value", [
+        ("state", 1.5), ("action", 0.0), ("state", True), ("next state", "2"),
+        ("reward", "1.0"), ("behavior probability", None), ("terminal", "false"), ("terminal", 2),
+        ("terminal", 1.0), ("initial state", False), ("row", [0, 1, 0.0, 2, 1.0, 0, 7]),
+        ("row", "abcdef"), ("steps", {}), ("steps", ""), ("meta", 3.0),
+    ])
+    def test_field_of_wrong_json_kind_rejected(self, tmp_path, field, value):
+        meta = {"num_states": 3, "num_actions": 2, "discount": 0.9}
+        episode = {"initial_state": 0, "steps": [[0, 1, 0.0, 2, 1.0, 0]]}
+        fields = ["state", "action", "reward", "next state", "behavior probability", "terminal"]
+        if field in fields:
+            episode["steps"][0][fields.index(field)] = value
+        elif field == "row":
+            episode["steps"].append(value)
+        elif field == "initial state":
+            episode["initial_state"] = value
+        elif field == "steps":
+            episode["steps"] = value
+        else:
+            meta["num_states"] = value
+        path = tmp_path / "bad.jsonl"
+        path.write_text(json.dumps({"meta": meta}) + "\n" + json.dumps(episode) + "\n")
+        with pytest.raises(ValidationError):
+            load_episodes(path)
 
-    def test_size_inference(self, tmp_path):
-        path = tmp_path / "tuples.jsonl"
-        path.write_text('{"s0": 0, "s": 3, "a": 1, "r": 0.5, "sp": 2}\n')
-        loaded = load_tuples(path)
-        assert loaded.num_states == 4 and loaded.num_actions == 2
+
+@pytest.mark.parametrize("loader", [load_mdp, load_policy, load_episodes])
+def test_non_utf8_file_is_validation_error(tmp_path, loader):
+    path = tmp_path / "utf16.json"
+    path.write_text(json.dumps({"probs": [[1.0]]}), encoding="utf-16")
+    assert path.read_bytes().startswith(b"\xff\xfe")
+    with pytest.raises(ValidationError):
+        loader(path)

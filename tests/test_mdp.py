@@ -22,9 +22,9 @@ from opeci import (
     uniform_policy,
     validate,
 )
-from opeci.mdp import Episode, EpisodeSet, Step, normalized_return
+from opeci.mdp import Episode, EpisodeSet, Step
 
-from _oracles import mc_value, mc_visitation
+from _oracles import mc_value, mc_visitation, normalized_return
 
 
 def all_ones_mdp(num_states=3, num_actions=2, discount=0.7):
