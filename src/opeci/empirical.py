@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .mdp import EpisodeSet, _CategoricalTables, _pick
+from .mdp import CategoricalDraws, EpisodeSet
 from .seeding import as_generator
 
 
@@ -358,11 +358,7 @@ def sample_tuples(mdp, count: int, rng_seed, state_action_dist: np.ndarray | Non
     s0 = rng.choice(S, size=count, p=mdp.initial_dist)
     sa = rng.choice(S * A, size=count, p=sa_probs / sa_probs.sum())
     s, a = sa // A, sa % A
-    r = np.empty(count)
-    sp = np.empty(count, dtype=np.int64)
-    tables = _CategoricalTables(mdp)
-    for i in range(count):
-        si, ai = int(s[i]), int(a[i])
-        r[i] = tables.reward_values[si][ai][_pick(tables.reward_cum[si][ai], rng.random())]
-        sp[i] = _pick(tables.trans_cum[si, ai], rng.random())
-    return TupleDataset(s0, s, a, r, sp, S, A)
+    # One block of exactly two uniforms per tuple: a shared generator advances by 2 * count.
+    draws = CategoricalDraws(mdp, rng, block=2 * count)
+    r, sp = zip(*map(draws.outcome, s.tolist(), a.tolist()))
+    return TupleDataset(s0, s, a, np.array(r, dtype=np.float64), np.array(sp), S, A)

@@ -11,6 +11,7 @@ for any worker count and unaffected by adding or removing methods.
 from __future__ import annotations
 
 import json
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -54,6 +55,37 @@ METHODS = (
     "student-t",
 )
 
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_number(x) -> bool:
+    return _is_int(x) or isinstance(x, float) and math.isfinite(x)
+
+
+def _list_of(is_item):
+    return lambda x: isinstance(x, (list, tuple)) and all(map(is_item, x))
+
+
+# The JSON kind of each config field; booleans are not numbers.
+_FIELD_KINDS = {
+    "environment": (lambda x: isinstance(x, dict), "an object"),
+    "discount": (_is_number, "a finite number"),
+    "sizes": (_list_of(_is_int), "a list of integers"),
+    "methods": (_list_of(lambda m: isinstance(m, str)), "a list of strings"),
+    "alphas": (_list_of(_is_number), "a list of finite numbers"),
+    "target_policy": (lambda x: isinstance(x, (str, dict)), "a string or an object"),
+    "behavior_epsilon": (_is_number, "a finite number"),
+    "trials": (_is_int, "an integer"),
+    "bootstrap_b": (_is_int, "an integer"),
+    "kappa": (_is_number, "a finite number"),
+    "noise_coef": (_is_number, "a finite number"),
+    "master_seed": (_is_int, "an integer"),
+    "max_horizon": (_is_int, "an integer"),
+}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     environment: dict
@@ -71,9 +103,11 @@ class ExperimentConfig:
     max_horizon: int = 10000
 
     def __post_init__(self):
-        object.__setattr__(self, "sizes", tuple(int(n) for n in self.sizes))
-        object.__setattr__(self, "methods", tuple(self.methods))
-        object.__setattr__(self, "alphas", tuple(float(a) for a in self.alphas))
+        for name, (is_kind, kind) in _FIELD_KINDS.items():
+            if not is_kind(getattr(self, name)):
+                raise ValidationError(f"config field {name} must be {kind}")
+        for name in ("sizes", "methods", "alphas"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":

@@ -10,13 +10,13 @@ generating discount.  Every input file is read through ``read_json``.
 from __future__ import annotations
 
 import json
-from itertools import repeat
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ValidationError
-from .mdp import Episode, EpisodeSet, Policy, Step, TabularMdp, make_frozen_lake
+from .mdp import COLUMN_DTYPES, EpisodeSet, Policy, StepColumns, TabularMdp, make_frozen_lake
 
 
 def read_json(path, what: str, *, lines: bool = False):
@@ -58,26 +58,40 @@ def save_mdp(mdp: TabularMdp, path) -> None:
     Path(path).write_text(json.dumps(doc))
 
 
+def _checked(value, kinds: str, what: str):
+    """``value`` once ``np.asarray(value)`` is empty or has a dtype kind in
+    ``kinds``: "iu" admits JSON integers, "iuf" JSON numbers; bools, strings
+    and nulls are rejected, not coerced."""
+    array = np.asarray(value)
+    if array.size and array.dtype.kind not in kinds:
+        raise ValidationError(f"{what} must be JSON {'integers' if kinds == 'iu' else 'numbers'}")
+    return value
+
+
 def load_mdp(path) -> TabularMdp:
     doc = read_json(path, "MDP spec")
     try:
         if "map" in doc:
             return make_frozen_lake(
-                slip_prob=doc.get("slip_prob", 0.25),
+                slip_prob=_checked(doc.get("slip_prob", 0.25), "iuf", "slip_prob"),
                 grid=doc["map"],
-                discount=doc.get("discount", 0.999),
+                discount=_checked(doc.get("discount", 0.999), "iuf", "discount"),
             )
+        for row in doc["rewards"]:
+            for support in row:
+                _checked(support, "iuf", "reward supports")
         return TabularMdp(
-            num_states=int(doc["num_states"]),
-            num_actions=int(doc["num_actions"]),
-            transitions=np.array(doc["transitions"], dtype=np.float64),
+            num_states=_checked(doc["num_states"], "iu", "num_states"),
+            num_actions=_checked(doc["num_actions"], "iu", "num_actions"),
+            transitions=np.array(_checked(doc["transitions"], "iuf", "transitions"), np.float64),
             rewards=doc["rewards"],
-            initial_dist=np.array(doc["initial_dist"], dtype=np.float64),
-            discount=float(doc["discount"]),
-            terminal_states=frozenset(doc.get("terminal_states", [])),
-            r_max=float(doc.get("r_max", 1.0)),
+            initial_dist=np.array(_checked(doc["initial_dist"], "iuf", "initial_dist"), np.float64),
+            discount=float(_checked(doc["discount"], "iuf", "discount")),
+            terminal_states=_checked(doc.get("terminal_states", []), "iu", "terminal_states"),
+            r_max=float(_checked(doc.get("r_max", 1.0), "iuf", "r_max")),
         )
-    except (KeyError, TypeError, IndexError, ValueError, OverflowError) as exc:
+    # AttributeError: a JSON list that holds "map" has no .get.
+    except (KeyError, TypeError, IndexError, ValueError, OverflowError, AttributeError) as exc:
         raise ValidationError(f"malformed MDP spec {path}: {exc}") from exc
 
 
@@ -88,7 +102,7 @@ def save_policy(policy: Policy, path) -> None:
 def policy_from_doc(doc, source) -> Policy:
     """Policy from a ``{"probs": [[...], ...]}`` document read from ``source``."""
     try:
-        return Policy(np.array(doc["probs"], dtype=np.float64))
+        return Policy(np.array(_checked(doc["probs"], "iuf", "policy probs"), np.float64))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"cannot read policy {source}: {exc}") from exc
 
@@ -110,12 +124,10 @@ def save_episodes(episodes: EpisodeSet, path, discount: float | None = None) -> 
             }
         )
     ]
-    for ep in episodes.episodes:
-        steps = [
-            [s.state, s.action, s.reward, s.next_state, s.behavior_prob, int(s.terminal)]
-            for s in ep.steps
-        ]
-        lines.append(json.dumps({"initial_state": ep.initial_state, "steps": steps}))
+    cols = episodes.columns
+    steps = zip(*(col.tolist() for col in cols[1:6]), cols.terminal.astype(np.int64).tolist())
+    for s0, length in zip(cols.s0.tolist(), cols.lengths.tolist()):
+        lines.append(json.dumps({"initial_state": s0, "steps": list(islice(steps, length))}))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -137,15 +149,19 @@ def load_episodes(path) -> tuple:
             raise ValidationError("header state and action counts must be JSON integers")
         if discount is not None and type(discount) not in (int, float):
             raise ValidationError("header discount must be a JSON number or null")
-        episodes = tuple(_episode(doc) for doc in docs)
-        return EpisodeSet(episodes, num_states, num_actions), discount
+        lists = StepColumns(*([] for _ in StepColumns._fields))
+        for doc in docs:
+            _extend(lists, doc)
+        columns = StepColumns(*map(np.array, lists, COLUMN_DTYPES))
+        return EpisodeSet(columns, num_states, num_actions), discount
     except ValidationError:
         raise
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed episodes file {path}: {exc}") from exc
 
 
-def _episode(doc) -> Episode:
+def _extend(lists: StepColumns, doc) -> None:
+    """Append one episode line's checked fields to the column lists."""
     s0, rows = doc["initial_state"], doc["steps"]
     if type(rows) is not list or not set(map(len, rows)) <= {6}:
         raise ValidationError("steps must be a list of [s, a, r, s', p, terminal] lists")
@@ -157,6 +173,7 @@ def _episode(doc) -> Episode:
         raise ValidationError("logged rewards and behavior probabilities must be JSON numbers")
     if not (set(map(type, terminal)) <= {int, bool} and set(terminal) <= {0, 1}):
         raise ValidationError("logged terminal flags must be 0, 1, true or false")
-    fields = zip(s, a, map(float, r), sp, map(float, p), map(bool, terminal))
-    # tuple.__new__ builds each Step without a Python-level call per step.
-    return Episode(s0, tuple(map(tuple.__new__, repeat(Step), fields)))
+    lists.s0.append(s0)
+    for column, values in zip(lists[1:7], (s, a, r, sp, p, terminal)):
+        column.extend(values)
+    lists.lengths.append(len(rows))

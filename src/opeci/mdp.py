@@ -8,8 +8,12 @@ an explicit seed, so they are safe to share across worker processes.
 
 from __future__ import annotations
 
+import gc
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, replace
+from functools import cached_property
+from itertools import islice, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -130,8 +134,8 @@ class Episode:
 
 
 class StepColumns(NamedTuple):
-    """Read-only step columns in episode order; ``s0`` and ``lengths`` hold
-    one entry per episode."""
+    """Step columns in episode order; ``s0`` and ``lengths`` hold one entry
+    per episode."""
 
     s0: np.ndarray
     s: np.ndarray
@@ -143,28 +147,36 @@ class StepColumns(NamedTuple):
     lengths: np.ndarray
 
 
-_STEP_DTYPE = np.dtype(list(zip(Step._fields, ("i8", "i8", "f8", "i8", "f8", "?"))))
+COLUMN_DTYPES = StepColumns(*map(np.dtype, ("i8", "i8", "i8", "f8", "i8", "f8", "?", "i8")))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EpisodeSet:
-    """Logged episodes, validated and flattened to ``columns`` on construction."""
+    """Logged episodes as read-only step ``columns``, checked once on
+    construction; ``episodes`` views them as ``Episode``s of ``Step``s."""
 
-    episodes: tuple  # tuple[Episode, ...]
+    columns: StepColumns
     num_states: int
     num_actions: int
 
     def __post_init__(self):
-        lengths = np.fromiter((len(ep.steps) for ep in self.episodes), np.int64)
-        s0 = np.fromiter((ep.initial_state for ep in self.episodes), np.int64)
-        table = np.fromiter(
-            (step for ep in self.episodes for step in ep.steps), _STEP_DTYPE,
-            count=int(lengths.sum()),
-        )
-        # Copies, so no view keeps the staging table alive.
-        cols = StepColumns(s0, *(table[name].copy() for name in table.dtype.names), lengths)
+        cols = StepColumns(*map(np.asarray, self.columns))
+        for name, column, dtype in zip(cols._fields, cols, COLUMN_DTYPES):
+            # Kinds are checked, not coerced: integer columns stay integer and flags boolean.
+            if column.ndim != 1 or column.dtype.kind != dtype.kind:
+                raise ValidationError(
+                    f"column {name} is {column.ndim}-d {column.dtype}, not 1-d {dtype}"
+                )
+        cols = StepColumns(*map(np.ascontiguousarray, cols, COLUMN_DTYPES))
         for column in cols:
             column.setflags(write=False)
+        lengths = cols.lengths
+        sizes = {column.size for column in cols[1:7]} | {int(lengths.sum())}
+        if len(sizes) > 1 or lengths.size != cols.s0.size or (lengths < 0).any():
+            raise ValidationError(
+                "episode lengths must be non-negative, one per initial state, and sum to the "
+                "size of every step column"
+            )
         S, A, p = self.num_states, self.num_actions, cols.behavior_prob
         for name, column, ok, allowed in (
             ("initial state", cols.s0, (cols.s0 >= 0) & (cols.s0 < S), f"[0, {S})"),
@@ -179,8 +191,30 @@ class EpisodeSet:
                 raise ValidationError(f"logged {name} {column[bad[0]]} is outside {allowed}")
         object.__setattr__(self, "columns", cols)
 
+    def __eq__(self, other):
+        if not isinstance(other, EpisodeSet):
+            return NotImplemented
+        same_sizes = (self.num_states, self.num_actions) == (other.num_states, other.num_actions)
+        return same_sizes and all(map(np.array_equal, self.columns, other.columns))
+
     def __len__(self) -> int:
-        return len(self.episodes)
+        return len(self.columns.lengths)
+
+    @cached_property
+    def episodes(self) -> tuple:
+        """Read-only view of the columns, built on first use."""
+        cols = self.columns
+        # tuple.__new__ builds each Step without a Python-level call per step.
+        steps = map(tuple.__new__, repeat(Step), zip(*(col.tolist() for col in cols[1:7])))
+        # No cycles form, and collections walking millions of new Steps cost most of the build.
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            return tuple(Episode(s0, tuple(islice(steps, length)))
+                         for s0, length in zip(cols.s0.tolist(), cols.lengths.tolist()))
+        finally:
+            if collecting:
+                gc.enable()
 
     @property
     def truncated(self) -> int:
@@ -267,25 +301,38 @@ def q_values(mdp: TabularMdp, policy: Policy) -> np.ndarray:
     return solvers.q_table(mdp.mean_rewards(), mdp.transitions, policy.probs, mdp.discount)
 
 
-class _CategoricalTables:
-    """Pre-computed cumulative tables of an MDP for fast per-step sampling."""
-
-    def __init__(self, mdp: TabularMdp):
-        self.trans_cum = np.cumsum(mdp.transitions, axis=2)
-        self.init_cum = np.cumsum(mdp.initial_dist)
-        self.reward_values = [
-            [np.array([v for v, _ in mdp.rewards[s][a]]) for a in range(mdp.num_actions)]
-            for s in range(mdp.num_states)
-        ]
-        self.reward_cum = [
-            [np.cumsum([p for _, p in mdp.rewards[s][a]]) for a in range(mdp.num_actions)]
-            for s in range(mdp.num_states)
-        ]
+def _cdf(probs) -> list:
+    """Cumulative sums along the last axis as nested lists, each ending in +inf
+    so that ``bisect_right(cdf, u)`` gives the last category any uniform
+    ``u`` at or above the rounded total."""
+    cum = np.cumsum(probs, axis=-1)
+    cum[..., -1] = np.inf
+    return cum.tolist()
 
 
-def _pick(cum: np.ndarray, u: float) -> int:
-    idx = int(np.searchsorted(cum, u, side="right"))
-    return min(idx, len(cum) - 1)
+def _uniforms(rng, block: int):
+    while True:
+        yield from rng.random(block).tolist()
+
+
+class CategoricalDraws:
+    """The one place that does categorical sampling: inverse-CDF draws from an
+    MDP, one uniform each, taken from ``rng`` ``block`` uniforms at a time."""
+
+    def __init__(self, mdp: TabularMdp, rng, block: int):
+        self.next_uniform = _uniforms(rng, block).__next__
+        self.init_cdf, self.trans_cdf = _cdf(mdp.initial_dist), _cdf(mdp.transitions)
+        rewards = mdp.rewards
+        self.reward_values = [[[v for v, _ in support] for support in row] for row in rewards]
+        self.reward_cdf = [[_cdf([p for _, p in support]) for support in row] for row in rewards]
+
+    def pick(self, cdf: list) -> int:
+        return bisect_right(cdf, self.next_uniform())
+
+    def outcome(self, s: int, a: int) -> tuple:
+        """(reward, next state) of one step from (s, a), drawn in that order."""
+        reward = self.reward_values[s][a][self.pick(self.reward_cdf[s][a])]
+        return reward, self.pick(self.trans_cdf[s][a])
 
 
 def sample_episodes(
@@ -299,30 +346,35 @@ def sample_episodes(
 
     Episodes start from the MDP's initial distribution and stop on entering a
     terminal state or after ``max_horizon`` steps.  Deterministic given the
-    seed.
+    seed.  Uniforms are drawn in blocks, so a ``Generator`` passed as the
+    seed ends up advanced past the draws used.
     """
     if max_horizon < 1:
         raise ValidationError("max_horizon must be >= 1")
     _check_compat(mdp, policy)
-    rng = as_generator(rng_seed)
-    tables = _CategoricalTables(mdp)
-    policy_cum = np.cumsum(policy.probs, axis=1)
-    terminal = mdp.terminal_states
-    episodes = []
+    draws = CategoricalDraws(mdp, as_generator(rng_seed), block=4096)
+    pick, outcome = draws.pick, draws.outcome
+    policy_cdf, probs = _cdf(policy.probs), policy.probs.tolist()
+    terminal = [s in mdp.terminal_states for s in range(mdp.num_states)]
+    lists = StepColumns(*([] for _ in StepColumns._fields))
     for _ in range(count):
-        s0 = _pick(tables.init_cum, rng.random())
-        steps = []
-        s = s0
-        for _ in range(max_horizon):
-            if s in terminal:
-                break
-            a = _pick(policy_cum[s], rng.random())
-            r = float(tables.reward_values[s][a][_pick(tables.reward_cum[s][a], rng.random())])
-            ns = _pick(tables.trans_cum[s, a], rng.random())
-            steps.append(Step(s, a, r, ns, float(policy.probs[s, a]), ns in terminal))
+        s = pick(draws.init_cdf)
+        lists.s0.append(s)
+        length = 0
+        while length < max_horizon and not terminal[s]:
+            a = pick(policy_cdf[s])
+            r, ns = outcome(s, a)
+            lists.s.append(s)
+            lists.a.append(a)
+            lists.r.append(r)
+            lists.sp.append(ns)
+            lists.behavior_prob.append(probs[s][a])
+            lists.terminal.append(terminal[ns])
             s = ns
-        episodes.append(Episode(initial_state=s0, steps=tuple(steps)))
-    return EpisodeSet(tuple(episodes), mdp.num_states, mdp.num_actions)
+            length += 1
+        lists.lengths.append(length)
+    columns = StepColumns(*map(np.array, lists, COLUMN_DTYPES))
+    return EpisodeSet(columns, mdp.num_states, mdp.num_actions)
 
 
 def _deterministic_reward(value: float) -> tuple:

@@ -5,9 +5,32 @@ simulate the MDP forward with vectorized numpy and report Monte-Carlo means
 with standard errors, so solver bugs cannot hide in both sides of a
 comparison.  The recursion oracles compute PDIS and DR one logged step
 object at a time, against the flat-column sweep in ``opeci.baselines``.
+``episode_set`` flattens step objects to columns field by field, the
+reference that ``EpisodeSet.episodes`` is checked against.
 """
 
 import numpy as np
+
+from opeci.mdp import EpisodeSet, StepColumns
+
+
+def episode_set(episodes, num_states, num_actions):
+    """EpisodeSet of ``Episode``s of ``Step``s, flattened one field at a time."""
+    steps = [step for ep in episodes for step in ep.steps]
+    return EpisodeSet(
+        StepColumns(
+            s0=np.array([ep.initial_state for ep in episodes], dtype=np.int64),
+            s=np.array([step.state for step in steps], dtype=np.int64),
+            a=np.array([step.action for step in steps], dtype=np.int64),
+            r=np.array([step.reward for step in steps], dtype=np.float64),
+            sp=np.array([step.next_state for step in steps], dtype=np.int64),
+            behavior_prob=np.array([step.behavior_prob for step in steps], dtype=np.float64),
+            terminal=np.array([step.terminal for step in steps], dtype=bool),
+            lengths=np.array([len(ep.steps) for ep in episodes], dtype=np.int64),
+        ),
+        num_states,
+        num_actions,
+    )
 
 
 def _row_sample(rng, cumulative_rows):

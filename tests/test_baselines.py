@@ -27,9 +27,9 @@ from opeci import (
     uniform_policy,
 )
 from opeci import solvers
-from opeci.mdp import Episode, EpisodeSet, Step
+from opeci.mdp import Episode, Step
 
-from _oracles import normalized_return, range_bounds, recursive_estimate
+from _oracles import episode_set, normalized_return, range_bounds, recursive_estimate
 
 
 def two_armed_bandit(r0=1.0, r1=0.0):
@@ -85,7 +85,7 @@ class TestPerDecisionIs:
     def test_zero_behavior_prob_rejected(self):
         ep = Episode(0, (Step(0, 0, 1.0, 0, 0.0, False),))
         with pytest.raises(ValidationError):
-            per_decision_is(EpisodeSet((ep,), 1, 1), uniform_policy(1, 1), 0.5)
+            per_decision_is(episode_set((ep,), 1, 1), uniform_policy(1, 1), 0.5)
 
     @pytest.mark.parametrize("estimator", ["pdis", "dr"])
     def test_wrong_target_shape_rejected(self, estimator):
@@ -108,7 +108,7 @@ def hand_built_set():
         Step(1, 1, 2.0, 0, 0.4, True),
     )
     episodes = (Episode(0, steps), Episode(1, ()), Episode(1, steps[1:2]), Episode(0, steps[:1]))
-    return EpisodeSet(episodes, 2, 2)
+    return episode_set(episodes, 2, 2)
 
 
 class TestRecursionOracle:

@@ -287,9 +287,12 @@ class TestMalformedInputs:
             capsys,
         )
 
-    @pytest.mark.parametrize(
-        "field, value", [("num_states", "x"), ("transitions", [[[0.0, 1.0]], [[1.0]]])]
-    )
+    @pytest.mark.parametrize("field, value", [
+        ("num_states", "x"), ("transitions", [[[0.0, 1.0]], [[1.0]]]), ("num_states", "2"),
+        ("num_actions", 1.0), ("discount", "0.9"), ("r_max", "1"), ("terminal_states", ["1"]),
+        ("terminal_states", [True]), ("transitions", [[["0", "1"]], [["0", "1"]]]),
+        ("initial_dist", [True, False]), ("rewards", [[[["1", 1]]], [[[1, 1]]]]),
+    ])
     def test_malformed_mdp_field(self, tmp_path, capsys, field, value):
         mdp_path, policy_path = all_ones_mdp_file(tmp_path)
         doc = json.loads(mdp_path.read_text())
@@ -300,7 +303,7 @@ class TestMalformedInputs:
             capsys,
         )
 
-    @pytest.mark.parametrize("doc", [{"map": 5}, {"map": ["SG"], "slip_prob": "x"}, [1, 2]])
+    @pytest.mark.parametrize("doc", [{"map": 5}, {"map": ["SG"], "slip_prob": "x"}, [1, 2], ["map"]])
     def test_malformed_grid_mdp(self, tmp_path, capsys, doc):
         _, policy_path = all_ones_mdp_file(tmp_path)
         mdp_path = tmp_path / "grid.json"
@@ -310,11 +313,26 @@ class TestMalformedInputs:
             capsys,
         )
 
-    @pytest.mark.parametrize(
-        "override",
-        [{"sizes": ["ten"]}, {"target_policy": {"probs": [[1.0], [0.5, 0.5]]}}],
-        ids=["sizes", "target_policy"],
-    )
+    @pytest.mark.parametrize("probs", [[["1.0"]] * 2, [[True], [True]]])
+    def test_policy_of_wrong_json_kind(self, tmp_path, capsys, probs):
+        mdp_path, policy_path = all_ones_mdp_file(tmp_path)
+        policy_path.write_text(json.dumps({"probs": probs}))
+        self.assert_validation_exit(
+            ["eval", "--mdp", str(mdp_path), "--policy", str(policy_path), "--gamma", "0.9"],
+            capsys,
+        )
+
+    @pytest.mark.parametrize("override", [
+        {"sizes": ["ten"]}, {"target_policy": {"probs": [[1.0], [0.5, 0.5]]}},
+        {"target_policy": {"probs": [["1.0"]]}}, {"bootstrap_b": "10"}, {"kappa": "0"},
+        {"discount": "0.0"}, {"trials": 2.5}, {"max_horizon": 2.5}, {"sizes": [10.7]},
+        {"master_seed": 1.5}, {"noise_coef": "x"}, {"methods": "dm-boot"}, {"alphas": "0.1"},
+        {"trials": True}, {"kappa": float("nan")}, {"environment": "bernoulli_bandit"},
+    ], ids=[
+        "sizes", "target_policy", "target_policy-strings", "bootstrap_b", "kappa", "discount",
+        "trials", "max_horizon", "sizes-float", "master_seed", "noise_coef", "methods", "alphas",
+        "trials-bool", "kappa-nan", "environment",
+    ])
     def test_malformed_coverage_config(self, tmp_path, capsys, override):
         config = {
             "environment": {"type": "bernoulli_bandit", "p": 0.5},
@@ -326,9 +344,11 @@ class TestMalformedInputs:
         }
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps({**config, **override}))
-        self.assert_validation_exit(
+        code, _, err = run_cli(
             ["coverage", "--config", str(config_path), "--out", str(tmp_path / "x.csv")], capsys
         )
+        assert code == 1 and "Traceback" not in err
+        assert next(iter(override)) in err  # the message names the field
 
 
     @pytest.mark.parametrize("doc", [5, [["sizes"]]])

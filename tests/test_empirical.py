@@ -21,7 +21,9 @@ from opeci import (
     tuples_from_episodes,
 )
 from opeci.empirical import sample_tuples
-from opeci.mdp import EpisodeSet, make_random_mdp
+from opeci.mdp import make_random_mdp
+
+from _oracles import episode_set
 
 
 def single_tuple_dataset(r=1.0, num_states=3, num_actions=2):
@@ -58,7 +60,7 @@ class TestTuplesFromEpisodes:
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValidationError):
-            tuples_from_episodes(EpisodeSet((), 2, 2))
+            tuples_from_episodes(episode_set((), 2, 2))
 
 
 class TestBuildEmpiricalModel:
@@ -223,6 +225,13 @@ def tuple_digest(data):
 
 
 class TestSampleTuples:
+    def test_shared_generator_advances_by_exactly_its_draws(self):
+        # Gradient checks pass one Generator across cases, so sample_tuples
+        # must leave it where it always has: pinned values of the next draws.
+        rng = np.random.default_rng(3)
+        sample_tuples(make_random_mdp(4, 3, 0.9, rng_seed=5), 50, rng)
+        assert rng.random(2).tolist() == [0.7859107915662121, 0.4802251364085529]
+
     def test_golden_hash_random_mdp(self):
         # Three-point reward supports exercise the reward draw as well as s'.
         data = sample_tuples(make_random_mdp(6, 3, 0.9, rng_seed=1), 400, rng_seed=2)

@@ -1,5 +1,6 @@
 """File-format round trips and input checks for MDPs, policies and episodes."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -12,6 +13,7 @@ from opeci import (
     make_random_mdp,
     make_random_policy,
     optimal_policy,
+    perturb_policy_epsilon_greedy,
     sample_episodes,
 )
 from opeci.io import load_episodes, load_mdp, load_policy, save_episodes, save_mdp, save_policy
@@ -42,6 +44,15 @@ class TestMdpFiles:
         path = tmp_path / "lake_full.json"
         save_mdp(mdp, path)
         assert load_mdp(path).terminal_states == mdp.terminal_states
+
+    @pytest.mark.parametrize("doc", [
+        {"map": ["SG"], "discount": "0.9"}, {"map": ["SG"], "slip_prob": False},
+    ])
+    def test_grid_field_of_wrong_json_kind_rejected(self, tmp_path, doc):
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError, match="JSON numbers"):
+            load_mdp(path)
 
     def test_malformed_file_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -79,6 +90,16 @@ class TestEpisodeFiles:
         loaded, discount = load_episodes(path)
         assert loaded == episodes
         assert discount == mdp.discount
+
+    def test_golden_file_bytes(self, tmp_path):
+        # Pinned before episodes were written from columns instead of Step objects.
+        mdp = make_frozen_lake()
+        behavior = perturb_policy_epsilon_greedy(optimal_policy(mdp), 0.2)
+        path = tmp_path / "episodes.jsonl"
+        save_episodes(sample_episodes(mdp, behavior, 40, 10_000, rng_seed=13), path, 0.999)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "d27d3917114105a94671e6bb007febdc05b28bd80874cf96a7cbcc20e1e02f16"
+        )
 
     def test_one_json_line_per_episode_plus_header(self, tmp_path):
         mdp = make_frozen_lake()

@@ -1,5 +1,7 @@
 """MDP types, exact oracles, environment constructors, and sampling."""
 
+import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -22,9 +24,9 @@ from opeci import (
     uniform_policy,
     validate,
 )
-from opeci.mdp import Episode, EpisodeSet, Step
+from opeci.mdp import Episode, EpisodeSet, Step, StepColumns
 
-from _oracles import mc_value, mc_visitation, normalized_return
+from _oracles import episode_set, mc_value, mc_visitation, normalized_return
 
 
 def all_ones_mdp(num_states=3, num_actions=2, discount=0.7):
@@ -221,6 +223,33 @@ class TestSampleEpisodes:
         with pytest.raises(ValidationError):
             sample_episodes(mdp, uniform_policy(3, 2), 1, 0, rng_seed=0)
 
+    @pytest.mark.parametrize("case, digest", [
+        ("lake", "f6340e108216451d5ddfd036fe56f48016cb201e2a458248c293b0c255da90bc"),
+        ("random", "fe296205b0b0afc62f4aa2fdcf511d7a746028cfbf936929da91c2da619a779d"),
+    ])
+    def test_golden_columns(self, case, digest):
+        # The draw stream is pinned: these digests were taken before the
+        # sampler moved from per-draw numpy calls to buffered uniforms.
+        if case == "lake":
+            mdp = make_frozen_lake()
+            policy = perturb_policy_epsilon_greedy(optimal_policy(mdp), 0.2)
+            eps = sample_episodes(mdp, policy, 300, 10_000, rng_seed=11)
+        else:
+            # A terminal state that need not absorb gives empty, ragged and cut episodes.
+            mdp = dataclasses.replace(
+                make_random_mdp(4, 3, 0.9, rng_seed=5), terminal_states=frozenset({0})
+            )
+            eps = sample_episodes(mdp, make_random_policy(4, 3, rng_seed=6), 300, 4, rng_seed=12)
+        assert columns_digest(eps) == digest
+
+
+def columns_digest(episodes):
+    h = hashlib.sha256()
+    for column in episodes.columns:
+        h.update(column.dtype.str.encode())
+        h.update(column.tobytes())
+    return h.hexdigest()
+
 
 class TestEpisodeSet:
     def test_columns_mirror_steps(self):
@@ -236,10 +265,36 @@ class TestEpisodeSet:
             assert not getattr(cols, name).flags.writeable
         assert eps.truncated == sum(not ep.steps[-1].terminal for ep in eps.episodes)
 
+    def test_view_is_cached_and_matches_reference_flatten(self):
+        mdp = make_frozen_lake()
+        eps = sample_episodes(mdp, uniform_policy(mdp.num_states, 4), 20, 30, rng_seed=9)
+        assert eps.episodes is eps.episodes
+        assert episode_set(eps.episodes, mdp.num_states, 4) == eps
+        assert eps != sample_episodes(mdp, uniform_policy(mdp.num_states, 4), 20, 30, rng_seed=10)
+
+    def test_empty_columns_need_explicit_dtypes(self):
+        empty = StepColumns(*(np.array([], dtype) for dtype in "iiifif?i"))
+        assert len(EpisodeSet(empty, 2, 2)) == 0 and EpisodeSet(empty, 2, 2).episodes == ()
+        with pytest.raises(ValidationError, match="not 1-d int64"):
+            EpisodeSet(StepColumns(*(np.array([]) for _ in StepColumns._fields)), 2, 2)
+
+    @pytest.mark.parametrize("overrides", [
+        {"s0": [0.0]}, {"a": [1.0]}, {"terminal": [1]}, {"r": [1]}, {"lengths": [True]},
+        {"s": [[1]]}, {"lengths": [2]}, {"s0": [0, 0]}, {"sp": [0, 0]},
+        {"s0": [0, 0], "lengths": [-1, 2]},
+    ])
+    def test_malformed_columns_rejected(self, overrides):
+        good = dict(s0=[0], s=[1], a=[1], r=[1.0], sp=[0], behavior_prob=[1.0],
+                    terminal=[True], lengths=[1])
+        assert len(EpisodeSet(StepColumns(**{k: np.array(v) for k, v in good.items()}), 2, 2)) == 1
+        columns = {k: np.array(v) for k, v in {**good, **overrides}.items()}
+        with pytest.raises(ValidationError):
+            EpisodeSet(StepColumns(**columns), 2, 2)
+
     def test_truncated_skips_empty_episodes(self):
         done, cut = Step(0, 0, 0.0, 1, 1.0, True), Step(0, 0, 0.0, 0, 1.0, False)
         episodes = (Episode(0, ()), Episode(0, (cut, done)), Episode(0, (done, cut)))
-        assert EpisodeSet(episodes, 2, 1).truncated == 1
+        assert episode_set(episodes, 2, 1).truncated == 1
 
     @pytest.mark.parametrize(
         "initial, step",
@@ -264,7 +319,7 @@ class TestEpisodeSet:
     def test_malformed_step_rejected(self, initial, step):
         good = Episode(0, (Step(1, 1, 1.0, 0, 1.0, True),))
         with pytest.raises(ValidationError):
-            EpisodeSet((good, Episode(initial, (Step(*step),))), 2, 2)
+            episode_set((good, Episode(initial, (Step(*step),))), 2, 2)
 
 
 class TestFrozenLake:

@@ -12,10 +12,15 @@ from pathlib import Path
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from opeci import ValidationError, build_empirical_model, dm_value, sample_episodes
+from opeci import (
+    PriorSpec, TabularMdp, ValidationError, build_empirical_model, dm_value, dr_estimate,
+    exact_policy_value, per_decision_is, sample_episodes, solvers,
+)
 from opeci.empirical import TupleDataset, sample_tuples
 from opeci.io import load_episodes, load_mdp, load_policy, save_episodes
-from opeci.mdp import make_random_mdp, make_random_policy
+from opeci.mdp import Episode, Step, make_random_mdp, make_random_policy
+
+from _oracles import episode_set, range_bounds, recursive_estimate
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=50)
 
@@ -73,9 +78,64 @@ def test_episode_file_round_trip_keeps_columns(
         loaded, loaded_discount = load_episodes(path)
     assert loaded_discount == discount
     assert (loaded.num_states, loaded.num_actions) == (num_states, num_actions)
-    for name, column in episodes.columns._asdict().items():
-        other = getattr(loaded.columns, name)
-        assert other.dtype == column.dtype and np.array_equal(other, column), name
+    # The Step view, flattened back by the reference, gives the same columns too.
+    rebuilt = episode_set(episodes.episodes, num_states, num_actions)
+    for other_set in (loaded, rebuilt):
+        for name, column in episodes.columns._asdict().items():
+            other = getattr(other_set.columns, name)
+            assert other.dtype == column.dtype and np.array_equal(other, column), name
+
+
+@st.composite
+def ragged_episode_sets(draw):
+    """(episodes, S, A): hand-made Step episodes of mixed lengths, empty ones
+    included, with terminal flags anywhere."""
+    num_states, num_actions = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    state, action = st.integers(0, num_states - 1), st.integers(0, num_actions - 1)
+    step = st.builds(
+        Step, state, action, st.floats(-5.0, 5.0), state, st.floats(0.05, 1.0), st.booleans()
+    )
+    episode = st.builds(Episode, state, st.lists(step, max_size=7).map(tuple))
+    return draw(st.lists(episode, max_size=8)), num_states, num_actions
+
+
+@PROPERTY
+@given(case=ragged_episode_sets(), discount=st.floats(0.0, 0.99), seed=seeds)
+def test_backward_sweep_equals_recursion_oracle(case, discount, seed):
+    episodes, num_states, num_actions = case
+    eps = episode_set(episodes, num_states, num_actions)
+    target = make_random_policy(num_states, num_actions, (seed, "target"))
+    q = np.random.default_rng(seed).uniform(-2.0, 2.0, (num_states, num_actions))
+    v = solvers.state_values(q, target.probs)
+    pdis = per_decision_is(eps, target, discount)
+    dr = dr_estimate(eps, target, None, discount, q_table=q)
+    assert pdis.values.tolist() == [recursive_estimate(ep, target, discount) for ep in episodes]
+    assert dr.values.tolist() == [recursive_estimate(ep, target, discount, q, v) for ep in episodes]
+    assert (pdis.range_bound, dr.range_bound) == range_bounds(eps, target, discount, q, v)
+
+
+@PROPERTY
+@given(
+    num_states=st.integers(1, 5),
+    num_actions=st.integers(1, 3),
+    n=st.integers(1, 60),
+    discount=st.floats(0.0, 0.99),
+    seed=seeds,
+)
+def test_huge_kappa_dm_value_is_the_pure_prior_value(num_states, num_actions, n, discount, seed):
+    mdp = make_random_mdp(num_states, num_actions, discount, (seed, "mdp"))
+    prior = make_random_mdp(num_states, num_actions, discount, (seed, "prior"))
+    policy = make_random_policy(num_states, num_actions, (seed, "policy"))
+    priors = PriorSpec(prior.mean_rewards(), prior.transitions)
+    model = build_empirical_model(
+        sample_tuples(mdp, n, (seed, "tuples")), priors, kappa=1e12, discount=discount
+    )
+    # The prior model keeps only the data's start-state frequencies.
+    rewards = [[((mean, 1.0),) for mean in row] for row in prior.mean_rewards().tolist()]
+    pure = TabularMdp(
+        num_states, num_actions, prior.transitions, rewards, model.initial_dist, discount
+    )
+    assert abs(dm_value(model, policy) - exact_policy_value(pure, policy)) <= 1e-9
 
 
 _KEYS = [
