@@ -63,7 +63,6 @@ from .mdp import (
     q_values,
     sample_episodes,
     uniform_policy,
-    validate,
 )
 from .sensitivity import (
     GradientCheckReport,

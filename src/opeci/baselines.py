@@ -18,7 +18,7 @@ from .bootstrap import ConfidenceInterval
 from .dm import dm_q
 from .empirical import EmpiricalModel
 from .errors import ValidationError
-from .mdp import EpisodeSet, Policy
+from .mdp import EpisodeSet, Policy, check_discount, check_policy
 from . import solvers
 
 
@@ -56,11 +56,8 @@ def _backward_sweep(
     a time:  acc = V(s) + ratio * (r + discount*acc - Q(s, a)),  with V and Q
     zero for PDIS.
     """
-    if not 0.0 <= discount < 1.0:
-        raise ValidationError("discount must lie in [0, 1)")
-    shape = (episodes.num_states, episodes.num_actions)
-    if target.probs.shape != shape:
-        raise ValidationError(f"target policy shape {target.probs.shape} != the episodes' {shape}")
+    check_discount(discount)
+    check_policy(target, episodes)
     cols = episodes.columns
     ratio = target.probs[cols.s, cols.a] / cols.behavior_prob
     base, control = v[cols.s], q[cols.s, cols.a]

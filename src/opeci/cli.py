@@ -16,7 +16,7 @@ from .harness import (
     METHODS, ExperimentConfig, emit_report, method_intervals, run_coverage_experiment,
 )
 from .io import load_episodes, load_mdp, load_policy, read_json, save_episodes
-from .mdp import exact_policy_value, sample_episodes, validate
+from .mdp import exact_policy_value, sample_episodes
 from .sensitivity import check_gradients, counterexample_blowup_probe
 
 
@@ -68,9 +68,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_eval(args) -> int:
     mdp = load_mdp(args.mdp).with_discount(args.gamma)
-    problems = validate(mdp)
-    if problems:
-        raise ValidationError("invalid MDP: " + "; ".join(problems))
     policy = load_policy(args.policy)
     print(f"{exact_policy_value(mdp, policy):.12g}")
     return 0
@@ -121,9 +118,6 @@ def _cmd_blowup_probe(args) -> int:
 
 def _cmd_gen_data(args) -> int:
     mdp = load_mdp(args.mdp)
-    problems = validate(mdp)
-    if problems:
-        raise ValidationError("invalid MDP: " + "; ".join(problems))
     policy = load_policy(args.policy)
     episodes = sample_episodes(mdp, policy, args.episodes, args.horizon, args.seed)
     save_episodes(episodes, args.out, discount=mdp.discount)

@@ -19,7 +19,7 @@ from .empirical import (
     resampled_count_tables,
 )
 from .errors import SolverError, ValidationError
-from .mdp import Policy
+from .mdp import Policy, check_policy
 from .seeding import seed_parts
 from . import solvers
 
@@ -27,17 +27,9 @@ from . import solvers
 _CHUNK_BYTES = 1 << 20
 
 
-def _check_dims(model: EmpiricalModel, policy: Policy) -> None:
-    if policy.probs.shape != (model.num_states, model.num_actions):
-        raise ValidationError(
-            f"policy shape {policy.probs.shape} does not match model "
-            f"({model.num_states} states, {model.num_actions} actions)"
-        )
-
-
 def dm_value(model: EmpiricalModel, policy: Policy) -> float:
     """Normalized value of the policy in the empirical MDP (linear solve)."""
-    _check_dims(model, policy)
+    check_policy(policy, model)
     return solvers.policy_value(
         model.mean_reward, model.transitions, model.initial_dist, policy.probs, model.discount
     )
@@ -45,13 +37,13 @@ def dm_value(model: EmpiricalModel, policy: Policy) -> float:
 
 def dm_q(model: EmpiricalModel, policy: Policy) -> np.ndarray:
     """Q-function of the policy under the empirical MDP."""
-    _check_dims(model, policy)
+    check_policy(policy, model)
     return solvers.q_table(model.mean_reward, model.transitions, policy.probs, model.discount)
 
 
 def empirical_on_policy_distribution(model: EmpiricalModel, policy: Policy) -> np.ndarray:
     """Discounted on-policy state-action distribution in the empirical MDP."""
-    _check_dims(model, policy)
+    check_policy(policy, model)
     return solvers.on_policy_distribution_table(
         model.transitions, model.initial_dist, policy.probs, model.discount
     )
@@ -68,7 +60,7 @@ def qe_fixed_point(model: EmpiricalModel, policy: Policy, tolerance: float = 1e-
     """
     if tolerance <= 0:
         raise ValidationError("tolerance must be > 0")
-    _check_dims(model, policy)
+    check_policy(policy, model)
     S, A = model.num_states, model.num_actions
     rbar = model.mean_reward.reshape(S * A)
     flat_t = model.transitions.reshape(S * A, S)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .mdp import CategoricalDraws, EpisodeSet
+from .mdp import CategoricalDraws, EpisodeSet, check_discount
 from .seeding import as_generator
 
 
@@ -185,10 +185,9 @@ def build_empirical_model(
     which lets callers evaluate exact distribution mixtures rather than
     resampled approximations.
     """
-    if kappa < 0:
-        raise ValidationError("kappa must be >= 0")
-    if not 0.0 <= discount < 1.0:
-        raise ValidationError("discount must lie in [0, 1)")
+    if not 0.0 <= kappa < math.inf:
+        raise ValidationError(f"kappa must be a finite number >= 0, not {kappa!r}")
+    discount = check_discount(discount)
     data = _materialized(data)
     priors = priors or PriorSpec()
     S, A = data.num_states, data.num_actions
@@ -212,7 +211,7 @@ def build_empirical_model(
     return EmpiricalModel(
         num_states=S,
         num_actions=A,
-        discount=float(discount),
+        discount=discount,
         kappa=float(kappa),
         priors=priors,
         counts=counts,
@@ -307,9 +306,7 @@ def augment_noisy_rewards(data: TupleDataset, noise_scale: float) -> AugmentedDa
 
 def sufficient_noise_scale(r_max: float, discount: float) -> float:
     """Noise scale large enough to offset bootstrap under-coverage entirely."""
-    if not 0.0 <= discount < 1.0:
-        raise ValidationError("discount must lie in [0, 1)")
-    return math.sqrt(1.5) * r_max / (1.0 - discount)
+    return math.sqrt(1.5) * r_max / (1.0 - check_discount(discount))
 
 
 def resample_indices(data, rng_seed) -> np.ndarray:

@@ -30,11 +30,14 @@ from .bootstrap import bootstrap_replicas, interval_from_replicas
 from .dm import dm_bootstrap_replicas
 from .empirical import augment_noisy_rewards, build_empirical_model, tuples_from_episodes
 from .errors import ValidationError
-from .io import load_mdp, load_policy, policy_from_doc, read_json
+from .io import (
+    INTEGERS, NUMBERS, STRINGS, check_kinds, load_mdp, load_policy, policy_from_doc, read_json,
+)
 from .mdp import (
     DEFAULT_LAKE_MAP,
     Policy,
     TabularMdp,
+    check_discount,
     exact_policy_value,
     make_bernoulli_bandit,
     make_counterexample_chain,
@@ -42,7 +45,6 @@ from .mdp import (
     optimal_policy,
     perturb_policy_epsilon_greedy,
     sample_episodes,
-    validate,
 )
 
 METHODS = (
@@ -56,33 +58,34 @@ METHODS = (
 )
 
 
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
+# Each config field's JSON kinds, list depth, range test (None for none;
+# every test fails on NaN) and description.  Booleans are not numbers, and the
+# discount's range is ``check_discount``'s.
+_FIELDS = {
+    "environment": (frozenset({dict}), 0, None, "an object"),
+    "discount": (NUMBERS, 0, None, "a number"),
+    "sizes": (INTEGERS, 1, lambda ns: len(ns) > 0 and min(ns) >= 1,
+              "a non-empty list of positive integers"),
+    "methods": (STRINGS, 1, lambda ms: set(ms) <= set(METHODS), f"a list of tags from {METHODS}"),
+    "alphas": (NUMBERS, 1, lambda xs: all(0.0 < x < 1.0 for x in xs),
+               "a list of numbers in (0, 1)"),
+    "target_policy": (frozenset({str, dict}), 0, None, "a string or an object"),
+    "behavior_epsilon": (NUMBERS, 0, lambda x: 0.0 <= x <= 1.0, "a number in [0, 1]"),
+    "trials": (INTEGERS, 0, lambda x: x >= 1, "a positive integer"),
+    "bootstrap_b": (INTEGERS, 0, None, "an integer"),
+    "kappa": (NUMBERS, 0, lambda x: 0.0 <= x < math.inf, "a finite number >= 0"),
+    "noise_coef": (NUMBERS, 0, math.isfinite, "a finite number"),
+    "master_seed": (INTEGERS, 0, None, "an integer"),
+    "max_horizon": (INTEGERS, 0, lambda x: x >= 1, "a positive integer"),
+}
 
-
-def _is_number(x) -> bool:
-    return _is_int(x) or isinstance(x, float) and math.isfinite(x)
-
-
-def _list_of(is_item):
-    return lambda x: isinstance(x, (list, tuple)) and all(map(is_item, x))
-
-
-# The JSON kind of each config field; booleans are not numbers.
-_FIELD_KINDS = {
-    "environment": (lambda x: isinstance(x, dict), "an object"),
-    "discount": (_is_number, "a finite number"),
-    "sizes": (_list_of(_is_int), "a list of integers"),
-    "methods": (_list_of(lambda m: isinstance(m, str)), "a list of strings"),
-    "alphas": (_list_of(_is_number), "a list of finite numbers"),
-    "target_policy": (lambda x: isinstance(x, (str, dict)), "a string or an object"),
-    "behavior_epsilon": (_is_number, "a finite number"),
-    "trials": (_is_int, "an integer"),
-    "bootstrap_b": (_is_int, "an integer"),
-    "kappa": (_is_number, "a finite number"),
-    "noise_coef": (_is_number, "a finite number"),
-    "master_seed": (_is_int, "an integer"),
-    "max_horizon": (_is_int, "an integer"),
+# Each environment type's fields: JSON kinds, list depth and whether the
+# field is required.  The environment constructors check the ranges.
+_ENVIRONMENTS = {
+    "frozen_lake": {"slip_prob": (NUMBERS, 0, False), "map": (STRINGS, 1, False)},
+    "chain": {"n_intermediate": (INTEGERS, 0, True)},
+    "bernoulli_bandit": {"p": (NUMBERS, 0, False)},
+    "file": {"path": (STRINGS, 0, True)},
 }
 
 
@@ -103,9 +106,24 @@ class ExperimentConfig:
     max_horizon: int = 10000
 
     def __post_init__(self):
-        for name, (is_kind, kind) in _FIELD_KINDS.items():
-            if not is_kind(getattr(self, name)):
-                raise ValidationError(f"config field {name} must be {kind}")
+        for name, (kinds, depth, in_range, description) in _FIELDS.items():
+            what = f"config field {name}"
+            value = check_kinds(getattr(self, name), kinds, what, depth, must=description)
+            if in_range is not None and not in_range(value):
+                raise ValidationError(f"{what} must be {description}")
+        check_discount(self.discount)
+        if self.bootstrap_b < 2 and any(m.endswith("-boot") for m in self.methods):
+            raise ValidationError("config field bootstrap_b must be >= 2 for bootstrap methods")
+        kind = self.environment.get("type")
+        if not isinstance(kind, str) or kind not in _ENVIRONMENTS:
+            raise ValidationError(
+                f"config field environment has type {kind!r}, not one of {sorted(_ENVIRONMENTS)}"
+            )
+        for name, (kinds, depth, required) in _ENVIRONMENTS[kind].items():
+            if name in self.environment:
+                check_kinds(self.environment[name], kinds, f"environment field {name}", depth)
+            elif required:
+                raise ValidationError(f"environment field {name} is required for type {kind}")
         for name in ("sizes", "methods", "alphas"):
             object.__setattr__(self, name, tuple(getattr(self, name)))
 
@@ -126,31 +144,9 @@ class ExperimentConfig:
         return asdict(self)
 
 
-def validate_config(config: ExperimentConfig) -> None:
-    if config.trials < 1:
-        raise ValidationError("trials must be >= 1")
-    if not config.sizes or any(n < 1 for n in config.sizes):
-        raise ValidationError("sizes must be positive episode counts")
-    if any(not 0.0 < a < 1.0 for a in config.alphas):
-        raise ValidationError("alphas must lie in (0, 1)")
-    unknown = [m for m in config.methods if m not in METHODS]
-    if unknown:
-        raise ValidationError(f"unknown methods {unknown}; expected a subset of {METHODS}")
-    if config.bootstrap_b < 2 and any(m.endswith("-boot") for m in config.methods):
-        raise ValidationError("bootstrap_b must be >= 2")
-    if not 0.0 <= config.behavior_epsilon <= 1.0:
-        raise ValidationError("behavior_epsilon must lie in [0, 1]")
-    if config.kappa < 0:
-        raise ValidationError("kappa must be >= 0")
-    if config.max_horizon < 1:
-        raise ValidationError("max_horizon must be >= 1")
-    if not 0.0 <= config.discount < 1.0:
-        raise ValidationError("discount must lie in [0, 1)")
-
-
 def build_environment(config: ExperimentConfig) -> TabularMdp:
-    spec = dict(config.environment)
-    kind = spec.get("type")
+    spec = config.environment
+    kind = spec["type"]
     if kind == "frozen_lake":
         return make_frozen_lake(
             slip_prob=spec.get("slip_prob", 0.25),
@@ -158,12 +154,10 @@ def build_environment(config: ExperimentConfig) -> TabularMdp:
             discount=config.discount,
         )
     if kind == "chain":
-        return make_counterexample_chain(int(spec["n_intermediate"]), config.discount)
+        return make_counterexample_chain(spec["n_intermediate"], config.discount)
     if kind == "bernoulli_bandit":
         return make_bernoulli_bandit(spec.get("p", 0.5)).with_discount(config.discount)
-    if kind == "file":
-        return load_mdp(spec["path"]).with_discount(config.discount)
-    raise ValidationError(f"unknown environment type {kind!r}")
+    return load_mdp(spec["path"]).with_discount(config.discount)
 
 
 def resolve_target(mdp: TabularMdp, config: ExperimentConfig) -> Policy:
@@ -289,11 +283,7 @@ def run_coverage_experiment(config: ExperimentConfig, workers: int = 1) -> Cover
     count: trials are independent units keyed by derived seeds, and
     aggregation reduces in a fixed (method, n, alpha, trial) order.
     """
-    validate_config(config)
     mdp = build_environment(config)
-    problems = validate(mdp)
-    if problems:
-        raise ValidationError("invalid environment: " + "; ".join(problems))
     target = resolve_target(mdp, config)
     behavior = perturb_policy_epsilon_greedy(target, config.behavior_epsilon)
     true_value = exact_policy_value(mdp, target)

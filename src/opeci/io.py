@@ -10,7 +10,7 @@ generating discount.  Every input file is read through ``read_json``.
 from __future__ import annotations
 
 import json
-from itertools import islice
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
@@ -58,13 +58,28 @@ def save_mdp(mdp: TabularMdp, path) -> None:
     Path(path).write_text(json.dumps(doc))
 
 
-def _checked(value, kinds: str, what: str):
-    """``value`` once ``np.asarray(value)`` is empty or has a dtype kind in
-    ``kinds``: "iu" admits JSON integers, "iuf" JSON numbers; bools, strings
-    and nulls are rejected, not coerced."""
-    array = np.asarray(value)
-    if array.size and array.dtype.kind not in kinds:
-        raise ValidationError(f"{what} must be JSON {'integers' if kinds == 'iu' else 'numbers'}")
+# JSON kinds as sets of Python types.  ``type(x)`` is tested, so ``True`` is
+# never an integer or a number.
+INTEGERS = frozenset({int})
+NUMBERS = frozenset({int, float})
+STRINGS = frozenset({str})
+_LISTS = frozenset({list, tuple})
+_KIND_NAMES = {INTEGERS: "JSON integers", NUMBERS: "JSON numbers", STRINGS: "JSON strings"}
+
+
+def check_kinds(value, kinds: frozenset, what: str, depth: int = 0, *, must: str = ""):
+    """``value`` once it is ``depth`` levels of lists around items whose types
+    all lie in ``kinds``; nothing is coerced.  Otherwise raises
+    ValidationError("<what> must be <must>"), ``must`` naming the kinds by
+    default."""
+    message = f"{what} must be {must or _KIND_NAMES[kinds]}"
+    items = [value]
+    for _ in range(depth):
+        if not set(map(type, items)) <= _LISTS:
+            raise ValidationError(message)
+        items = [*chain.from_iterable(items)]
+    if not set(map(type, items)) <= kinds:
+        raise ValidationError(message)
     return value
 
 
@@ -73,22 +88,21 @@ def load_mdp(path) -> TabularMdp:
     try:
         if "map" in doc:
             return make_frozen_lake(
-                slip_prob=_checked(doc.get("slip_prob", 0.25), "iuf", "slip_prob"),
-                grid=doc["map"],
-                discount=_checked(doc.get("discount", 0.999), "iuf", "discount"),
+                slip_prob=check_kinds(doc.get("slip_prob", 0.25), NUMBERS, "slip_prob"),
+                grid=check_kinds(doc["map"], STRINGS, "map", 1),
+                discount=check_kinds(doc.get("discount", 0.999), NUMBERS, "discount"),
             )
-        for row in doc["rewards"]:
-            for support in row:
-                _checked(support, "iuf", "reward supports")
         return TabularMdp(
-            num_states=_checked(doc["num_states"], "iu", "num_states"),
-            num_actions=_checked(doc["num_actions"], "iu", "num_actions"),
-            transitions=np.array(_checked(doc["transitions"], "iuf", "transitions"), np.float64),
-            rewards=doc["rewards"],
-            initial_dist=np.array(_checked(doc["initial_dist"], "iuf", "initial_dist"), np.float64),
-            discount=float(_checked(doc["discount"], "iuf", "discount")),
-            terminal_states=_checked(doc.get("terminal_states", []), "iu", "terminal_states"),
-            r_max=float(_checked(doc.get("r_max", 1.0), "iuf", "r_max")),
+            num_states=check_kinds(doc["num_states"], INTEGERS, "num_states"),
+            num_actions=check_kinds(doc["num_actions"], INTEGERS, "num_actions"),
+            transitions=check_kinds(doc["transitions"], NUMBERS, "transitions", 3),
+            rewards=check_kinds(doc["rewards"], NUMBERS, "reward supports", 4),
+            initial_dist=check_kinds(doc["initial_dist"], NUMBERS, "initial_dist", 1),
+            discount=check_kinds(doc["discount"], NUMBERS, "discount"),
+            terminal_states=check_kinds(
+                doc.get("terminal_states", []), INTEGERS, "terminal_states", 1
+            ),
+            r_max=check_kinds(doc.get("r_max", 1.0), NUMBERS, "r_max"),
         )
     # AttributeError: a JSON list that holds "map" has no .get.
     except (KeyError, TypeError, IndexError, ValueError, OverflowError, AttributeError) as exc:
@@ -102,7 +116,7 @@ def save_policy(policy: Policy, path) -> None:
 def policy_from_doc(doc, source) -> Policy:
     """Policy from a ``{"probs": [[...], ...]}`` document read from ``source``."""
     try:
-        return Policy(np.array(_checked(doc["probs"], "iuf", "policy probs"), np.float64))
+        return Policy(check_kinds(doc["probs"], NUMBERS, "policy probs", 2))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"cannot read policy {source}: {exc}") from exc
 
@@ -145,13 +159,21 @@ def load_episodes(path) -> tuple:
         header = first["meta"]
         num_states, num_actions = header["num_states"], header["num_actions"]
         discount = header.get("discount")
-        if not {type(num_states), type(num_actions)} <= {int}:
-            raise ValidationError("header state and action counts must be JSON integers")
-        if discount is not None and type(discount) not in (int, float):
-            raise ValidationError("header discount must be a JSON number or null")
+        check_kinds([num_states, num_actions], INTEGERS, "header state and action counts", 1)
+        check_kinds(discount, NUMBERS | {type(None)}, "header discount",
+                    must="a JSON number or null")
         lists = StepColumns(*([] for _ in StepColumns._fields))
         for doc in docs:
             _extend(lists, doc)
+        # Kinds are checked once per file, over whole columns.
+        indices = [lists.s0, lists.s, lists.a, lists.sp]
+        check_kinds(indices, INTEGERS, "logged states and actions", 2)
+        check_kinds([lists.r, lists.behavior_prob], NUMBERS,
+                    "logged rewards and behavior probabilities", 2)
+        flags = "0, 1, true or false"
+        check_kinds(lists.terminal, INTEGERS | {bool}, "logged terminal flags", 1, must=flags)
+        if not set(lists.terminal) <= {0, 1}:
+            raise ValidationError(f"logged terminal flags must be {flags}")
         columns = StepColumns(*map(np.array, lists, COLUMN_DTYPES))
         return EpisodeSet(columns, num_states, num_actions), discount
     except ValidationError:
@@ -161,19 +183,11 @@ def load_episodes(path) -> tuple:
 
 
 def _extend(lists: StepColumns, doc) -> None:
-    """Append one episode line's checked fields to the column lists."""
+    """Append one episode line's fields to the column lists."""
     s0, rows = doc["initial_state"], doc["steps"]
     if type(rows) is not list or not set(map(len, rows)) <= {6}:
         raise ValidationError("steps must be a list of [s, a, r, s', p, terminal] lists")
-    s, a, r, sp, p, terminal = zip(*rows) if rows else ((),) * 6
-    # A bool is not an index here, and nothing is coerced.
-    if not {type(s0), *map(type, s), *map(type, a), *map(type, sp)} <= {int}:
-        raise ValidationError("logged states and actions must be JSON integers")
-    if not {*map(type, r), *map(type, p)} <= {int, float}:
-        raise ValidationError("logged rewards and behavior probabilities must be JSON numbers")
-    if not (set(map(type, terminal)) <= {int, bool} and set(terminal) <= {0, 1}):
-        raise ValidationError("logged terminal flags must be 0, 1, true or false")
     lists.s0.append(s0)
-    for column, values in zip(lists[1:7], (s, a, r, sp, p, terminal)):
+    for column, values in zip(lists[1:7], zip(*rows) if rows else ((),) * 6):
         column.extend(values)
     lists.lengths.append(len(rows))

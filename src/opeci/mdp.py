@@ -11,7 +11,8 @@ from __future__ import annotations
 import gc
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, replace
+from copy import copy
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice, repeat
 from typing import NamedTuple
@@ -37,23 +38,54 @@ def _freeze(array: np.ndarray) -> np.ndarray:
     return array
 
 
-def _as_reward_table(rewards, num_states: int, num_actions: int) -> tuple:
-    """Canonicalize rewards[s][a] into tuples of (value, prob) float pairs."""
-    table = []
-    for s in range(num_states):
-        row = []
-        for a in range(num_actions):
-            support = tuple((float(v), float(p)) for v, p in rewards[s][a])
-            if not support:
-                raise ValidationError(f"empty reward support at (s={s}, a={a})")
-            row.append(support)
-        table.append(tuple(row))
-    return tuple(table)
+def _reward_table(rewards, num_states: int, num_actions: int, r_max: float) -> tuple:
+    """rewards[s][a] as tuples of (value, prob) float pairs, once each support
+    has non-negative probabilities summing to 1 and values within ``r_max``.
+    Every test fails on NaN."""
+    S, A = num_states, num_actions
+    if len(rewards) != S or any(len(row) != A for row in rewards):
+        raise ValidationError(f"rewards must hold {S} rows of {A} supports each")
+    table = tuple(
+        tuple(tuple((float(v), float(p)) for v, p in support) for support in row)
+        for row in rewards
+    )
+    for s, row in enumerate(table):
+        for a, support in enumerate(row):
+            deficit = 1.0 - sum(p for _, p in support)
+            if not (abs(deficit) <= _SUM_TOL and all(p >= 0.0 for _, p in support)):
+                raise ValidationError(
+                    f"reward support at (s={s}, a={a}) must be non-negative and sum to 1 "
+                    f"(deficit {deficit})"
+                )
+            if not all(abs(v) <= r_max for v, _ in support):
+                raise ValidationError(
+                    f"reward values at (s={s}, a={a}) exceed bound r_max={r_max}: {support}"
+                )
+    return table
+
+
+def check_discount(discount) -> float:
+    """``discount`` as a float once it lies in [0, 1); NaN does not."""
+    if not 0.0 <= discount < 1.0:
+        raise ValidationError(f"discount must lie in [0, 1), not {discount!r}")
+    return float(discount)
+
+
+def check_policy(policy: "Policy", space) -> None:
+    """Raise unless ``policy`` has one row per state and one column per action
+    of ``space``: an MDP, an empirical model or an episode set."""
+    shape = (space.num_states, space.num_actions)
+    if policy.probs.shape != shape:
+        raise ValidationError(
+            f"policy shape {policy.probs.shape} does not match the {shape[0]} states and "
+            f"{shape[1]} actions of the {type(space).__name__}"
+        )
 
 
 @dataclass(frozen=True, eq=False)
 class TabularMdp:
-    """Finite MDP with finite-support reward distributions.
+    """Finite MDP with finite-support reward distributions, checked once on
+    construction.
 
     ``terminal_states`` are absorbing: episode sampling stops on entering
     them and their designated self-loop reward is whatever ``rewards``
@@ -72,21 +104,57 @@ class TabularMdp:
     r_max: float = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "transitions", _freeze(np.asarray(self.transitions)))
-        object.__setattr__(self, "initial_dist", _freeze(np.asarray(self.initial_dist)))
-        object.__setattr__(
-            self, "rewards", _as_reward_table(self.rewards, self.num_states, self.num_actions)
-        )
-        object.__setattr__(self, "terminal_states", frozenset(int(s) for s in self.terminal_states))
-        means = [[sum(v * p for v, p in support) for support in row] for row in self.rewards]
-        object.__setattr__(self, "_mean_rewards", _freeze(means))
+        S, A = self.num_states, self.num_actions
+        transitions, initial = _freeze(self.transitions), _freeze(self.initial_dist)
+        for name, table, shape in (
+            ("transitions", transitions, (S, A, S)), ("initial_dist", initial, (S,)),
+        ):
+            if min(S, A) < 1 or table.shape != shape:
+                raise ValidationError(f"{name} shape {table.shape} != {shape}")
+        discount, r_max = check_discount(self.discount), float(self.r_max)
+        rewards = _reward_table(self.rewards, S, A, r_max)
+        # NaN fails every test below.
+        sums = transitions.sum(axis=2)
+        if not (1.0 - _SUM_TOL <= sums.min() and sums.max() <= 1.0 + _SUM_TOL
+                and transitions.min() >= 0.0):
+            deficit = np.abs(1.0 - sums)
+            s, a = np.argwhere(~(deficit <= _SUM_TOL) | (transitions < 0.0).any(axis=2))[0]
+            raise ValidationError(
+                f"transition row at (s={s}, a={a}) must be non-negative and sum to 1 "
+                f"(deficit {deficit[s, a]})"
+            )
+        deficit = abs(1.0 - initial.sum())
+        if not (deficit <= _SUM_TOL and initial.min() >= 0.0):
+            raise ValidationError(
+                f"initial_dist must be non-negative and sum to 1 (deficit {deficit})"
+            )
+        terminal = sorted(set(map(int, self.terminal_states)))
+        if terminal:
+            if not 0 <= terminal[0] <= terminal[-1] < S:
+                raise ValidationError(f"terminal states {terminal} must lie in [0, {S})")
+            stays = np.abs(transitions[terminal, :, terminal] - 1.0) <= _SUM_TOL
+            if not stays.all():
+                t, a = np.argwhere(~stays)[0]
+                raise ValidationError(
+                    f"terminal state {terminal[t]} is not absorbing under action {a}"
+                )
+        means = [[sum(v * p for v, p in support) for support in row] for row in rewards]
+        for name, value in (
+            ("transitions", transitions), ("initial_dist", initial), ("rewards", rewards),
+            ("terminal_states", frozenset(terminal)), ("discount", discount), ("r_max", r_max),
+            ("_mean_rewards", _freeze(means)),
+        ):
+            object.__setattr__(self, name, value)
 
     def mean_rewards(self) -> np.ndarray:
         """Expected reward per (s, a), read-only."""
         return self._mean_rewards
 
     def with_discount(self, discount: float) -> "TabularMdp":
-        return replace(self, discount=float(discount))
+        """A copy with another discount; its already checked tables are shared."""
+        mdp = copy(self)
+        object.__setattr__(mdp, "discount", check_discount(discount))
+        return mdp
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,7 +164,7 @@ class Policy:
     probs: np.ndarray  # (S, A)
 
     def __post_init__(self):
-        probs = _freeze(np.asarray(self.probs))
+        probs = _freeze(self.probs)
         if probs.ndim != 2 or probs.size == 0:
             raise ValidationError(
                 f"policy table must be a non-empty (S, A) array, not shape {probs.shape}"
@@ -105,7 +173,7 @@ class Policy:
         # NaN fails both comparisons and an infinite entry leaves an infinite deficit.
         if not (probs.min() >= 0.0 and deficit <= _SUM_TOL):
             raise ValidationError(
-                f"policy rows must be finite, non-negative and sum to 1 (worst deficit {deficit!r})"
+                f"policy rows must be finite, non-negative and sum to 1 (worst deficit {deficit})"
             )
         object.__setattr__(self, "probs", probs)
 
@@ -224,64 +292,9 @@ class EpisodeSet:
         return int(np.count_nonzero(~self.columns.terminal[last]))
 
 
-def validate(mdp: TabularMdp) -> list:
-    """Report violated invariants as human-readable strings (empty if valid)."""
-    problems: list[str] = []
-    S, A = mdp.num_states, mdp.num_actions
-    if mdp.transitions.shape != (S, A, S):
-        problems.append(f"transitions shape {mdp.transitions.shape} != {(S, A, S)}")
-        return problems
-    if mdp.initial_dist.shape != (S,):
-        problems.append(f"initial_dist shape {mdp.initial_dist.shape} != {(S,)}")
-        return problems
-    if not 0.0 <= mdp.discount < 1.0:
-        problems.append(f"discount {mdp.discount} outside [0, 1)")
-    for s in range(S):
-        for a in range(A):
-            row = mdp.transitions[s, a]
-            total = row.sum()
-            if abs(total - 1.0) > _SUM_TOL:
-                problems.append(
-                    f"transition row (s={s}, a={a}) sums to {total!r} (deficit {1.0 - total!r})"
-                )
-            if (row < 0).any():
-                problems.append(f"transition row (s={s}, a={a}) has negative entries")
-            support = mdp.rewards[s][a]
-            ptotal = sum(p for _, p in support)
-            if abs(ptotal - 1.0) > _SUM_TOL:
-                problems.append(
-                    f"reward support at (s={s}, a={a}) sums to {ptotal!r} (deficit {1.0 - ptotal!r})"
-                )
-            if any(p < 0 for _, p in support):
-                problems.append(f"reward support at (s={s}, a={a}) has negative probabilities")
-            for v, _ in support:
-                if abs(v) > mdp.r_max:
-                    problems.append(
-                        f"reward value {v} at (s={s}, a={a}) exceeds bound r_max={mdp.r_max}"
-                    )
-    init_total = mdp.initial_dist.sum()
-    if abs(init_total - 1.0) > _SUM_TOL:
-        problems.append(f"initial_dist sums to {init_total!r} (deficit {1.0 - init_total!r})")
-    if (mdp.initial_dist < 0).any():
-        problems.append("initial_dist has negative entries")
-    for s in mdp.terminal_states:
-        for a in range(A):
-            if abs(mdp.transitions[s, a, s] - 1.0) > _SUM_TOL:
-                problems.append(f"terminal state {s} is not absorbing under action {a}")
-    return problems
-
-
-def _check_compat(mdp: TabularMdp, policy: Policy) -> None:
-    if policy.probs.shape != (mdp.num_states, mdp.num_actions):
-        raise ValidationError(
-            f"policy shape {policy.probs.shape} does not match MDP "
-            f"({mdp.num_states} states, {mdp.num_actions} actions)"
-        )
-
-
 def exact_policy_value(mdp: TabularMdp, policy: Policy) -> float:
     """Normalized policy value via an exact linear solve."""
-    _check_compat(mdp, policy)
+    check_policy(policy, mdp)
     return solvers.policy_value(
         mdp.mean_rewards(), mdp.transitions, mdp.initial_dist, policy.probs, mdp.discount
     )
@@ -289,7 +302,7 @@ def exact_policy_value(mdp: TabularMdp, policy: Policy) -> float:
 
 def on_policy_distribution(mdp: TabularMdp, policy: Policy) -> np.ndarray:
     """Discounted state-action visitation distribution of the policy."""
-    _check_compat(mdp, policy)
+    check_policy(policy, mdp)
     return solvers.on_policy_distribution_table(
         mdp.transitions, mdp.initial_dist, policy.probs, mdp.discount
     )
@@ -297,7 +310,7 @@ def on_policy_distribution(mdp: TabularMdp, policy: Policy) -> np.ndarray:
 
 def q_values(mdp: TabularMdp, policy: Policy) -> np.ndarray:
     """Un-normalized Q(s,a) satisfying the exact Bellman identity."""
-    _check_compat(mdp, policy)
+    check_policy(policy, mdp)
     return solvers.q_table(mdp.mean_rewards(), mdp.transitions, policy.probs, mdp.discount)
 
 
@@ -351,7 +364,7 @@ def sample_episodes(
     """
     if max_horizon < 1:
         raise ValidationError("max_horizon must be >= 1")
-    _check_compat(mdp, policy)
+    check_policy(policy, mdp)
     draws = CategoricalDraws(mdp, as_generator(rng_seed), block=4096)
     pick, outcome = draws.pick, draws.outcome
     policy_cdf, probs = _cdf(policy.probs), policy.probs.tolist()

@@ -45,7 +45,7 @@ def _policy_chain(transitions: np.ndarray, policy_probs: np.ndarray) -> np.ndarr
     return (policy_probs[:, :, None] * transitions).sum(axis=-2)
 
 
-def _solve_checked(a_mat: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _checked_solve(a_mat: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve each stacked system a_mat x = b and check its residual."""
     x = np.linalg.solve(a_mat, b[..., None])[..., 0]
     residual = np.abs((a_mat @ x[..., None])[..., 0] - b).max(axis=-1)
@@ -103,7 +103,7 @@ def _solve_state_values(
     p_pi = _policy_chain(transitions, policy_probs)
     r_pi = (policy_probs * np.asarray(mean_rewards, dtype=np.float64)).sum(axis=-1)
     if num_states <= DENSE_SIZE_LIMIT:
-        return _solve_checked(np.eye(num_states) - discount * p_pi, r_pi)
+        return _checked_solve(np.eye(num_states) - discount * p_pi, r_pi)
     return _iterate_values(r_pi, p_pi, discount, tol=1e-13)
 
 
@@ -127,7 +127,7 @@ def on_policy_distribution_table(
     if num_states <= DENSE_SIZE_LIMIT:
         a_mat = np.eye(num_states) - discount * np.swapaxes(p_pi, -1, -2)
         b = np.broadcast_to((1.0 - discount) * initial_dist, a_mat.shape[:-1])
-        d_states = _solve_checked(a_mat, b)
+        d_states = _checked_solve(a_mat, b)
     else:
         d_states = _iterate_distribution(initial_dist, p_pi, discount, tol=1e-15)
     # LU round-off can leave entries at -1e-17; the result is a distribution.

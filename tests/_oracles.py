@@ -7,11 +7,36 @@ comparison.  The recursion oracles compute PDIS and DR one logged step
 object at a time, against the flat-column sweep in ``opeci.baselines``.
 ``episode_set`` flattens step objects to columns field by field, the
 reference that ``EpisodeSet.episodes`` is checked against.
+``loop_replicas`` is the per-replica reference for the batched DM bootstrap,
+and ``with_terminals`` marks states of a test MDP as absorbing terminals.
 """
+
+import dataclasses
 
 import numpy as np
 
+from opeci import build_empirical_model, dm_value
+from opeci.bootstrap import bootstrap_replicas
 from opeci.mdp import EpisodeSet, StepColumns
+
+
+def loop_replicas(data, policy, b, seed, kappa, discount):
+    """The per-replica reference: resample, build the model, solve."""
+
+    def functional(d):
+        return dm_value(build_empirical_model(d, kappa=kappa, discount=discount), policy)
+
+    return bootstrap_replicas(data, functional, b, seed)
+
+
+def with_terminals(mdp, states):
+    """``mdp`` with ``states`` made absorbing and terminal.  Sampling never
+    steps out of a terminal state, so the rows replaced here draw nothing."""
+    transitions = np.array(mdp.transitions)
+    for s in states:
+        transitions[s] = 0.0
+        transitions[s, :, s] = 1.0
+    return dataclasses.replace(mdp, transitions=transitions, terminal_states=frozenset(states))
 
 
 def episode_set(episodes, num_states, num_actions):

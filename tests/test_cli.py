@@ -216,6 +216,21 @@ class TestGenDataAndInterval:
             assert code == 1
             assert "discount" in err
 
+    @pytest.mark.parametrize("method", ["dm-boot", "dr-boot"])
+    def test_nan_kappa_is_validation_error(self, lake_files, tmp_path, capsys, method):
+        mdp_path, target_path, behavior_path = lake_files
+        data_path = tmp_path / "episodes.jsonl"
+        assert main(["gen-data", "--mdp", str(mdp_path), "--policy", str(behavior_path),
+                     "--episodes", "20", "--horizon", "100", "--seed", "6",
+                     "--out", str(data_path)]) == 0
+        code, out, err = run_cli(
+            ["interval", "--data", str(data_path), "--method", method, "--b", "10",
+             "--kappa", "nan", "--policy", str(target_path)],
+            capsys,
+        )
+        assert code == 1 and out == ""
+        assert "kappa" in err
+
     def test_interval_determinism(self, lake_files, tmp_path, capsys):
         mdp_path, target_path, behavior_path = lake_files
         data_path = tmp_path / "episodes.jsonl"
@@ -313,7 +328,7 @@ class TestMalformedInputs:
             capsys,
         )
 
-    @pytest.mark.parametrize("probs", [[["1.0"]] * 2, [[True], [True]]])
+    @pytest.mark.parametrize("probs", [[["1.0"]] * 2, [[True], [True]], [[True], [1]]])
     def test_policy_of_wrong_json_kind(self, tmp_path, capsys, probs):
         mdp_path, policy_path = all_ones_mdp_file(tmp_path)
         policy_path.write_text(json.dumps({"probs": probs}))
@@ -350,6 +365,61 @@ class TestMalformedInputs:
         assert code == 1 and "Traceback" not in err
         assert next(iter(override)) in err  # the message names the field
 
+
+    @pytest.mark.parametrize("environment, field", [
+        ({"type": "bernoulli_bandit", "p": "0.5"}, "p"),
+        ({"type": "bernoulli_bandit", "p": True}, "p"),
+        ({"type": "frozen_lake", "slip_prob": "0.1"}, "slip_prob"),
+        ({"type": "frozen_lake", "map": 5}, "map"),
+        ({"type": "chain", "n_intermediate": 2.7}, "n_intermediate"),
+        ({"type": "file"}, "path"),
+    ], ids=["p-string", "p-bool", "slip_prob-string", "map-number", "n_intermediate-float",
+            "file-without-path"])
+    def test_malformed_coverage_environment(self, tmp_path, capsys, environment, field):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({
+            "environment": environment, "discount": 0.0, "sizes": [5],
+            "methods": ["student-t"], "trials": 2, "max_horizon": 20,
+        }))
+        code, _, err = run_cli(
+            ["coverage", "--config", str(config_path), "--out", str(tmp_path / "x.csv")], capsys
+        )
+        assert code == 1 and "Traceback" not in err
+        assert f"environment field {field} " in err
+
+    @pytest.mark.parametrize("command", ["eval", "gen-data"])
+    @pytest.mark.parametrize("field, path", [
+        ("transitions", (1, 0, 1)), ("initial_dist", (0,)), ("rewards", (1, 0, 0, 1)),
+    ], ids=["transitions", "initial_dist", "reward-prob"])
+    def test_nan_in_mdp_file(self, tmp_path, capsys, command, field, path):
+        mdp_path, policy_path = all_ones_mdp_file(tmp_path)
+        doc = json.loads(mdp_path.read_text())
+        table = doc[field]
+        for i in path[:-1]:
+            table = table[i]
+        table[path[-1]] = float("nan")
+        mdp_path.write_text(json.dumps(doc))
+        args = {
+            "eval": ["eval", "--gamma", "0.9"],
+            "gen-data": ["gen-data", "--episodes", "3", "--horizon", "5", "--seed", "0",
+                         "--out", str(tmp_path / "eps.jsonl")],
+        }[command]
+        self.assert_validation_exit(
+            args + ["--mdp", str(mdp_path), "--policy", str(policy_path)], capsys
+        )
+
+    @pytest.mark.parametrize("field, value", [
+        ("transitions", [[[0.0, 1.0]], [[0, True]]]), ("terminal_states", [1, True]),
+    ], ids=["transitions", "terminal_states"])
+    def test_boolean_mixed_into_mdp_numbers(self, tmp_path, capsys, field, value):
+        mdp_path, policy_path = all_ones_mdp_file(tmp_path)
+        doc = json.loads(mdp_path.read_text())
+        doc[field] = value
+        mdp_path.write_text(json.dumps(doc))
+        self.assert_validation_exit(
+            ["eval", "--mdp", str(mdp_path), "--policy", str(policy_path), "--gamma", "0.9"],
+            capsys,
+        )
 
     @pytest.mark.parametrize("doc", [5, [["sizes"]]])
     def test_coverage_config_not_an_object(self, tmp_path, capsys, doc):

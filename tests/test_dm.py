@@ -26,7 +26,6 @@ from opeci import (
     uniform_policy,
 )
 from opeci import solvers
-from opeci.bootstrap import bootstrap_replicas
 from opeci.dm import dm_bootstrap_replicas, qe_fixed_point, replica_chunk_size
 from opeci.empirical import (
     augment_noisy_rewards,
@@ -34,6 +33,8 @@ from opeci.empirical import (
     sample_tuples,
 )
 from opeci.errors import ValidationError
+
+from _oracles import loop_replicas
 
 
 def exhaustive_model(mdp, kappa=0.0):
@@ -223,15 +224,6 @@ class TestEmpiricalOnPolicyDistribution:
         dist = empirical_on_policy_distribution(model, make_random_policy(6, 2, rng_seed=26))
         assert abs(dist.sum() - 1.0) < 1e-10
         assert (dist >= 0).all()
-
-
-def loop_replicas(data, policy, b, seed, kappa, discount):
-    """The per-replica reference: resample, build the model, solve."""
-
-    def functional(d):
-        return dm_value(build_empirical_model(d, kappa=kappa, discount=discount), policy)
-
-    return bootstrap_replicas(data, functional, b, seed)
 
 
 def random_mdp_case():

@@ -22,11 +22,10 @@ from opeci import (
     q_values,
     sample_episodes,
     uniform_policy,
-    validate,
 )
 from opeci.mdp import Episode, EpisodeSet, Step, StepColumns
 
-from _oracles import episode_set, mc_value, mc_visitation, normalized_return
+from _oracles import episode_set, mc_value, mc_visitation, normalized_return, with_terminals
 
 
 def all_ones_mdp(num_states=3, num_actions=2, discount=0.7):
@@ -42,48 +41,62 @@ def all_ones_mdp(num_states=3, num_actions=2, discount=0.7):
 
 
 class TestValidate:
-    def test_well_formed_mdp_empty_report(self):
-        assert validate(all_ones_mdp()) == []
-        assert validate(make_frozen_lake()) == []
-        assert validate(make_counterexample_chain(50, 0.5)) == []
+    """A TabularMdp checks itself when built and names the first problem."""
+
+    def build(self, **changes):
+        mdp = all_ones_mdp()
+        fields = dict(
+            transitions=np.array(mdp.transitions), rewards=mdp.rewards,
+            initial_dist=np.array(mdp.initial_dist), discount=0.7,
+        )
+        fields.update(changes)
+        return TabularMdp(3, 2, **fields)
+
+    def test_well_formed_mdps_construct(self):
+        for mdp in (all_ones_mdp(), make_frozen_lake(), make_counterexample_chain(50, 0.5)):
+            # Rebuilding from the canonical fields runs every check again.
+            assert dataclasses.replace(mdp, discount=0.5).discount == 0.5
 
     def test_deficient_transition_row_named_with_deficit(self):
-        mdp = all_ones_mdp()
-        bad = np.array(mdp.transitions)
+        bad = np.array(all_ones_mdp().transitions)
         bad[1, 0] *= 0.9
-        report = validate(
-            TabularMdp(3, 2, bad, mdp.rewards, mdp.initial_dist, 0.7)
-        )
-        assert any("(s=1, a=0)" in msg and "deficit" in msg for msg in report)
+        with pytest.raises(ValidationError, match=r"transition row at \(s=1, a=0\).*deficit"):
+            self.build(transitions=bad)
 
     def test_reward_bound_violation_reported(self):
-        mdp = all_ones_mdp()
         rewards = [[((5.0, 1.0),)] * 2] + [[((1.0, 1.0),)] * 2] * 2
-        report = validate(
-            TabularMdp(3, 2, mdp.transitions, rewards, mdp.initial_dist, 0.7, r_max=1.0)
-        )
-        assert any("exceeds bound r_max" in msg for msg in report)
+        message = r"reward values at \(s=0, a=0\) exceed bound r_max"
+        with pytest.raises(ValidationError, match=message):
+            self.build(rewards=rewards)
 
     def test_initial_dist_and_discount_checks(self):
-        mdp = all_ones_mdp()
-        report = validate(
-            TabularMdp(3, 2, mdp.transitions, mdp.rewards, np.array([0.5, 0.4, 0.0]), 0.7)
-        )
-        assert any("initial_dist sums" in msg for msg in report)
-        report = validate(
-            TabularMdp(3, 2, mdp.transitions, mdp.rewards, mdp.initial_dist, 1.0)
-        )
-        assert any("discount" in msg for msg in report)
+        with pytest.raises(ValidationError, match="initial_dist must be non-negative and sum to 1"):
+            self.build(initial_dist=np.array([0.5, 0.4, 0.0]))
+        for discount in (1.0, -0.1):
+            with pytest.raises(ValidationError, match=r"discount must lie in \[0, 1\)"):
+                self.build(discount=discount)
+            with pytest.raises(ValidationError, match=r"discount must lie in \[0, 1\)"):
+                self.build().with_discount(discount)
 
     def test_non_absorbing_terminal_reported(self):
-        mdp = all_ones_mdp()
-        report = validate(
-            TabularMdp(
-                3, 2, mdp.transitions, mdp.rewards, mdp.initial_dist, 0.7,
-                terminal_states=frozenset({0}),
-            )
-        )
-        assert any("terminal state 0" in msg for msg in report)
+        with pytest.raises(ValidationError, match="terminal state 0 is not absorbing under action"):
+            self.build(terminal_states=frozenset({0}))
+        with pytest.raises(ValidationError, match="terminal states"):
+            self.build(terminal_states=frozenset({3}))
+
+    def test_nan_rejected(self):
+        nan = float("nan")
+        transitions = np.array(all_ones_mdp().transitions)
+        transitions[2, 1, 0] = nan
+        for changes, message in (
+            ({"transitions": transitions}, r"transition row at \(s=2, a=1\)"),
+            ({"rewards": [[((1.0, nan),)] * 2] * 3}, r"reward support at \(s=0, a=0\)"),
+            ({"rewards": [[((nan, 1.0),)] * 2] * 3}, r"reward values at \(s=0, a=0\)"),
+            ({"initial_dist": np.array([nan, 1.0, 0.0])}, "initial_dist"),
+            ({"discount": nan}, "discount"),
+        ):
+            with pytest.raises(ValidationError, match=message):
+                self.build(**changes)
 
 
 class TestExactPolicyValue:
@@ -235,10 +248,8 @@ class TestSampleEpisodes:
             policy = perturb_policy_epsilon_greedy(optimal_policy(mdp), 0.2)
             eps = sample_episodes(mdp, policy, 300, 10_000, rng_seed=11)
         else:
-            # A terminal state that need not absorb gives empty, ragged and cut episodes.
-            mdp = dataclasses.replace(
-                make_random_mdp(4, 3, 0.9, rng_seed=5), terminal_states=frozenset({0})
-            )
+            # A terminal state gives empty, ragged and cut episodes.
+            mdp = with_terminals(make_random_mdp(4, 3, 0.9, rng_seed=5), {0})
             eps = sample_episodes(mdp, make_random_policy(4, 3, rng_seed=6), 300, 4, rng_seed=12)
         assert columns_digest(eps) == digest
 
@@ -336,7 +347,6 @@ class TestFrozenLake:
     def test_rows_stochastic(self):
         mdp = make_frozen_lake(slip_prob=0.25)
         assert np.abs(mdp.transitions.sum(axis=2) - 1.0).max() < 1e-12
-        assert validate(mdp) == []
 
     def test_malformed_grids_rejected(self):
         with pytest.raises(ValidationError):

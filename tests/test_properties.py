@@ -4,10 +4,10 @@ Every property runs derandomized, with no example database and at most 50
 examples, so the suite stays deterministic and fast.
 """
 
-import dataclasses
 import json
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -16,11 +16,12 @@ from opeci import (
     PriorSpec, TabularMdp, ValidationError, build_empirical_model, dm_value, dr_estimate,
     exact_policy_value, per_decision_is, sample_episodes, solvers,
 )
-from opeci.empirical import TupleDataset, sample_tuples
+from opeci import dm
+from opeci.empirical import TupleDataset, augment_noisy_rewards, sample_tuples
 from opeci.io import load_episodes, load_mdp, load_policy, save_episodes
 from opeci.mdp import Episode, Step, make_random_mdp, make_random_policy
 
-from _oracles import episode_set, range_bounds, recursive_estimate
+from _oracles import episode_set, loop_replicas, range_bounds, recursive_estimate, with_terminals
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=50)
 
@@ -56,6 +57,37 @@ def test_dm_value_ignores_tuple_order(num_states, num_actions, n, discount, kapp
 @given(
     num_states=st.integers(1, 5),
     num_actions=st.integers(1, 3),
+    n=st.integers(1, 60),
+    discount=st.floats(0.0, 0.999),
+    kappa=st.sampled_from([0.0, 0.05]),
+    noisy=st.booleans(),
+    chunk_bytes=st.integers(0, 4000),
+    extra=st.integers(1, 40),
+    seed=seeds,
+)
+def test_batched_dm_bootstrap_equals_per_replica_loop(
+    num_states, num_actions, n, discount, kappa, noisy, chunk_bytes, extra, seed
+):
+    mdp = make_random_mdp(num_states, num_actions, discount, (seed, "mdp"))
+    policy = make_random_policy(num_states, num_actions, (seed, "policy"))
+    data = sample_tuples(mdp, n, (seed, "tuples"))
+    if noisy:
+        data = augment_noisy_rewards(data, 0.25 * float(np.std(data.r)))
+    # A small chunk budget makes b span more than one chunk.
+    with mock.patch.object(dm, "_CHUNK_BYTES", chunk_bytes):
+        b = dm.replica_chunk_size(num_states, num_actions) + extra
+        point, diffs = dm.dm_bootstrap_replicas(
+            data, policy, b, (seed, "boot"), kappa=kappa, discount=discount
+        )
+    ref_point, ref_diffs = loop_replicas(data, policy, b, (seed, "boot"), kappa, discount)
+    assert point == ref_point
+    assert np.abs(diffs - ref_diffs).max() <= 1e-12
+
+
+@PROPERTY
+@given(
+    num_states=st.integers(1, 5),
+    num_actions=st.integers(1, 3),
     count=st.integers(0, 12),
     horizon=st.integers(1, 15),
     terminal=st.sets(st.integers(0, 4), max_size=3),
@@ -65,10 +97,10 @@ def test_dm_value_ignores_tuple_order(num_states, num_actions, n, discount, kapp
 def test_episode_file_round_trip_keeps_columns(
     num_states, num_actions, count, horizon, terminal, discount, seed
 ):
-    # Terminal states that need not absorb give ragged, empty and terminal-flagged episodes.
-    mdp = dataclasses.replace(
+    # Terminal states give ragged, empty and terminal-flagged episodes.
+    mdp = with_terminals(
         make_random_mdp(num_states, num_actions, 0.9, (seed, "mdp")),
-        terminal_states=frozenset(s for s in terminal if s < num_states),
+        {s for s in terminal if s < num_states},
     )
     policy = make_random_policy(num_states, num_actions, (seed, "policy"))
     episodes = sample_episodes(mdp, policy, count, horizon, (seed, "episodes"))
