@@ -31,7 +31,6 @@ from .empirical import (
     TupleDataset,
     augment_noisy_rewards,
     build_empirical_model,
-    resample_tuples,
     sufficient_noise_scale,
     tuples_from_episodes,
 )

@@ -2,9 +2,9 @@
 
 Generic over the estimator functional; the resampling granularity follows
 the data type: tuple datasets and augmented datasets resample tuples, and
-plain value arrays resample values.
-Replica seeds derive from (master seed, replica index), so replicas are
-order-independent and may be evaluated concurrently.
+plain value arrays resample values.  Replica k draws through
+``empirical.resample_indices`` with the seed (master seed, k), so replicas
+are order-independent and may be evaluated concurrently.
 """
 
 from __future__ import annotations
@@ -14,9 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .empirical import AugmentedDataset, TupleDataset, resample_tuples
+from .empirical import resample_indices
 from .errors import ValidationError
-from .seeding import as_generator, seed_parts
 
 
 @dataclass(frozen=True)
@@ -59,20 +58,6 @@ def quantile(values, q: float) -> float:
     return float(np.quantile(arr, q, method="linear"))
 
 
-def _resample_values(values: np.ndarray, rng_seed) -> np.ndarray:
-    rng = as_generator(rng_seed)
-    idx = rng.integers(0, len(values), size=len(values))
-    return values[idx]
-
-
-def default_resampler(data):
-    if isinstance(data, (TupleDataset, AugmentedDataset)):
-        return resample_tuples
-    if isinstance(data, np.ndarray):
-        return _resample_values
-    raise ValidationError(f"no default resampler for {type(data).__name__}")
-
-
 def check_replicas(point: float, diffs: np.ndarray) -> None:
     """Reject a non-finite point estimate or replica, naming the first bad replica."""
     if not math.isfinite(point):
@@ -91,14 +76,12 @@ def bootstrap_replicas(data, functional, b: int, rng_seed):
     """
     if b < 2:
         raise ValidationError("b must be >= 2")
-    resampler = default_resampler(data)
-    parts = seed_parts(rng_seed)
+    pool, draws = resample_indices(data, rng_seed, range(b))
     point = float(functional(data))
     diffs = np.empty(b)
-    for k in range(b):
-        replica = resampler(data, parts + (k,))
+    for k, idx in enumerate(draws):
         try:
-            diffs[k] = float(functional(replica)) - point
+            diffs[k] = float(functional(pool[idx])) - point
         except Exception as exc:
             raise RuntimeError(f"estimator functional failed on bootstrap replica {k}") from exc
     check_replicas(point, diffs)

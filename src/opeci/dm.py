@@ -14,13 +14,13 @@ import numpy as np
 from .bootstrap import check_replicas
 from .empirical import (
     EmpiricalModel,
+    _count_tables,
     blend_tables,
     build_empirical_model,
-    resampled_count_tables,
+    resample_indices,
 )
 from .errors import SolverError, ValidationError
 from .mdp import Policy, check_policy
-from .seeding import seed_parts
 from . import solvers
 
 # Working memory of one stacked chunk of bootstrap replicas.
@@ -70,16 +70,12 @@ def qe_fixed_point(model: EmpiricalModel, policy: Policy, tolerance: float = 1e-
     max_iters = max(
         1000, solvers._contraction_iteration_cap(gamma, tolerance, float(np.abs(rbar).max()))
     )
-    for iteration in range(1, max_iters + 1):
-        v = (policy.probs * q.reshape(S, A)).sum(axis=1)
-        q_next = rbar + gamma * (flat_t @ v)
-        delta = np.abs(q_next - q).max()
-        q = q_next
-        if delta <= tolerance:
-            return q.reshape(S, A), iteration
-    raise SolverError(
-        f"Q-evaluation did not converge to {tolerance:.1e} within {max_iters} backups"
-    )
+
+    def backup(q):
+        return rbar + gamma * (flat_t @ (policy.probs * q.reshape(S, A)).sum(axis=1))
+
+    q, iterations = solvers.fixed_point(backup, q, tolerance, max_iters, "Q-evaluation")
+    return q.reshape(S, A), iterations
 
 
 def dm_value_via_qe(model: EmpiricalModel, policy: Policy, tolerance: float = 1e-12) -> float:
@@ -122,12 +118,11 @@ def dm_bootstrap_replicas(
         raise ValidationError("b must be >= 2")
     model = build_empirical_model(data, kappa=kappa, discount=discount)
     point = dm_value(model, policy)
-    parts = seed_parts(rng_seed)
     chunk = replica_chunk_size(model.num_states, model.num_actions)
     diffs = np.empty(b)
     for start in range(0, b, chunk):
         stop = min(start + chunk, b)
-        tables = resampled_count_tables(data, [parts + (k,) for k in range(start, stop)])
+        tables = _count_tables(*resample_indices(data, rng_seed, range(start, stop)))
         mean_reward, transitions, initial_dist = blend_tables(
             *tables, float(data.n), model.priors, kappa
         )

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .mdp import CategoricalDraws, EpisodeSet, check_discount
-from .seeding import as_generator
+from .seeding import as_generator, seed_parts
 
 
 @dataclass(frozen=True, eq=False)
@@ -46,6 +46,8 @@ class TupleDataset:
         object.__setattr__(self, "r", r)
         if self.n < 1:
             raise ValidationError("dataset must contain at least one tuple")
+        if not np.isfinite(r).all():
+            raise ValidationError("tuple rewards must be finite")
         if (
             self.s0.min() < 0
             or self.s0.max() >= self.num_states
@@ -61,6 +63,16 @@ class TupleDataset:
     @property
     def n(self) -> int:
         return len(self.r)
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __getitem__(self, idx) -> "TupleDataset":
+        """The tuples at an index array, in its order."""
+        return TupleDataset(
+            self.s0[idx], self.s[idx], self.a[idx], self.r[idx], self.sp[idx],
+            self.num_states, self.num_actions,
+        )
 
     @classmethod
     def from_tuples(cls, tuples, num_states: int, num_actions: int) -> "TupleDataset":
@@ -114,6 +126,22 @@ class PriorSpec:
     reward_mean: float | np.ndarray = 0.0
     transition_probs: np.ndarray | None = None
 
+    def __post_init__(self):
+        # Written so that NaN fails every test.
+        if not np.isfinite(np.asarray(self.reward_mean, dtype=np.float64)).all():
+            raise ValidationError("reward prior must be finite")
+        if self.transition_probs is not None:
+            trans = np.asarray(self.transition_probs, dtype=np.float64)
+            if not (
+                trans.ndim == 3
+                and (trans >= 0.0).all()
+                and (np.abs(trans.sum(axis=2) - 1.0) <= 1e-12).all()
+            ):
+                raise ValidationError(
+                    "transition prior must be an (S, A, S) table of finite, non-negative "
+                    "rows summing to 1"
+                )
+
     def resolve(self, num_states: int, num_actions: int) -> tuple:
         reward = np.broadcast_to(
             np.asarray(self.reward_mean, dtype=np.float64), (num_states, num_actions)
@@ -127,9 +155,6 @@ class PriorSpec:
                 raise ValidationError(
                     f"transition prior shape {trans.shape} != {(num_states, num_actions, num_states)}"
                 )
-            row_sums = trans.sum(axis=2)
-            if np.abs(row_sums - 1.0).max() > 1e-12:
-                raise ValidationError("transition prior rows must sum to 1")
         return np.asarray(reward), trans
 
 
@@ -198,8 +223,8 @@ def build_empirical_model(
         w = np.ascontiguousarray(weights, dtype=np.float64)
         if w.shape != (data.n,):
             raise ValidationError(f"weights shape {w.shape} != ({data.n},)")
-        if (w < 0).any() or w.sum() <= 0:
-            raise ValidationError("weights must be nonnegative with positive sum")
+        if not (np.isfinite(w).all() and (w >= 0).all() and w.sum() > 0):
+            raise ValidationError("weights must be finite and nonnegative with positive sum")
     total = float(w.sum())
 
     counts, reward_sums, transition_counts, initial_counts = (
@@ -309,35 +334,22 @@ def sufficient_noise_scale(r_max: float, discount: float) -> float:
     return math.sqrt(1.5) * r_max / (1.0 - check_discount(discount))
 
 
-def resample_indices(data, rng_seed) -> np.ndarray:
-    """Pool indices of one uniform with-replacement resample of n tuples.
+def resample_indices(data, rng_seed, replicas) -> tuple:
+    """(pool, draws): the pool to index and the draws of bootstrap replicas.
 
-    For an AugmentedDataset the pool is the 3n materialized view but the
-    resample size stays at the base n.  Every tuple resample draws here, so
-    a seed gives the same draws on every path.
+    ``data`` is an array of values, a TupleDataset or an AugmentedDataset.
+    For each k in ``replicas``, ``draws`` yields the indices of a uniform
+    with-replacement resample of n items, drawn with the seed (rng_seed, k).
+    For an AugmentedDataset the pool is the 3n materialized view but n stays
+    the base size.  Every bootstrap resample draws here, so a seed gives the
+    same draws on every path.
     """
-    rng = as_generator(rng_seed)
-    return rng.integers(0, _materialized(data).n, size=data.n)
-
-
-def resample_tuples(data, rng_seed) -> TupleDataset:
-    """Uniform with-replacement resample of n tuples (see ``resample_indices``)."""
     pool = _materialized(data)
-    idx = resample_indices(data, rng_seed)
-    return TupleDataset(
-        pool.s0[idx], pool.s[idx], pool.a[idx], pool.r[idx], pool.sp[idx],
-        pool.num_states, pool.num_actions,
-    )
-
-
-def resampled_count_tables(data, seeds) -> tuple:
-    """Count tables of one ``resample_indices`` draw per seed.
-
-    Returns (counts, reward_sums, transition_counts, initial_counts), each
-    with a leading axis of len(seeds): the tables ``build_empirical_model``
-    would aggregate from the resampled datasets, without building them.
-    """
-    return _count_tables(_materialized(data), (resample_indices(data, seed) for seed in seeds))
+    if not isinstance(pool, (np.ndarray, TupleDataset)):
+        raise ValidationError(f"cannot resample a {type(data).__name__}")
+    n = data.n if isinstance(data, AugmentedDataset) else len(pool)
+    parts = seed_parts(rng_seed)
+    return pool, (as_generator((*parts, k)).integers(0, len(pool), size=n) for k in replicas)
 
 
 def sample_tuples(mdp, count: int, rng_seed, state_action_dist: np.ndarray | None = None) -> TupleDataset:

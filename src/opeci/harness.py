@@ -259,21 +259,16 @@ def run_single_trial(config: ExperimentConfig, mdp, target, behavior, n: int, tr
     return rows
 
 
-_WORKER_CACHE: dict = {}
+_context: tuple = ()  # a worker's (config, mdp, target, behavior)
 
 
-def _trial_task(args):
-    config_json, n, trial = args
-    ctx = _WORKER_CACHE.get(config_json)
-    if ctx is None:
-        config = ExperimentConfig.from_dict(json.loads(config_json))
-        mdp = build_environment(config)
-        target = resolve_target(mdp, config)
-        behavior = perturb_policy_epsilon_greedy(target, config.behavior_epsilon)
-        ctx = (config, mdp, target, behavior)
-        _WORKER_CACHE[config_json] = ctx
-    config, mdp, target, behavior = ctx
-    return run_single_trial(config, mdp, target, behavior, n, trial)
+def _set_context(context: tuple) -> None:
+    global _context
+    _context = context
+
+
+def _run_trial(task: tuple):
+    return run_single_trial(*_context, *task)
 
 
 def run_coverage_experiment(config: ExperimentConfig, workers: int = 1) -> CoverageReport:
@@ -290,10 +285,10 @@ def run_coverage_experiment(config: ExperimentConfig, workers: int = 1) -> Cover
 
     tasks = [(n, k) for n in config.sizes for k in range(config.trials)]
     if workers > 1:
-        config_json = json.dumps(config.to_dict(), sort_keys=True)
-        args = [(config_json, n, k) for n, k in tasks]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_trial_task, args, chunksize=max(1, len(args) // (8 * workers))))
+        # Each worker receives the built context once, not once per chunk of tasks.
+        context = (config, mdp, target, behavior)
+        with ProcessPoolExecutor(workers, initializer=_set_context, initargs=(context,)) as pool:
+            results = list(pool.map(_run_trial, tasks, chunksize=max(1, len(tasks) // (8 * workers))))
     else:
         results = [run_single_trial(config, mdp, target, behavior, n, k) for n, k in tasks]
 

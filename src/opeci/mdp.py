@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import SolverError, ValidationError
+from .errors import ValidationError
 from .seeding import as_generator
 from . import solvers
 
@@ -544,18 +544,12 @@ def optimal_policy(mdp: TabularMdp, tol: float = 1e-12) -> Policy:
     """Deterministic greedy policy from value iteration (ties: lowest index)."""
     rbar = mdp.mean_rewards()
     flat_t = mdp.transitions.reshape(-1, mdp.num_states)
-    q = np.zeros((mdp.num_states, mdp.num_actions))
     gamma = mdp.discount
     cap = solvers._contraction_iteration_cap(gamma, tol, float(np.abs(rbar).max()))
-    for _ in range(cap):
-        v = q.max(axis=1)
-        q_next = rbar + gamma * (flat_t @ v).reshape(q.shape)
-        delta = np.abs(q_next - q).max()
-        q = q_next
-        if delta <= tol:
-            break
-    else:
-        raise SolverError("value iteration did not converge")
+    q, _ = solvers.fixed_point(
+        lambda q: rbar + gamma * (flat_t @ q.max(axis=1)).reshape(q.shape),
+        np.zeros((mdp.num_states, mdp.num_actions)), tol, cap, "value iteration",
+    )
     probs = np.zeros_like(q)
     probs[np.arange(mdp.num_states), q.argmax(axis=1)] = 1.0
     return Policy(probs)

@@ -67,16 +67,17 @@ def _contraction_iteration_cap(discount: float, tol: float, reward_scale: float)
     return int(math.ceil(math.log(max(tol, 1e-300) / (2.0 * scale)) / math.log(discount))) + 2
 
 
-def _iterate_values(r_pi: np.ndarray, p_pi: np.ndarray, discount: float, tol: float) -> np.ndarray:
-    v = np.zeros_like(r_pi)
-    max_iters = _contraction_iteration_cap(discount, tol, float(np.abs(r_pi).max()))
-    for _ in range(max_iters):
-        v_next = r_pi + discount * (p_pi @ v[..., None])[..., 0]
-        delta = np.abs(v_next - v).max()
-        v = v_next
+def fixed_point(backup, start: np.ndarray, tol: float, max_iters: int, what: str) -> tuple:
+    """(x, backups): iterate x <- backup(x) from ``start`` until one backup
+    moves x by at most ``tol`` in sup norm; NaN never converges."""
+    x = start
+    for backups in range(1, max_iters + 1):
+        x_next = backup(x)
+        delta = np.abs(x_next - x).max()
+        x = x_next
         if delta <= tol:
-            return v
-    raise SolverError(f"fixed-point iteration did not reach {tol:.1e} in {max_iters} steps")
+            return x, backups
+    raise SolverError(f"{what} did not converge to {tol:.1e} within {max_iters} backups")
 
 
 def _iterate_distribution(
@@ -104,7 +105,12 @@ def _solve_state_values(
     r_pi = (policy_probs * np.asarray(mean_rewards, dtype=np.float64)).sum(axis=-1)
     if num_states <= DENSE_SIZE_LIMIT:
         return _checked_solve(np.eye(num_states) - discount * p_pi, r_pi)
-    return _iterate_values(r_pi, p_pi, discount, tol=1e-13)
+    tol = 1e-13
+    cap = _contraction_iteration_cap(discount, tol, float(np.abs(r_pi).max()))
+    return fixed_point(
+        lambda v: r_pi + discount * (p_pi @ v[..., None])[..., 0],
+        np.zeros_like(r_pi), tol, cap, "fixed-point iteration",
+    )[0]
 
 
 def q_table(

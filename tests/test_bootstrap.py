@@ -12,8 +12,8 @@ from opeci import (
     bootstrap_interval,
     quantile,
 )
-from opeci.bootstrap import _resample_values, bootstrap_replicas, interval_from_replicas
-from opeci.seeding import seed_parts
+from opeci.bootstrap import bootstrap_replicas, interval_from_replicas
+from opeci.empirical import resample_indices
 
 
 def mean_functional(values):
@@ -108,10 +108,8 @@ class TestBootstrapInterval:
     def test_non_finite_replica_named(self):
         # the values cancel in the original data; a replica drawing one twice overflows
         values = np.array([1e308, -1e308])
-        first = next(
-            k for k in range(50)
-            if len(set(_resample_values(values, seed_parts(12) + (k,)).tolist())) == 1
-        )
+        pool, draws = resample_indices(values, 12, range(50))
+        first = next(k for k, idx in enumerate(draws) if len(set(pool[idx].tolist())) == 1)
 
         def mean(v):
             with np.errstate(over="ignore"):

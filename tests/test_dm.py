@@ -32,7 +32,7 @@ from opeci.empirical import (
     resample_indices,
     sample_tuples,
 )
-from opeci.errors import ValidationError
+from opeci.errors import SolverError, ValidationError
 
 from _oracles import loop_replicas
 
@@ -269,9 +269,8 @@ class TestDmBootstrapReplicas:
     def test_non_finite_replica_named(self):
         # the two rewards cancel in the original data; a replica drawing one twice overflows
         data = TupleDataset.from_tuples([(0, 0, 0, 1e308, 0), (0, 0, 0, -1e308, 0)], 1, 1)
-        first = next(
-            k for k in range(100) if len(set(resample_indices(data, (9, k)).tolist())) == 1
-        )
+        _, draws = resample_indices(data, 9, range(100))
+        first = next(k for k, idx in enumerate(draws) if len(set(idx.tolist())) == 1)
         with np.errstate(invalid="ignore"):
             with pytest.raises(ValidationError, match=f"bootstrap replica {first} is not finite"):
                 dm_bootstrap_replicas(data, uniform_policy(1, 1), 100, 9, kappa=0.0, discount=0.0)
@@ -322,3 +321,9 @@ class TestStackedSolves:
         assert np.abs(q_dense - q_iter).max() < 1e-10
         d_iter = solvers.on_policy_distribution_table(transitions, initial, policy.probs, 0.95)
         assert np.abs(d_dense - d_iter).max() < 1e-12
+
+    def test_fixed_point_counts_backups_and_names_a_stall(self):
+        x, backups = solvers.fixed_point(lambda x: 0.5 * x, np.array([1.0]), 0.1, 10, "halving")
+        assert backups == 4 and x[0] == 0.0625  # the fourth backup moves x by 0.0625
+        with pytest.raises(SolverError, match="NaN map did not converge to 1.0e-01 within 3"):
+            solvers.fixed_point(lambda x: x * np.nan, np.array([1.0]), 0.1, 3, "NaN map")

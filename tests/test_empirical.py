@@ -15,12 +15,11 @@ from opeci import (
     make_frozen_lake,
     optimal_policy,
     perturb_policy_epsilon_greedy,
-    resample_tuples,
     sample_episodes,
     sufficient_noise_scale,
     tuples_from_episodes,
 )
-from opeci.empirical import sample_tuples
+from opeci.empirical import resample_indices, sample_tuples
 from opeci.mdp import make_random_mdp
 
 from _oracles import episode_set
@@ -120,6 +119,54 @@ class TestBuildEmpiricalModel:
         with pytest.raises(ValidationError):
             build_empirical_model(single_tuple_dataset(), kappa=-1.0, discount=0.5)
 
+    @pytest.mark.parametrize("weight", [np.nan, np.inf])
+    def test_non_finite_weight_rejected(self, weight):
+        data = TupleDataset.from_tuples([(0, 0, 0, 1.0, 0), (0, 0, 0, 0.0, 0)], 1, 1)
+        with pytest.raises(ValidationError, match="weights must be finite"):
+            build_empirical_model(data, discount=0.5, weights=np.array([1.0, weight]))
+
+    @pytest.mark.parametrize("reward", [np.nan, np.inf, -np.inf])
+    def test_non_finite_tuple_reward_rejected(self, reward):
+        with pytest.raises(ValidationError, match="rewards must be finite"):
+            TupleDataset.from_tuples([(0, 0, 0, 1.0, 0), (0, 0, 0, reward, 0)], 1, 1)
+
+
+def point_transition_rows(num_states, num_actions):
+    return np.tile(np.eye(num_states)[:, None, :], (1, num_actions, 1))
+
+
+class TestPriorSpec:
+    @pytest.mark.parametrize("mean", [np.nan, np.inf, np.array([[0.0, np.nan]])])
+    def test_non_finite_reward_prior_rejected(self, mean):
+        with pytest.raises(ValidationError, match="reward prior must be finite"):
+            PriorSpec(reward_mean=mean)
+
+    def test_nan_transition_prior_rejected(self):
+        rows = point_transition_rows(3, 2)
+        rows[1, 0] = np.nan
+        with pytest.raises(ValidationError, match="transition prior"):
+            PriorSpec(transition_probs=rows)
+
+    def test_negative_transition_prior_rejected(self):
+        # the row sums to 1, so only the sign test can reject it
+        rows = point_transition_rows(3, 2)
+        rows[2, 1] = [2.0, -1.0, 0.0]
+        with pytest.raises(ValidationError, match="transition prior"):
+            PriorSpec(transition_probs=rows)
+
+    def test_unnormalized_transition_prior_rejected(self):
+        rows = point_transition_rows(3, 2)
+        rows[0, 0, 1] = 1e-9
+        with pytest.raises(ValidationError, match="transition prior"):
+            PriorSpec(transition_probs=rows)
+
+    def test_valid_prior_resolves(self):
+        rows = point_transition_rows(3, 2)
+        reward, trans = PriorSpec(0.5, rows).resolve(3, 2)
+        assert np.array_equal(trans, rows) and (reward == 0.5).all()
+        with pytest.raises(ValidationError, match="shape"):
+            PriorSpec(0.5, rows).resolve(3, 1)
+
 
 class TestNoiseAugmentation:
     def test_zero_rewards_unit_noise(self):
@@ -170,24 +217,37 @@ class TestNoiseScales:
             sufficient_noise_scale(1.0, 1.0)
 
 
+def first_replica(data, rng_seed):
+    """Replica 0 of ``data`` under ``rng_seed``."""
+    pool, draws = resample_indices(data, rng_seed, [0])
+    return pool[next(draws)]
+
+
+def draws_digest(draws):
+    h = hashlib.sha256()
+    for idx in draws:
+        h.update(np.ascontiguousarray(idx, dtype="<i8").tobytes())
+    return h.hexdigest()
+
+
 class TestResampling:
     def test_singleton_dataset_resamples_to_itself(self):
         data = single_tuple_dataset()
-        out = resample_tuples(data, rng_seed=0)
+        out = first_replica(data, rng_seed=0)
         assert out.n == 1
         assert out.tuple_at(0) == data.tuple_at(0)
 
     def test_same_seed_identical(self):
         mdp = make_random_mdp(4, 2, 0.8, rng_seed=8)
         data = sample_tuples(mdp, 50, rng_seed=9)
-        a = resample_tuples(data, rng_seed=10)
-        b = resample_tuples(data, rng_seed=10)
+        a = first_replica(data, rng_seed=10)
+        b = first_replica(data, rng_seed=10)
         assert np.array_equal(a.r, b.r) and np.array_equal(a.s, b.s)
 
     def test_support_preserved(self):
         mdp = make_random_mdp(4, 2, 0.8, rng_seed=11)
         data = sample_tuples(mdp, 30, rng_seed=12)
-        out = resample_tuples(data, rng_seed=13)
+        out = first_replica(data, rng_seed=13)
         originals = {data.tuple_at(i) for i in range(data.n)}
         assert all(out.tuple_at(i) in originals for i in range(out.n))
 
@@ -197,7 +257,7 @@ class TestResampling:
             np.zeros(n, dtype=int), np.zeros(n, dtype=int), np.zeros(n, dtype=int),
             np.arange(n, dtype=float), np.zeros(n, dtype=int), 1, 1,
         )
-        out = resample_tuples(data, rng_seed=14)
+        out = first_replica(data, rng_seed=14)
         # multiplicity of each original tuple ~ Binomial(n, 1/n)
         multiplicity = np.bincount(out.r.astype(int), minlength=n)
         max_k = 6
@@ -210,9 +270,37 @@ class TestResampling:
     def test_augmented_pool_three_n_output_n(self):
         data = TupleDataset.from_tuples([(0, 0, 0, 0.0, 0)] * 8, 1, 1)
         aug = augment_noisy_rewards(data, 1.0)
-        out = resample_tuples(aug, rng_seed=15)
+        out = first_replica(aug, rng_seed=15)
         assert out.n == 8
         assert set(out.r.tolist()) <= {-1.0, 0.0, 1.0}
+
+    def test_unsupported_data_rejected(self):
+        with pytest.raises(ValidationError, match="cannot resample a list"):
+            resample_indices([1.0, 2.0], 0, [0])
+
+    # Replica k draws n uniform pool indices with the seed (seed, k).  These
+    # digests of 64 replicas pin that scheme for value arrays, tuple datasets
+    # and augmented datasets (a 75-tuple pool, 25 tuples per draw).
+    GOLDEN_SEED = ("interval", 0, 12345, 10, 3, "dm-boot")
+    GOLDEN = {
+        "values": "a5b3ca1f06ac88fd256e52a29524f3f8df7c258dfae25d8a14181f61c6b7ae60",
+        "tuples": "461e09bd762265a9b60f194901d29138a86eb6228d63900463d5c92af9c96ce2",
+        "augmented": "f1543ed90abab66acc0ed0fc4fb2187c56ee108265a7aacc392b975f20d44182",
+    }
+
+    def test_draw_scheme_pinned(self):
+        data = sample_tuples(make_random_mdp(4, 2, 0.9, rng_seed=3), 25, rng_seed=4)
+        cases = {
+            "values": np.linspace(-1.0, 1.0, 37),
+            "tuples": data,
+            "augmented": augment_noisy_rewards(data, 0.5),
+        }
+        for name, case in cases.items():
+            pool, draws = resample_indices(case, self.GOLDEN_SEED, range(64))
+            draws = list(draws)
+            assert {len(idx) for idx in draws} == {25 if name != "values" else 37}
+            assert max(idx.max() for idx in draws) < len(pool)
+            assert draws_digest(draws) == self.GOLDEN[name], name
 
 
 def tuple_digest(data):

@@ -12,6 +12,7 @@ from opeci import (
     run_coverage_experiment,
 )
 from opeci.harness import (
+    METHODS,
     CoverageCell,
     CoverageReport,
     ExperimentConfig,
@@ -19,7 +20,8 @@ from opeci.harness import (
     resolve_target,
     run_single_trial,
 )
-from opeci.mdp import perturb_policy_epsilon_greedy
+from opeci.io import save_mdp
+from opeci.mdp import make_frozen_lake, optimal_policy, perturb_policy_epsilon_greedy
 
 
 def bandit_config(**overrides):
@@ -64,8 +66,25 @@ class TestRunCoverageExperiment:
                 assert cell.mean_width == 0.0
                 assert cell.median_lower == cell.median_upper == cell.true_value == 1.0
 
-    def test_worker_counts_agree(self):
+    @pytest.mark.parametrize("case", ["bandit", "file"])
+    def test_worker_counts_agree(self, case, tmp_path):
         config = bandit_config()
+        if case == "file":
+            # the inputs workers once re-read: an MDP file and an inline target
+            mdp = make_frozen_lake(discount=0.95)
+            save_mdp(mdp, tmp_path / "lake.json")
+            config = ExperimentConfig(
+                environment={"type": "file", "path": str(tmp_path / "lake.json")},
+                discount=0.95,
+                sizes=(6,),
+                methods=METHODS,
+                alphas=(0.1, 0.25),
+                target_policy={"probs": optimal_policy(mdp).probs.tolist()},
+                trials=6,
+                bootstrap_b=30,
+                max_horizon=200,
+                master_seed=8,
+            )
         assert run_coverage_experiment(config, workers=1) == run_coverage_experiment(
             config, workers=2
         )
