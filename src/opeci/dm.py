@@ -17,6 +17,7 @@ from .empirical import (
     _count_tables,
     blend_tables,
     build_empirical_model,
+    distinct_tuples,
     resample_indices,
 )
 from .errors import SolverError, ValidationError
@@ -85,14 +86,14 @@ def dm_value_via_qe(model: EmpiricalModel, policy: Policy, tolerance: float = 1e
     return float((1.0 - model.discount) * (p0 @ q.reshape(-1)))
 
 
-def replica_chunk_size(num_states: int, num_actions: int) -> int:
+def replica_chunk_size(num_states: int, num_actions: int, num_distinct: int = 0) -> int:
     """Replicas per stacked solve, keeping a chunk's tables near 1 MB.
 
-    Per replica: the count tables, the blend and its temporaries (about four
-    (S, A, S) tables in all), and the S x S system.
+    Per replica: its counts of the distinct tuples, the count tables, the blend
+    and its temporaries (about four (S, A, S) tables in all), the S x S system.
     """
     S, A = num_states, num_actions
-    per_replica = 8 * (4 * S * A * S + 2 * S * S + 4 * S * A + 4 * S)
+    per_replica = 8 * (num_distinct + 4 * S * A * S + 2 * S * S + 4 * S * A + 4 * S)
     return max(1, _CHUNK_BYTES // per_replica)
 
 
@@ -107,22 +108,25 @@ def dm_bootstrap_replicas(
 ) -> tuple:
     """DM point estimate plus the b recentered bootstrap replica differences.
 
-    Equal to ``bootstrap_replicas`` over the functional
-    ``dm_value(build_empirical_model(d, kappa=kappa, discount=discount), policy)``:
+    Equal, up to the order reward sums add in, to ``bootstrap_replicas`` over the
+    functional ``dm_value(build_empirical_model(d, kappa=kappa, discount=discount), policy)``:
     replica k draws with the seed (rng_seed, k) through ``resample_indices``.
-    Each replica's draw is reduced to count tables, and a chunk of
-    ``replica_chunk_size`` replicas is blended and solved as one stack, so
-    chunking cannot change any replica's value.
+    Each replica's draw is counted over the distinct tuples, and a chunk of
+    ``replica_chunk_size`` replicas is tabled, blended and solved as one stack,
+    so chunking cannot change any replica's value.
     """
     if b < 2:
         raise ValidationError("b must be >= 2")
     model = build_empirical_model(data, kappa=kappa, discount=discount)
     point = dm_value(model, policy)
-    chunk = replica_chunk_size(model.num_states, model.num_actions)
+    distinct, key_of = distinct_tuples(data)
+    chunk = replica_chunk_size(model.num_states, model.num_actions, distinct.n)
     diffs = np.empty(b)
     for start in range(0, b, chunk):
         stop = min(start + chunk, b)
-        tables = _count_tables(*resample_indices(data, rng_seed, range(start, stop)))
+        _, draws = resample_indices(data, rng_seed, range(start, stop))
+        masses = [np.bincount(key_of[idx], minlength=distinct.n) for idx in draws]
+        tables = _count_tables(distinct, np.array(masses, dtype=np.float64))
         mean_reward, transitions, initial_dist = blend_tables(
             *tables, float(data.n), model.priors, kappa
         )

@@ -228,7 +228,7 @@ def build_empirical_model(
     total = float(w.sum())
 
     counts, reward_sums, transition_counts, initial_counts = (
-        table[0] for table in _count_tables(data, [None], weights=w)
+        table[0] for table in _count_tables(data, w[None])
     )
     mean_reward, transitions, initial_dist = blend_tables(
         counts, reward_sums, transition_counts, initial_counts, total, priors, kappa
@@ -250,31 +250,38 @@ def build_empirical_model(
     )
 
 
-def _count_tables(pool: TupleDataset, draws, weights=None) -> tuple:
-    """Count tables of each draw from the pool, stacked on a leading axis.
+def _count_tables(tuples: TupleDataset, masses: np.ndarray) -> tuple:
+    """Count tables of m weightings of the tuples, stacked on a leading axis.
 
-    Returns (counts, reward_sums, transition_counts, initial_counts).  A draw
-    is an index array into the pool, or None for every tuple in order;
-    ``weights`` gives each drawn tuple a mass (default 1).  Reward sums add
-    in draw order.
+    Returns (counts, reward_sums, transition_counts, initial_counts).
+    ``masses`` is an (m, K) array of the K tuples' masses in each weighting.
+    Each table is one weighted bincount over the m*K entries, so reward sums
+    add mass * reward in tuple order.
     """
+    S, A = tuples.num_states, tuples.num_actions
+    m, sa = len(masses), tuples.s * A + tuples.a
+    with np.errstate(over="ignore"):  # a non-finite replica is its caller's to name
+        reward_masses = masses * tuples.r
+    tables = []
+    for keys, shape, weights in (
+        (sa, (S, A), masses), (sa, (S, A), reward_masses),
+        (sa * S + tuples.sp, (S, A, S), masses), (tuples.s0, (S,), masses),
+    ):
+        size = math.prod(shape)
+        table = np.bincount((np.arange(m)[:, None] * size + keys).ravel(), weights.ravel(), m * size)
+        tables.append(table.reshape((m,) + shape))
+    return tuple(tables)
+
+
+def distinct_tuples(data) -> tuple:
+    """(distinct, key_of): the distinct tuples, in sorted order, of the pool
+    that ``resample_indices`` draws from, and each pool tuple's index among them."""
+    pool = _materialized(data)
     S, A = pool.num_states, pool.num_actions
-    sa = pool.s * A + pool.a
-    sas = sa * S + pool.sp
-    tables = ([], [], [], [])
-    for idx in draws:
-        sel = slice(None) if idx is None else idx
-        keys, r = sa[sel], pool.r[sel]
-        rw = r if weights is None else weights * r
-        tables[0].append(np.bincount(keys, weights=weights, minlength=S * A))
-        tables[1].append(np.bincount(keys, weights=rw, minlength=S * A))
-        tables[2].append(np.bincount(sas[sel], weights=weights, minlength=S * A * S))
-        tables[3].append(np.bincount(pool.s0[sel], weights=weights, minlength=S))
-    shapes = ((S, A), (S, A), (S, A, S), (S,))
-    return tuple(
-        np.array(table, dtype=np.float64).reshape((-1,) + shape)
-        for table, shape in zip(tables, shapes)
-    )
+    _, code = np.unique(((pool.s0 * S + pool.s) * A + pool.a) * S + pool.sp, return_inverse=True)
+    _, reward = np.unique(pool.r, return_inverse=True)
+    _, first, key_of = np.unique(code * pool.n + reward, return_index=True, return_inverse=True)
+    return pool[first], key_of
 
 
 def blend_tables(

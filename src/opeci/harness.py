@@ -74,7 +74,7 @@ _FIELDS = {
     "trials": (INTEGERS, 0, lambda x: x >= 1, "a positive integer"),
     "bootstrap_b": (INTEGERS, 0, None, "an integer"),
     "kappa": (NUMBERS, 0, lambda x: 0.0 <= x < math.inf, "a finite number >= 0"),
-    "noise_coef": (NUMBERS, 0, math.isfinite, "a finite number"),
+    "noise_coef": (NUMBERS, 0, lambda x: 0.0 <= x < math.inf, "a finite number >= 0"),
     "master_seed": (INTEGERS, 0, None, "an integer"),
     "max_horizon": (INTEGERS, 0, lambda x: x >= 1, "a positive integer"),
 }
@@ -212,6 +212,8 @@ def method_intervals(
     """
     if method not in METHODS:
         raise ValidationError(f"unknown method {method!r}; expected one of {METHODS}")
+    if not all(0.0 < a < 1.0 for a in alphas):
+        raise ValidationError(f"alpha must lie in (0, 1), not {alphas!r}")
     if method in ("dm-boot", "dm-noisy-boot"):
         data = tuples_from_episodes(episodes)
         if method == "dm-noisy-boot":
@@ -278,12 +280,15 @@ def run_coverage_experiment(config: ExperimentConfig, workers: int = 1) -> Cover
     count: trials are independent units keyed by derived seeds, and
     aggregation reduces in a fixed (method, n, alpha, trial) order.
     """
+    if workers < 1:
+        raise ValidationError(f"workers must be >= 1, not {workers}")
     mdp = build_environment(config)
     target = resolve_target(mdp, config)
     behavior = perturb_policy_epsilon_greedy(target, config.behavior_epsilon)
     true_value = exact_policy_value(mdp, target)
 
     tasks = [(n, k) for n in config.sizes for k in range(config.trials)]
+    workers = min(workers, len(tasks))  # a pool starts all its processes at once
     if workers > 1:
         # Each worker receives the built context once, not once per chunk of tasks.
         context = (config, mdp, target, behavior)

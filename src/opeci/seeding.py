@@ -36,4 +36,8 @@ def as_generator(seed) -> np.random.Generator:
     """Build a Generator from any seed ``seed_parts`` accepts; Generators pass through as-is."""
     if isinstance(seed, np.random.Generator):
         return seed
-    return np.random.default_rng(np.random.SeedSequence(seed_parts(seed)))
+    # SeedSequence would split each part into these little-endian uint32 words, more slowly.
+    words = []
+    for part in seed_parts(seed):
+        words.extend((part & 0xFFFFFFFF, part >> 32) if part >> 32 else (part,))
+    return np.random.default_rng(np.random.SeedSequence(np.array(words, dtype=np.uint32)))

@@ -343,10 +343,11 @@ class TestMalformedInputs:
         {"discount": "0.0"}, {"trials": 2.5}, {"max_horizon": 2.5}, {"sizes": [10.7]},
         {"master_seed": 1.5}, {"noise_coef": "x"}, {"methods": "dm-boot"}, {"alphas": "0.1"},
         {"trials": True}, {"kappa": float("nan")}, {"environment": "bernoulli_bandit"},
+        {"noise_coef": -0.5},
     ], ids=[
         "sizes", "target_policy", "target_policy-strings", "bootstrap_b", "kappa", "discount",
         "trials", "max_horizon", "sizes-float", "master_seed", "noise_coef", "methods", "alphas",
-        "trials-bool", "kappa-nan", "environment",
+        "trials-bool", "kappa-nan", "environment", "noise_coef-negative",
     ])
     def test_malformed_coverage_config(self, tmp_path, capsys, override):
         config = {
@@ -365,6 +366,33 @@ class TestMalformedInputs:
         assert code == 1 and "Traceback" not in err
         assert next(iter(override)) in err  # the message names the field
 
+
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_coverage_workers_below_one(self, tmp_path, capsys, workers):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({
+            "environment": {"type": "bernoulli_bandit"}, "discount": 0.0, "sizes": [10],
+            "methods": ["student-t"], "trials": 2, "max_horizon": 1,
+        }))
+        self.assert_validation_exit(
+            ["coverage", "--config", str(config_path), "--out", str(tmp_path / "x.csv"),
+             "--workers", workers],
+            capsys,
+        )
+
+    @pytest.mark.parametrize("method", ["hoeffding", "bernstein"])
+    @pytest.mark.parametrize("alpha", ["0", "-1", "inf"])
+    def test_interval_alpha_outside_unit_interval(self, lake_files, tmp_path, capsys, method, alpha):
+        mdp_path, target_path, behavior_path = lake_files
+        data_path = tmp_path / "episodes.jsonl"
+        assert main(["gen-data", "--mdp", str(mdp_path), "--policy", str(behavior_path),
+                     "--episodes", "5", "--horizon", "100", "--seed", "0",
+                     "--out", str(data_path)]) == 0
+        self.assert_validation_exit(
+            ["interval", "--data", str(data_path), "--method", method, "--alpha", alpha,
+             "--policy", str(target_path)],
+            capsys,
+        )
 
     @pytest.mark.parametrize("environment, field", [
         ({"type": "bernoulli_bandit", "p": "0.5"}, "p"),

@@ -1,5 +1,6 @@
 """Direct-method value: linear-solve and Q-evaluation routes."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -32,6 +33,7 @@ from opeci.empirical import (
     resample_indices,
     sample_tuples,
 )
+from opeci.mdp import make_bernoulli_bandit
 from opeci.errors import SolverError, ValidationError
 
 from _oracles import loop_replicas
@@ -257,6 +259,34 @@ class TestDmBootstrapReplicas:
         ref_point, ref_diffs = loop_replicas(data, policy, b, ("eq", 1), kappa, gamma)
         assert point == ref_point
         assert np.abs(diffs - ref_diffs).max() <= 1e-12
+
+    # sha256 of the point estimate and b=1000 replica differences on plain
+    # 0/1-reward data, taken from the per-replica tables: counting replicas
+    # over distinct tuples must leave every replica's value bit-identical.
+    GOLDEN = {
+        ("lake10", 0.0): "365eb64a6fdde3b653ec5da91d50de80f1484438484bedafcd1155c5231d7c2b",
+        ("lake10", 0.05): "04cb88dd4e3fbc5f5189fe86b75b90d14e0fd255b475f3753ec5b9d12c5b76b4",
+        ("lake200", 0.0): "bad637d5482d2a5be98318d46a6043e86e67af3e649d4f08028ae265a53bec87",
+        ("lake200", 0.05): "ed2415a3b5d7d61912608e86f4e7bf4ed5859c261a19b20326ae519a01cce600",
+        ("bandit", 0.0): "8185b6aedab687f642037686b106a756685ac9ebb5c5d8cbc7333eac3c3915e8",
+        ("bandit", 0.05): "a221376fd18baece0f910909d0487e9afe61ea466badfbfc68104a45f9345d64",
+    }
+
+    @pytest.mark.parametrize("name, kappa", sorted(GOLDEN))
+    def test_replicas_pinned(self, name, kappa):
+        if name == "bandit":
+            mdp, n, horizon = make_bernoulli_bandit(0.5).with_discount(0.0), 500, 1
+        else:
+            mdp, n, horizon = make_frozen_lake(discount=0.999), int(name[4:]), 10_000
+        target = optimal_policy(mdp)
+        behavior = perturb_policy_epsilon_greedy(target, 0.2)
+        episodes = sample_episodes(mdp, behavior, n, horizon, rng_seed=("golden", name))
+        point, diffs = dm_bootstrap_replicas(
+            tuples_from_episodes(episodes), target, 1000, ("golden", name, kappa),
+            kappa=kappa, discount=mdp.discount,
+        )
+        digest = hashlib.sha256(np.float64(point).tobytes() + diffs.tobytes()).hexdigest()
+        assert digest == self.GOLDEN[(name, kappa)]
 
     def test_chunking_cannot_change_results(self):
         data, policy = lake_case()

@@ -11,6 +11,7 @@ from opeci import (
     read_report,
     run_coverage_experiment,
 )
+from opeci import harness
 from opeci.harness import (
     METHODS,
     CoverageCell,
@@ -88,6 +89,32 @@ class TestRunCoverageExperiment:
         assert run_coverage_experiment(config, workers=1) == run_coverage_experiment(
             config, workers=2
         )
+
+    def test_pool_never_larger_than_the_trial_count(self, monkeypatch):
+        sizes = []
+
+        class SerialPool:
+            """Runs the tasks in this process; records the requested pool size."""
+
+            def __init__(self, max_workers, initializer, initargs):
+                sizes.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(harness, "_context", ())
+        config = bandit_config(trials=2, methods=("student-t",))
+        report = run_coverage_experiment(config, workers=64)
+        assert sizes == [2]
+        assert report == run_coverage_experiment(config, workers=1)
 
     def test_cell_bookkeeping(self):
         config = bandit_config()
