@@ -1,7 +1,7 @@
 """Confidence intervals for off-policy evaluation in tabular MDPs.
 
 The direct method evaluates a target policy inside the empirical MDP built
-from logged (s0, s, a, r, s') tuples; bias-corrected percentile bootstrapping
+from logged (s0, s, a, r, s') tuples; the basic (reverse-percentile) bootstrap
 turns the (biased) point estimate into calibrated intervals.  kappa-blending
 toward priors keeps the estimator smooth in the data distribution, and
 reward-noise augmentation counteracts small-sample under-coverage.

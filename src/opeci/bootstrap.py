@@ -1,10 +1,10 @@
-"""Non-parametric bias-corrected percentile bootstrap.
+"""Non-parametric basic (reverse-percentile) bootstrap.
 
 Generic over the estimator functional; the resampling granularity follows
 the data type: tuple datasets and augmented datasets resample tuples, and
-plain value arrays resample values.  Replica k draws through
-``empirical.resample_indices`` with the seed (master seed, k), so replicas
-are order-independent and may be evaluated concurrently.
+plain value arrays resample values.  All b replicas draw their indices
+through ``empirical.resample_indices`` from one generator seeded
+(master seed, "indices"), in blocks that do not change the draws.
 """
 
 from __future__ import annotations
@@ -76,7 +76,7 @@ def bootstrap_replicas(data, functional, b: int, rng_seed):
     """
     if b < 2:
         raise ValidationError("b must be >= 2")
-    pool, draws = resample_indices(data, rng_seed, range(b))
+    pool, draws = resample_indices(data, rng_seed, b)
     point = float(functional(data))
     diffs = np.empty(b)
     for k, idx in enumerate(draws):

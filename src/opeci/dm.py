@@ -4,7 +4,7 @@ Two equivalent routes are provided: an exact linear solve on the blended
 model tables, and fixed-point Q-evaluation iterated from the prior-implied
 Q-function.  Their agreement is a built-in cross-check used by the tests.
 ``dm_bootstrap_replicas`` computes the bootstrap replicas of the DM value in
-stacked batches.
+stacked batches from multinomial counts over the distinct tuples.
 """
 
 from __future__ import annotations
@@ -13,19 +13,11 @@ import numpy as np
 
 from .bootstrap import check_replicas
 from .empirical import (
-    EmpiricalModel,
-    _count_tables,
-    blend_tables,
-    build_empirical_model,
-    distinct_tuples,
-    resample_indices,
+    _CHUNK_BYTES, EmpiricalModel, _count_tables, blend_tables, build_empirical_model, resample_counts,
 )
 from .errors import SolverError, ValidationError
 from .mdp import Policy, check_policy
 from . import solvers
-
-# Working memory of one stacked chunk of bootstrap replicas.
-_CHUNK_BYTES = 1 << 20
 
 
 def dm_value(model: EmpiricalModel, policy: Policy) -> float:
@@ -108,25 +100,22 @@ def dm_bootstrap_replicas(
 ) -> tuple:
     """DM point estimate plus the b recentered bootstrap replica differences.
 
-    Equal, up to the order reward sums add in, to ``bootstrap_replicas`` over the
-    functional ``dm_value(build_empirical_model(d, kappa=kappa, discount=discount), policy)``:
-    replica k draws with the seed (rng_seed, k) through ``resample_indices``.
-    Each replica's draw is counted over the distinct tuples, and a chunk of
-    ``replica_chunk_size`` replicas is tabled, blended and solved as one stack,
-    so chunking cannot change any replica's value.
+    Replica k is the DM value, up to the order reward sums add in, of
+    ``build_empirical_model(distinct, weights=row)`` for the k-th count row
+    that ``resample_counts(data, rng_seed)`` draws.  Chunks of
+    ``replica_chunk_size`` replicas are drawn, tabled, blended and solved as
+    one stack each, and chunking changes no replica's value.
     """
     if b < 2:
         raise ValidationError("b must be >= 2")
     model = build_empirical_model(data, kappa=kappa, discount=discount)
     point = dm_value(model, policy)
-    distinct, key_of = distinct_tuples(data)
+    distinct, draw = resample_counts(data, rng_seed)
     chunk = replica_chunk_size(model.num_states, model.num_actions, distinct.n)
     diffs = np.empty(b)
     for start in range(0, b, chunk):
         stop = min(start + chunk, b)
-        _, draws = resample_indices(data, rng_seed, range(start, stop))
-        masses = [np.bincount(key_of[idx], minlength=distinct.n) for idx in draws]
-        tables = _count_tables(distinct, np.array(masses, dtype=np.float64))
+        tables = _count_tables(distinct, draw(stop - start))
         mean_reward, transitions, initial_dist = blend_tables(
             *tables, float(data.n), model.priors, kappa
         )

@@ -21,7 +21,9 @@ import numpy as np
 
 from .errors import ValidationError
 from .mdp import CategoricalDraws, EpisodeSet, check_discount
-from .seeding import as_generator, seed_parts
+from .seeding import as_generator
+
+_CHUNK_BYTES = 1 << 20  # working memory of one block of replica draws
 
 
 @dataclass(frozen=True, eq=False)
@@ -273,17 +275,6 @@ def _count_tables(tuples: TupleDataset, masses: np.ndarray) -> tuple:
     return tuple(tables)
 
 
-def distinct_tuples(data) -> tuple:
-    """(distinct, key_of): the distinct tuples, in sorted order, of the pool
-    that ``resample_indices`` draws from, and each pool tuple's index among them."""
-    pool = _materialized(data)
-    S, A = pool.num_states, pool.num_actions
-    _, code = np.unique(((pool.s0 * S + pool.s) * A + pool.a) * S + pool.sp, return_inverse=True)
-    _, reward = np.unique(pool.r, return_inverse=True)
-    _, first, key_of = np.unique(code * pool.n + reward, return_index=True, return_inverse=True)
-    return pool[first], key_of
-
-
 def blend_tables(
     counts: np.ndarray,
     reward_sums: np.ndarray,
@@ -341,22 +332,40 @@ def sufficient_noise_scale(r_max: float, discount: float) -> float:
     return math.sqrt(1.5) * r_max / (1.0 - check_discount(discount))
 
 
-def resample_indices(data, rng_seed, replicas) -> tuple:
-    """(pool, draws): the pool to index and the draws of bootstrap replicas.
+def resample_indices(data, rng_seed, b: int) -> tuple:
+    """(pool, draws): the pool to index and, for each of b bootstrap replicas,
+    the indices of a uniform with-replacement resample of n items.
 
-    ``data`` is an array of values, a TupleDataset or an AugmentedDataset.
-    For each k in ``replicas``, ``draws`` yields the indices of a uniform
-    with-replacement resample of n items, drawn with the seed (rng_seed, k).
-    For an AugmentedDataset the pool is the 3n materialized view but n stays
-    the base size.  Every bootstrap resample draws here, so a seed gives the
-    same draws on every path.
+    ``data`` is a value array, a TupleDataset or an AugmentedDataset (whose
+    pool is its 3n view; n stays the base size).  Draws come in (rows, n)
+    blocks of about 1 MB from one generator seeded (rng_seed, "indices").
     """
     pool = _materialized(data)
     if not isinstance(pool, (np.ndarray, TupleDataset)):
         raise ValidationError(f"cannot resample a {type(data).__name__}")
     n = data.n if isinstance(data, AugmentedDataset) else len(pool)
-    parts = seed_parts(rng_seed)
-    return pool, (as_generator((*parts, k)).integers(0, len(pool), size=n) for k in replicas)
+    if n < 1:
+        raise ValidationError("cannot resample an empty dataset")
+    rng, rows = as_generator((rng_seed, "indices")), max(1, _CHUNK_BYTES // (8 * n))
+    blocks = (rng.integers(0, len(pool), size=(min(rows, b - start), n)) for start in range(0, b, rows))
+    return pool, (idx for block in blocks for idx in block)
+
+
+def resample_counts(data, rng_seed) -> tuple:
+    """(distinct, draw): the sorted distinct tuples of the pool that
+    ``resample_indices`` indexes, and ``draw(m)``, the next m replicas' counts.
+
+    A uniform resample of n pool tuples is a multinomial(n, c_k / len(pool))
+    draw over the distinct tuples, c_k each one's multiplicity.  Every
+    ``draw`` continues one generator seeded (rng_seed, "multinomial").
+    """
+    pool = _materialized(data)
+    S, A = pool.num_states, pool.num_actions
+    _, code = np.unique(((pool.s0 * S + pool.s) * A + pool.a) * S + pool.sp, return_inverse=True)
+    _, reward = np.unique(pool.r, return_inverse=True)
+    _, first, counts = np.unique(code * pool.n + reward, return_index=True, return_counts=True)
+    rng = as_generator((rng_seed, "multinomial"))
+    return pool[first], lambda m: rng.multinomial(data.n, counts / pool.n, size=m)
 
 
 def sample_tuples(mdp, count: int, rng_seed, state_action_dist: np.ndarray | None = None) -> TupleDataset:

@@ -347,7 +347,7 @@ def emit_report(report: CoverageReport, path) -> None:
     path.write_text("\n".join(lines) + "\n")
     sidecar = {
         "config": report.config.to_dict(),
-        "seed_scheme": "SeedSequence entropy: (label, master_seed, env_crc32, n, trial[, method, replica])",
+        "seed_scheme": 'SeedSequence entropy: (label, master_seed, env_crc32, n, trial[, method, "multinomial"|"indices"])',
         "cells": [asdict(c) for c in report.cells],
     }
     Path(str(path) + ".json").write_text(json.dumps(sidecar, indent=2))

@@ -3,8 +3,8 @@
 All randomness in the package flows through ``numpy.random.Generator``
 instances created from ``SeedSequence`` entropy tuples.  Derived streams are
 keyed by value (master seed plus context labels such as trial index, method
-tag, or bootstrap replica index), never by call order, so concurrent workers
-and re-runs produce identical draws.
+tag, and "multinomial" or "indices" for a method's bootstrap replicas), never
+by call order, so concurrent workers and re-runs produce identical draws.
 """
 
 from __future__ import annotations

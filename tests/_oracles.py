@@ -16,17 +16,21 @@ import dataclasses
 import numpy as np
 
 from opeci import build_empirical_model, dm_value
-from opeci.bootstrap import bootstrap_replicas
+from opeci.empirical import resample_counts
 from opeci.mdp import EpisodeSet, StepColumns
 
 
 def loop_replicas(data, policy, b, seed, kappa, discount):
-    """The per-replica reference: resample, build the model, solve."""
+    """The per-replica reference: draw all b count rows in one block, then
+    build each replica's model from its row as tuple weights, and solve."""
 
-    def functional(d):
-        return dm_value(build_empirical_model(d, kappa=kappa, discount=discount), policy)
+    def value(d, weights=None):
+        model = build_empirical_model(d, kappa=kappa, discount=discount, weights=weights)
+        return dm_value(model, policy)
 
-    return bootstrap_replicas(data, functional, b, seed)
+    distinct, draw = resample_counts(data, seed)
+    point = value(data)
+    return point, np.array([value(distinct, row) - point for row in draw(b)])
 
 
 def with_terminals(mdp, states):

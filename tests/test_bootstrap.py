@@ -1,6 +1,7 @@
 """Bootstrap interval construction, quantile convention, determinism."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from opeci import (
     bootstrap_interval,
     quantile,
 )
+from opeci import empirical
 from opeci.bootstrap import bootstrap_replicas, interval_from_replicas
 from opeci.empirical import resample_indices
 
@@ -108,7 +110,7 @@ class TestBootstrapInterval:
     def test_non_finite_replica_named(self):
         # the values cancel in the original data; a replica drawing one twice overflows
         values = np.array([1e308, -1e308])
-        pool, draws = resample_indices(values, 12, range(50))
+        pool, draws = resample_indices(values, 12, 50)
         first = next(k for k, idx in enumerate(draws) if len(set(pool[idx].tolist())) == 1)
 
         def mean(v):
@@ -117,6 +119,16 @@ class TestBootstrapInterval:
 
         with pytest.raises(ValidationError, match=f"bootstrap replica {first} is not finite"):
             bootstrap_replicas(values, mean, 50, rng_seed=12)
+
+    @pytest.mark.parametrize("n", [7, 2000, 5106])
+    def test_chunking_cannot_change_results(self, n):
+        values = np.linspace(-1.0, 1.0, n) ** 3
+        whole = bootstrap_replicas(values, mean_functional, 23, rng_seed=("chunks", n))
+        for rows in (1, 2, 5):
+            with mock.patch.object(empirical, "_CHUNK_BYTES", 8 * n * rows):
+                chunked = bootstrap_replicas(values, mean_functional, 23, rng_seed=("chunks", n))
+            assert chunked[0] == whole[0]
+            assert np.array_equal(chunked[1], whole[1])
 
     def test_argument_validation(self):
         values = np.arange(5.0)

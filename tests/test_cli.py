@@ -177,6 +177,20 @@ class TestGenDataAndInterval:
         assert code == 1
         assert "behavior probability" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("method", METHODS)
+    def test_file_without_episodes_is_validation_error(self, tmp_path, capsys, method):
+        data_path = tmp_path / "none.jsonl"
+        data_path.write_text(json.dumps({"meta": {"num_states": 2, "num_actions": 2}}) + "\n")
+        policy_path = tmp_path / "policy.json"
+        save_policy(uniform_policy(2, 2), policy_path)
+        code, _, err = run_cli(
+            ["interval", "--data", str(data_path), "--method", method, "--b", "10",
+             "--policy", str(policy_path), "--gamma", "0.9"],
+            capsys,
+        )
+        assert code == 1
+        assert "error" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("horizon, warning", [
         (5, "warning: 45 of 50 episodes stopped at --horizon 5 before a terminal state\n"),
         (10000, ""),

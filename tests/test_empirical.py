@@ -19,7 +19,7 @@ from opeci import (
     sufficient_noise_scale,
     tuples_from_episodes,
 )
-from opeci.empirical import resample_indices, sample_tuples
+from opeci.empirical import resample_counts, resample_indices, sample_tuples
 from opeci.mdp import make_random_mdp
 
 from _oracles import episode_set
@@ -219,7 +219,7 @@ class TestNoiseScales:
 
 def first_replica(data, rng_seed):
     """Replica 0 of ``data`` under ``rng_seed``."""
-    pool, draws = resample_indices(data, rng_seed, [0])
+    pool, draws = resample_indices(data, rng_seed, 1)
     return pool[next(draws)]
 
 
@@ -251,21 +251,50 @@ class TestResampling:
         originals = {data.tuple_at(i) for i in range(data.n)}
         assert all(out.tuple_at(i) in originals for i in range(out.n))
 
-    def test_multiplicities_match_binomial(self):
-        n = 10_000
-        data = TupleDataset(
+    @staticmethod
+    def distinct_rewards(n):
+        return TupleDataset(
             np.zeros(n, dtype=int), np.zeros(n, dtype=int), np.zeros(n, dtype=int),
             np.arange(n, dtype=float), np.zeros(n, dtype=int), 1, 1,
         )
-        out = first_replica(data, rng_seed=14)
-        # multiplicity of each original tuple ~ Binomial(n, 1/n)
-        multiplicity = np.bincount(out.r.astype(int), minlength=n)
-        max_k = 6
+
+    @staticmethod
+    def assert_binomial_multiplicities(multiplicity):
+        # each of n distinct tuples is drawn Binomial(n, 1/n) times
+        n, max_k = len(multiplicity), 6
         observed = np.bincount(np.minimum(multiplicity, max_k), minlength=max_k + 1)
         pmf = stats.binom.pmf(np.arange(max_k), n, 1.0 / n)
         expected = np.append(pmf, 1.0 - pmf.sum()) * n
         result = stats.chisquare(observed, expected)
         assert result.pvalue > 0.001
+
+    def test_multiplicities_match_binomial(self):
+        n = 10_000
+        out = first_replica(self.distinct_rewards(n), rng_seed=14)
+        self.assert_binomial_multiplicities(np.bincount(out.r.astype(int), minlength=n))
+
+    def test_count_rows_match_binomial(self):
+        n = 10_000
+        distinct, draw = resample_counts(self.distinct_rewards(n), 14)
+        assert distinct.n == n
+        row = draw(1)[0]
+        assert row.sum() == n
+        self.assert_binomial_multiplicities(row)
+
+    def test_augmented_counts_give_each_variant_its_mass(self):
+        # base multiplicities c = 1, 2, 3: each of a tuple's three reward variants
+        # is drawn with probability c / (3n), so n * c / (3n) = c / 3 times on average
+        data = TupleDataset.from_tuples(
+            [(0, 0, 0, 0.0, 0)] + [(0, 0, 0, 1.0, 0)] * 2 + [(0, 0, 0, 5.0, 0)] * 3, 1, 1
+        )
+        distinct, draw = resample_counts(augment_noisy_rewards(data, 0.25), 16)
+        assert distinct.r.tolist() == [-0.25, 0.0, 0.25, 0.75, 1.0, 1.25, 4.75, 5.0, 5.25]
+        c = np.repeat([1, 2, 3], 3)
+        rows = draw(20_000)
+        assert (rows.sum(axis=1) == data.n).all()
+        p = c / (3 * data.n)
+        se = np.sqrt(data.n * p * (1 - p) / len(rows))
+        assert (np.abs(rows.mean(axis=0) - c / 3) < 5 * se).all()
 
     def test_augmented_pool_three_n_output_n(self):
         data = TupleDataset.from_tuples([(0, 0, 0, 0.0, 0)] * 8, 1, 1)
@@ -276,16 +305,22 @@ class TestResampling:
 
     def test_unsupported_data_rejected(self):
         with pytest.raises(ValidationError, match="cannot resample a list"):
-            resample_indices([1.0, 2.0], 0, [0])
+            resample_indices([1.0, 2.0], 0, 1)
+        with pytest.raises(ValidationError, match="cannot resample an empty dataset"):
+            resample_indices(np.array([]), 0, 1)
 
-    # Replica k draws n uniform pool indices with the seed (seed, k).  These
-    # digests of 64 replicas pin that scheme for value arrays, tuple datasets
-    # and augmented datasets (a 75-tuple pool, 25 tuples per draw).
+    # Value replicas draw n uniform pool indices each, DM replicas draw
+    # multinomial counts over the distinct tuples, each from one generator
+    # seeded (seed, label).  These digests of 64 replicas pin both schemes
+    # for value arrays, tuple datasets and augmented datasets (a 75-tuple
+    # pool, 25 tuples per draw).
     GOLDEN_SEED = ("interval", 0, 12345, 10, 3, "dm-boot")
     GOLDEN = {
-        "values": "a5b3ca1f06ac88fd256e52a29524f3f8df7c258dfae25d8a14181f61c6b7ae60",
-        "tuples": "461e09bd762265a9b60f194901d29138a86eb6228d63900463d5c92af9c96ce2",
-        "augmented": "f1543ed90abab66acc0ed0fc4fb2187c56ee108265a7aacc392b975f20d44182",
+        "values": "44b0c6db05c3e1dc928b447880cc17152a1fdf95a18c1069156c122729402d51",
+        "tuples": "2a6f6534a625bd2828bcc323dbde7b77e3f6153ac1e1e6627adf6734435a5bf6",
+        "augmented": "acdafc45e47d3aacc9047ebe35db09005f1400728d359de84a0b196fd4024bc4",
+        "tuples-counts": "8d131dcb14c34159d716b12cbde263b426abc0da59c1b7e001e3dce50c89f37d",
+        "augmented-counts": "5649f7d16f0bed00d1c06db8bf32e13f719ce478c3890866a8cbde023b32b00f",
     }
 
     def test_draw_scheme_pinned(self):
@@ -296,11 +331,16 @@ class TestResampling:
             "augmented": augment_noisy_rewards(data, 0.5),
         }
         for name, case in cases.items():
-            pool, draws = resample_indices(case, self.GOLDEN_SEED, range(64))
+            pool, draws = resample_indices(case, self.GOLDEN_SEED, 64)
             draws = list(draws)
             assert {len(idx) for idx in draws} == {25 if name != "values" else 37}
             assert max(idx.max() for idx in draws) < len(pool)
             assert draws_digest(draws) == self.GOLDEN[name], name
+            if name != "values":
+                _, draw = resample_counts(case, self.GOLDEN_SEED)
+                counts = draw(64)
+                assert (counts.sum(axis=1) == 25).all()
+                assert draws_digest(counts) == self.GOLDEN[name + "-counts"], name
 
 
 def tuple_digest(data):
