@@ -23,7 +23,7 @@ from .errors import ValidationError
 from .mdp import CategoricalDraws, EpisodeSet, check_discount
 from .seeding import as_generator
 
-_CHUNK_BYTES = 1 << 20  # working memory of one block of replica draws
+_CHUNK_BYTES = 1 << 20  # working memory of one block of bootstrap replicas
 
 
 @dataclass(frozen=True, eq=False)
