@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy.special import stdtrit
 
 from .bootstrap import ConfidenceInterval
 from .dm import dm_q
@@ -150,5 +150,5 @@ def student_t_interval(est: PerEpisodeEstimates, alpha: float) -> ConfidenceInte
     """mean +/- t_{1-alpha/2, m-1} * s / sqrt(m) with the m-1 variance."""
     mean, m = _mean_and_size(est, 2)
     sd = float(est.values.std(ddof=1))
-    half = float(stats.t.ppf(1.0 - alpha / 2.0, m - 1)) * sd / math.sqrt(m)
+    half = float(stdtrit(m - 1, 1.0 - alpha / 2.0)) * sd / math.sqrt(m)
     return ConfidenceInterval(mean - half, mean + half, mean, 1.0 - alpha, 0)

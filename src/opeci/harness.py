@@ -14,7 +14,6 @@ import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
-from pathlib import Path
 from zlib import crc32
 
 import numpy as np
@@ -32,6 +31,7 @@ from .empirical import augment_noisy_rewards, build_empirical_model, tuples_from
 from .errors import ValidationError
 from .io import (
     INTEGERS, NUMBERS, STRINGS, check_kinds, load_mdp, load_policy, policy_from_doc, read_json,
+    write_text,
 )
 from .mdp import (
     DEFAULT_LAKE_MAP,
@@ -343,14 +343,13 @@ def emit_report(report: CoverageReport, path) -> None:
             f"{c.method},{c.n},{_fmt(c.alpha)},{_fmt(c.coverage)},"
             f"{_fmt(c.mean_width)},{c.trials},{_fmt(c.true_value)}"
         )
-    path = Path(path)
-    path.write_text("\n".join(lines) + "\n")
+    write_text(path, "report", "\n".join(lines) + "\n")
     sidecar = {
         "config": report.config.to_dict(),
         "seed_scheme": 'SeedSequence entropy: (label, master_seed, env_crc32, n, trial[, method, "multinomial"|"indices"])',
         "cells": [asdict(c) for c in report.cells],
     }
-    Path(str(path) + ".json").write_text(json.dumps(sidecar, indent=2))
+    write_text(f"{path}.json", "report sidecar", json.dumps(sidecar, indent=2))
 
 
 def read_report(path) -> CoverageReport:

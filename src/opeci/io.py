@@ -4,7 +4,8 @@ MDP spec files are JSON documents mirroring the TabularMdp fields; a grid
 world may instead be given as a "map" of row strings (S/F/H/G) plus a slip
 probability.  Episode sets are JSON lines, one episode per line after a
 metadata header line carrying the state and action space sizes and the
-generating discount.  Every input file is read through ``read_json``.
+generating discount.  Every input file is read through ``read_json`` and
+every output file written through ``write_text``.
 """
 
 from __future__ import annotations
@@ -41,6 +42,17 @@ def _parse(path, what: str, lines: bool):
         raise ValidationError(f"cannot read {what} {path}: {exc}") from exc
 
 
+def write_text(path, what: str, text: str) -> None:
+    """Write ``text`` to ``path`` as UTF-8.
+
+    A file that cannot be created or written raises ValidationError.
+    """
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise ValidationError(f"cannot write {what} {path}: {exc}") from exc
+
+
 def save_mdp(mdp: TabularMdp, path) -> None:
     doc = {
         "num_states": mdp.num_states,
@@ -55,7 +67,7 @@ def save_mdp(mdp: TabularMdp, path) -> None:
         "terminal_states": sorted(mdp.terminal_states),
         "r_max": mdp.r_max,
     }
-    Path(path).write_text(json.dumps(doc))
+    write_text(path, "MDP spec", json.dumps(doc))
 
 
 # JSON kinds as sets of Python types.  ``type(x)`` is tested, so ``True`` is
@@ -110,7 +122,7 @@ def load_mdp(path) -> TabularMdp:
 
 
 def save_policy(policy: Policy, path) -> None:
-    Path(path).write_text(json.dumps({"probs": policy.probs.tolist()}))
+    write_text(path, "policy", json.dumps({"probs": policy.probs.tolist()}))
 
 
 def policy_from_doc(doc, source) -> Policy:
@@ -142,7 +154,7 @@ def save_episodes(episodes: EpisodeSet, path, discount: float | None = None) -> 
     steps = zip(*(col.tolist() for col in cols[1:6]), cols.terminal.astype(np.int64).tolist())
     for s0, length in zip(cols.s0.tolist(), cols.lengths.tolist()):
         lines.append(json.dumps({"initial_state": s0, "steps": list(islice(steps, length))}))
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_text(path, "episodes", "\n".join(lines) + "\n")
 
 
 def load_episodes(path) -> tuple:

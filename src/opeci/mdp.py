@@ -362,6 +362,8 @@ def sample_episodes(
     seed.  Uniforms are drawn in blocks, so a ``Generator`` passed as the
     seed ends up advanced past the draws used.
     """
+    if count < 1:
+        raise ValidationError("count must be >= 1")
     if max_horizon < 1:
         raise ValidationError("max_horizon must be >= 1")
     check_policy(policy, mdp)

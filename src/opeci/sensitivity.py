@@ -11,6 +11,7 @@ regularization and stays bounded with it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -204,7 +205,13 @@ def check_gradients(
     magnitude in the case, so near-stationary probe directions do not divide
     by zero.  A case records an error string instead of a number when the
     closed form's precondition is breached (kappa=0 at an unvisited pair).
+    Fewer than one case, or a ``tol`` that is not a finite number above 0,
+    raises ValidationError: neither could make the check fail.
     """
+    if cases < 1:
+        raise ValidationError(f"cases must be >= 1, not {cases}")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValidationError(f"tol must be a finite number > 0, not {tol}")
     num_states, num_actions = 4, 2
     report_cases = []
     for case in range(cases):

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats  # the oracle for student_t_interval; opeci must not import it
 
 from opeci import (
     PerEpisodeEstimates,
@@ -242,6 +243,18 @@ class TestConcentrationIntervals:
         est = PerEpisodeEstimates(np.full(10, 1.5), 2.0)
         ci = student_t_interval(est, 0.05)
         assert ci.lower == ci.upper == 1.5
+
+    @pytest.mark.parametrize("alpha", [1e-9, 1e-3, 0.05, 0.1, 0.5, 0.9])
+    def test_student_t_half_width_equals_scipy_stats_quantile(self, alpha):
+        for df in np.unique(np.logspace(0, 6, 25).round().astype(int)):
+            m = int(df) + 1
+            values = np.zeros(m)
+            values[:2] = 1.0, -1.0  # mean exactly 0, so upper is the half-width
+            est = PerEpisodeEstimates(values, 1.0)
+            sd = float(est.values.std(ddof=1))
+            half = float(stats.t.ppf(1 - alpha / 2, m - 1)) * sd / math.sqrt(m)
+            ci = student_t_interval(est, alpha)
+            assert (ci.lower, ci.upper) == (-half, half), (df, alpha)
 
     def test_student_t_gaussian_coverage(self):
         rng = np.random.default_rng(11)

@@ -305,7 +305,7 @@ class TestMalformedInputs:
     def assert_validation_exit(self, args, capsys):
         code, _, err = run_cli(args, capsys)
         assert code == 1
-        assert "error" in err and "Traceback" not in err
+        assert err.startswith("error: ") and "Traceback" not in err
 
     def test_ragged_policy(self, tmp_path, capsys):
         mdp_path, _ = all_ones_mdp_file(tmp_path)
@@ -519,6 +519,43 @@ class TestMalformedInputs:
         write_step()
         self.assert_validation_exit(args, capsys)
 
+    @pytest.mark.parametrize("episodes", ["0", "-1"])
+    def test_gen_data_fewer_than_one_episode(self, lake_files, tmp_path, capsys, episodes):
+        mdp_path, _, behavior_path = lake_files
+        out_path = tmp_path / "episodes.jsonl"
+        self.assert_validation_exit(
+            ["gen-data", "--mdp", str(mdp_path), "--policy", str(behavior_path),
+             "--episodes", episodes, "--horizon", "10", "--seed", "0", "--out", str(out_path)],
+            capsys,
+        )
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("command", ["gen-data", "blowup-probe", "coverage"])
+    def test_out_in_missing_directory(self, lake_files, tmp_path, capsys, command):
+        mdp_path, _, behavior_path = lake_files
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({
+            "environment": {"type": "bernoulli_bandit"}, "discount": 0.0, "sizes": [10],
+            "methods": ["student-t"], "trials": 2, "max_horizon": 1,
+        }))
+        args = {
+            "gen-data": ["gen-data", "--mdp", str(mdp_path), "--policy", str(behavior_path),
+                         "--episodes", "3", "--horizon", "10", "--seed", "0"],
+            "blowup-probe": ["blowup-probe", "--N", "5", "--kappa", "0"],
+            "coverage": ["coverage", "--config", str(config_path)],
+        }[command]
+        out_path = tmp_path / "missing" / "out.csv"
+        self.assert_validation_exit(args + ["--out", str(out_path)], capsys)
+        assert not out_path.parent.exists()
+
+    @pytest.mark.parametrize("flags", [
+        ["--cases", "0"], ["--cases", "-1"], ["--tol", "nan"], ["--tol", "inf"],
+        ["--tol", "0"], ["--tol", "-0.001"],
+    ], ids=["cases-0", "cases-neg", "tol-nan", "tol-inf", "tol-0", "tol-neg"])
+    def test_check_grad_that_cannot_fail(self, capsys, flags):
+        self.assert_validation_exit(["check-grad", "--cases", "1", *flags], capsys)
+
+
 class TestCoverageCommand:
     def test_worker_counts_byte_identical(self, tmp_path, capsys):
         config = {
@@ -593,6 +630,19 @@ def child_env():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
     return env
+
+
+def test_package_import_loads_no_scipy_stats():
+    # A fresh interpreter: other test modules load scipy.stats into this one.
+    code = (
+        "import sys, opeci, opeci.cli, opeci.harness; "
+        "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['scipy', 'stats']))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 class TestArgumentHandling:

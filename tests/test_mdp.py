@@ -236,6 +236,11 @@ class TestSampleEpisodes:
         with pytest.raises(ValidationError):
             sample_episodes(mdp, uniform_policy(3, 2), 1, 0, rng_seed=0)
 
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_fewer_than_one_episode_rejected(self, count):
+        with pytest.raises(ValidationError, match="count must be >= 1"):
+            sample_episodes(all_ones_mdp(), uniform_policy(3, 2), count, 5, rng_seed=0)
+
     @pytest.mark.parametrize("case, digest", [
         ("lake", "f6340e108216451d5ddfd036fe56f48016cb201e2a458248c293b0c255da90bc"),
         ("random", "fe296205b0b0afc62f4aa2fdcf511d7a746028cfbf936929da91c2da619a779d"),

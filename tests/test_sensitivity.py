@@ -156,6 +156,16 @@ class TestCheckGradients:
         )
         assert report.passed
 
+    @pytest.mark.parametrize("cases", [0, -1])
+    def test_no_cases_rejected(self, cases):
+        with pytest.raises(ValidationError, match="cases must be >= 1"):
+            check_gradients(cases=cases)
+
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-3])
+    def test_tol_not_finite_positive_rejected(self, tol):
+        with pytest.raises(ValidationError, match="tol must be a finite number > 0"):
+            check_gradients(cases=1, tol=tol)
+
 
 class TestBlowupProbe:
     def test_kappa_zero_quotients_grow_inverse_epsilon(self):
