@@ -15,7 +15,7 @@ from .errors import ValidationError
 from .harness import (
     METHODS, ExperimentConfig, emit_report, method_intervals, run_coverage_experiment,
 )
-from .io import load_episodes, load_mdp, load_policy, read_json, save_episodes, write_text
+from .io import load_episodes, load_mdp, load_policy, read_json, save_episodes, write_lines
 from .mdp import exact_policy_value, sample_episodes
 from .sensitivity import check_gradients, counterexample_blowup_probe
 
@@ -111,7 +111,7 @@ def _cmd_blowup_probe(args) -> int:
     points = counterexample_blowup_probe(args.N, args.kappa, (0.1, 0.01, 0.001))
     lines = ["epsilon,quotient,kappa"]
     lines += [f"{eps:.6g},{quotient:.6g},{args.kappa:.6g}" for eps, quotient in points]
-    write_text(args.out, "blowup probe", "\n".join(lines) + "\n")
+    write_lines(args.out, "blowup probe", lines)
     return 0
 
 

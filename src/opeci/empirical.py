@@ -313,8 +313,8 @@ def augment_noisy_rewards(data: TupleDataset, noise_scale: float) -> AugmentedDa
     The population reward variance of the result is exactly
     (2/3)*noise_scale**2 plus the base variance.
     """
-    if noise_scale < 0:
-        raise ValidationError("noise_scale must be >= 0")
+    if not 0.0 <= noise_scale < math.inf:
+        raise ValidationError("noise_scale must be a finite number >= 0")
     view = TupleDataset(
         np.tile(data.s0, 3),
         np.tile(data.s, 3),

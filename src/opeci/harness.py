@@ -14,6 +14,7 @@ import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
+from pathlib import Path
 from zlib import crc32
 
 import numpy as np
@@ -31,7 +32,7 @@ from .empirical import augment_noisy_rewards, build_empirical_model, tuples_from
 from .errors import ValidationError
 from .io import (
     INTEGERS, NUMBERS, STRINGS, check_kinds, load_mdp, load_policy, policy_from_doc, read_json,
-    write_text,
+    write_lines, write_text,
 )
 from .mdp import (
     DEFAULT_LAKE_MAP,
@@ -214,6 +215,8 @@ def method_intervals(
         raise ValidationError(f"unknown method {method!r}; expected one of {METHODS}")
     if not all(0.0 < a < 1.0 for a in alphas):
         raise ValidationError(f"alpha must lie in (0, 1), not {alphas!r}")
+    if not 0.0 <= noise_coef < math.inf:
+        raise ValidationError(f"noise_coef must be a finite number >= 0, not {noise_coef!r}")
     if method in ("dm-boot", "dm-noisy-boot"):
         data = tuples_from_episodes(episodes)
         if method == "dm-noisy-boot":
@@ -336,20 +339,25 @@ def _fmt(x: float) -> str:
 
 def emit_report(report: CoverageReport, path) -> None:
     """Write the pinned CSV plus a JSON sidecar (<path>.json) holding the
-    full config and full-precision cells for exact reproduction."""
+    full config and full-precision cells for exact reproduction.  If the
+    sidecar cannot be written, the CSV is removed again."""
     lines = [_CSV_HEADER]
     for c in report.cells:
         lines.append(
             f"{c.method},{c.n},{_fmt(c.alpha)},{_fmt(c.coverage)},"
             f"{_fmt(c.mean_width)},{c.trials},{_fmt(c.true_value)}"
         )
-    write_text(path, "report", "\n".join(lines) + "\n")
+    write_lines(path, "report", lines)
     sidecar = {
         "config": report.config.to_dict(),
         "seed_scheme": 'SeedSequence entropy: (label, master_seed, env_crc32, n, trial[, method, "multinomial"|"indices"])',
         "cells": [asdict(c) for c in report.cells],
     }
-    write_text(f"{path}.json", "report sidecar", json.dumps(sidecar, indent=2))
+    try:
+        write_text(f"{path}.json", "report sidecar", json.dumps(sidecar, indent=2))
+    except ValidationError:
+        Path(path).unlink()
+        raise
 
 
 def read_report(path) -> CoverageReport:

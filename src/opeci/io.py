@@ -5,7 +5,14 @@ world may instead be given as a "map" of row strings (S/F/H/G) plus a slip
 probability.  Episode sets are JSON lines, one episode per line after a
 metadata header line carrying the state and action space sizes and the
 generating discount.  Every input file is read through ``read_json`` and
-every output file written through ``write_text``.
+every output file written through ``write_text`` or ``write_lines``.
+
+Episode lines are parsed by orjson, about four times as fast as json on the
+lines ``opeci gen-data`` writes, and reading them is most of an ``opeci
+interval`` call on a large file.  Whole documents (MDP specs, policies,
+configs and report sidecars) are small and stay on json, whose ``NaN`` then
+fails the field check that names the field; orjson refuses ``NaN`` at the
+parse.  Every file is written by json, whose bytes the golden files pin.
 """
 
 from __future__ import annotations
@@ -15,6 +22,7 @@ from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
+import orjson
 
 from .errors import ValidationError
 from .mdp import COLUMN_DTYPES, EpisodeSet, Policy, StepColumns, TabularMdp, make_frozen_lake
@@ -33,13 +41,46 @@ def read_json(path, what: str, *, lines: bool = False):
 def _parse(path, what: str, lines: bool):
     try:
         with open(path, encoding="utf-8") as fh:
-            for text in fh if lines else [fh.read()]:
-                if not lines or text.strip():
-                    yield json.loads(text)
+            if not lines:
+                yield json.loads(fh.read())
+            for number, text in enumerate(fh if lines else (), 1):
+                if text.strip():
+                    try:
+                        doc = _parse_line(text)
+                    except ValueError as exc:
+                        raise ValidationError(
+                            f"cannot read {what} {path} line {number}: {exc}"
+                        ) from exc
+                    yield doc
+    except ValidationError:
+        raise
     # ValueError covers JSONDecodeError, UnicodeDecodeError and over-long
-    # integers; deep nesting raises RecursionError.
+    # integers; a deeply nested document raises RecursionError.  Text is
+    # decoded in blocks, so an undecodable byte names no line.
     except (OSError, ValueError, RecursionError) as exc:
         raise ValidationError(f"cannot read {what} {path}: {exc}") from exc
+
+
+# orjson recurses once per level of nesting, with about 70 bytes of C stack
+# a level, and overflows the stack on a line nested deep enough (about
+# 150,000 levels on an 8 MB stack), where json stopped at the recursion
+# limit.  A line long enough to nest deeper than this is measured before it
+# is parsed and refused if it does; brackets inside strings count as well.
+_MAX_DEPTH = 5000
+_NOT_BRACKETS = bytes(sorted(set(range(256)) - set(b"[]{}")))
+_DEPTH_STEPS = bytes(1 if c in b"[{" else 255 if c in b"]}" else 0 for c in range(256))
+
+
+def _parse_line(text: str):
+    """The JSON document on one line, parsed by orjson; ValueError otherwise."""
+    if len(text) > 2 * _MAX_DEPTH:
+        steps = np.frombuffer(text.encode().translate(_DEPTH_STEPS, _NOT_BRACKETS), np.int8)
+        if np.cumsum(steps, dtype=np.int64).max(initial=0) > _MAX_DEPTH:
+            raise ValueError(f"nested deeper than {_MAX_DEPTH} levels")
+    try:
+        return orjson.loads(text)
+    except orjson.JSONDecodeError as exc:
+        raise ValueError(f"{exc.msg} at column {exc.colno}") from None
 
 
 def write_text(path, what: str, text: str) -> None:
@@ -47,8 +88,19 @@ def write_text(path, what: str, text: str) -> None:
 
     A file that cannot be created or written raises ValidationError.
     """
+    _write(path, what, [text])
+
+
+def write_lines(path, what: str, lines) -> None:
+    """Write each string of the iterable ``lines`` and a newline to ``path``
+    as UTF-8, one line at a time; raises ValidationError as ``write_text``."""
+    _write(path, what, (line + "\n" for line in lines))
+
+
+def _write(path, what: str, chunks) -> None:
     try:
-        Path(path).write_text(text, encoding="utf-8")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.writelines(chunks)
     except OSError as exc:
         raise ValidationError(f"cannot write {what} {path}: {exc}") from exc
 
@@ -138,23 +190,22 @@ def load_policy(path) -> Policy:
 
 
 def save_episodes(episodes: EpisodeSet, path, discount: float | None = None) -> None:
-    """One JSON line per episode, preceded by a metadata header line."""
-    lines = [
-        json.dumps(
-            {
-                "meta": {
-                    "num_states": episodes.num_states,
-                    "num_actions": episodes.num_actions,
-                    "discount": discount,
-                }
-            }
-        )
-    ]
+    """One JSON line per episode, preceded by a metadata header line; each
+    line is written as it is made."""
+    header = {
+        "meta": {
+            "num_states": episodes.num_states,
+            "num_actions": episodes.num_actions,
+            "discount": discount,
+        }
+    }
     cols = episodes.columns
     steps = zip(*(col.tolist() for col in cols[1:6]), cols.terminal.astype(np.int64).tolist())
-    for s0, length in zip(cols.s0.tolist(), cols.lengths.tolist()):
-        lines.append(json.dumps({"initial_state": s0, "steps": list(islice(steps, length))}))
-    write_text(path, "episodes", "\n".join(lines) + "\n")
+    lines = (
+        json.dumps({"initial_state": s0, "steps": list(islice(steps, length))})
+        for s0, length in zip(cols.s0.tolist(), cols.lengths.tolist())
+    )
+    write_lines(path, "episodes", chain([json.dumps(header)], lines))
 
 
 def load_episodes(path) -> tuple:

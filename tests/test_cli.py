@@ -548,6 +548,34 @@ class TestMalformedInputs:
         self.assert_validation_exit(args + ["--out", str(out_path)], capsys)
         assert not out_path.parent.exists()
 
+    def test_unwritable_sidecar_leaves_no_csv(self, tmp_path, capsys):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({
+            "environment": {"type": "bernoulli_bandit"}, "discount": 0.0, "sizes": [10],
+            "methods": ["student-t"], "trials": 2, "max_horizon": 1,
+        }))
+        out_path = tmp_path / "r.csv"
+        (tmp_path / "r.csv.json").mkdir()
+        self.assert_validation_exit(
+            ["coverage", "--config", str(config_path), "--out", str(out_path)], capsys
+        )
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("coef", ["nan", "inf", "-1"])
+    def test_interval_noise_coef_not_finite_nonnegative(self, lake_files, tmp_path, capsys, coef):
+        mdp_path, target_path, behavior_path = lake_files
+        data_path = tmp_path / "episodes.jsonl"
+        assert main(["gen-data", "--mdp", str(mdp_path), "--policy", str(behavior_path),
+                     "--episodes", "10", "--horizon", "100", "--seed", "0",
+                     "--out", str(data_path)]) == 0
+        code, out, err = run_cli(
+            ["interval", "--data", str(data_path), "--method", "dm-noisy-boot", "--b", "10",
+             f"--noise-coef={coef}", "--policy", str(target_path)],
+            capsys,
+        )
+        assert code == 1 and out == "" and err.startswith("error: ")
+        assert "noise_coef" in err
+
     @pytest.mark.parametrize("flags", [
         ["--cases", "0"], ["--cases", "-1"], ["--tol", "nan"], ["--tol", "inf"],
         ["--tol", "0"], ["--tol", "-0.001"],
@@ -643,6 +671,24 @@ def test_package_import_loads_no_scipy_stats():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_deeply_nested_episode_line_is_validation_error(lake_files, tmp_path):
+    # A child process: a parser that recursed this deep would crash the interpreter.
+    _, target_path, _ = lake_files
+    depth = 200_000
+    data_path = tmp_path / "deep.jsonl"
+    data_path.write_text(
+        '{"meta": {"num_states": 17, "num_actions": 4, "discount": 0.999}}\n'
+        '{"initial_state": 0, "steps": [], "x": ' + "[" * depth + "]" * depth + "}\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "opeci.cli", "interval", "--data", str(data_path),
+         "--method", "is-boot", "--b", "10", "--policy", str(target_path)],
+        capture_output=True, text=True, env=child_env(),
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("error: ") and "deep.jsonl line 2: " in proc.stderr
 
 
 class TestArgumentHandling:

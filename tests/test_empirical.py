@@ -207,6 +207,12 @@ class TestNoiseAugmentation:
         aug = augment_noisy_rewards(data, 0.5)
         assert sorted(aug.view.r.tolist()) == [0.5, 1.0, 1.5, 3.5, 4.0, 4.5]
 
+    @pytest.mark.parametrize("scale", [float("nan"), float("inf"), -1.0])
+    def test_scale_not_finite_nonnegative_rejected(self, scale):
+        data = TupleDataset.from_tuples([(0, 0, 0, 1.0, 0)], 1, 1)
+        with pytest.raises(ValidationError, match="noise_scale"):
+            augment_noisy_rewards(data, scale)
+
 
 class TestNoiseScales:
     def test_sufficient_scale_values(self):

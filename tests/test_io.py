@@ -16,7 +16,9 @@ from opeci import (
     perturb_policy_epsilon_greedy,
     sample_episodes,
 )
-from opeci.io import load_episodes, load_mdp, load_policy, save_episodes, save_mdp, save_policy
+from opeci.io import (
+    _MAX_DEPTH, load_episodes, load_mdp, load_policy, save_episodes, save_mdp, save_policy,
+)
 from opeci.mdp import Step
 
 
@@ -157,6 +159,66 @@ class TestEpisodeFiles:
         path.write_text(json.dumps({"meta": meta}) + "\n" + json.dumps(episode) + "\n")
         with pytest.raises(ValidationError):
             load_episodes(path)
+
+    @staticmethod
+    def clean_lines(tmp_path):
+        """The lines of a 5-episode Frozen Lake file, each with its newline."""
+        mdp = make_frozen_lake()
+        path = tmp_path / "clean.jsonl"
+        save_episodes(sample_episodes(mdp, optimal_policy(mdp), 5, 60, rng_seed=8), path, 0.9)
+        return path.read_text().splitlines(keepends=True)
+
+    @pytest.mark.parametrize("k", [1, 2, 6])
+    def test_unparsable_line_is_named(self, tmp_path, k):
+        lines = self.clean_lines(tmp_path)
+        lines[k - 1] = lines[k - 1].replace(",", " ", 1)
+        path = tmp_path / "bad.jsonl"
+        path.write_text("".join(lines))
+        with pytest.raises(ValidationError, match=rf"bad\.jsonl line {k}: "):
+            load_episodes(path)
+
+    # NaN, Infinity and 1e400 are no finite JSON number; orjson reads 2**64 as
+    # a float, and 2**63 is an integer that overflows int64.
+    @pytest.mark.parametrize("row", [
+        "[0, 1, NaN, 2, 1.0, 0]", "[0, 1, Infinity, 2, 1.0, 0]", "[0, 1, -Infinity, 2, 1.0, 0]",
+        "[0, 1, 1e400, 2, 1.0, 0]", "[18446744073709551616, 1, 0.0, 2, 1.0, 0]",
+        "[9223372036854775808, 1, 0.0, 2, 1.0, 0]",
+    ], ids=["NaN", "Infinity", "-Infinity", "1e400", "state-2**64", "state-2**63"])
+    def test_non_finite_or_int64_overflowing_number_rejected(self, tmp_path, row):
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"meta": {"num_states": 3, "num_actions": 2, "discount": 0.9}}\n'
+                        f'{{"initial_state": 0, "steps": [{row}]}}\n')
+        with pytest.raises(ValidationError):
+            load_episodes(path)
+
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_nesting_deeper_than_limit_rejected(self, tmp_path, extra):
+        # An ignored field nests the line _MAX_DEPTH levels deep, or one more.
+        k = _MAX_DEPTH - 1 + extra
+        path = tmp_path / "deep.jsonl"
+        path.write_text('{"meta": {"num_states": 3, "num_actions": 2, "discount": 0.9}}\n'
+                        '{"initial_state": 0, "steps": [[0, 1, 0.0, 2, 1.0, 0]], '
+                        f'"x": {"[" * k}{"]" * k}}}\n')
+        if extra:
+            with pytest.raises(ValidationError, match="deep.jsonl line 2: nested deeper"):
+                load_episodes(path)
+        else:
+            assert load_episodes(path)[0].columns.lengths.tolist() == [1]
+
+    @pytest.mark.parametrize("edit", ["blank-lines", "crlf"])
+    def test_blank_lines_and_crlf_load_the_same_columns(self, tmp_path, edit):
+        lines = self.clean_lines(tmp_path)
+        if edit == "blank-lines":
+            text = "\n \t\n".join(lines) + "\n"
+        else:
+            text = "".join(line.replace("\n", "\r\n") for line in lines)
+        path = tmp_path / "edited.jsonl"
+        path.write_bytes(text.encode())
+        assert (b"\r\n" in path.read_bytes()) == (edit == "crlf")
+        loaded, discount = load_episodes(path)
+        clean, clean_discount = load_episodes(tmp_path / "clean.jsonl")
+        assert loaded == clean and discount == clean_discount == 0.9
+        assert [c.dtype for c in loaded.columns] == [c.dtype for c in clean.columns]
 
 
 @pytest.mark.parametrize("loader", [load_mdp, load_policy, load_episodes])
