@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import traceback
 
@@ -139,8 +140,15 @@ _COMMANDS = {
 }
 
 
+_NEGATIVE_NUMBER = re.compile(r"-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?|-inf(inity)?|-nan", re.IGNORECASE)
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    for i in range(len(argv) - 1, 0, -1):  # argparse reads "-1e-3" as an option, "--x=-1e-3" not
+        if argv[i - 1][:2] == "--" and "=" not in argv[i - 1] and _NEGATIVE_NUMBER.fullmatch(argv[i]):
+            argv[i - 1 : i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .mdp import CategoricalDraws, EpisodeSet, check_discount
+from .mdp import EpisodeSet, categorical, check_discount
 from .seeding import as_generator
 
 _CHUNK_BYTES = 1 << 20  # working memory of one block of bootstrap replicas
@@ -85,11 +85,6 @@ class TupleDataset:
         return cls(
             np.array(s0), np.array(s), np.array(a), np.array(r, dtype=np.float64),
             np.array(sp), num_states, num_actions,
-        )
-
-    def tuple_at(self, i: int) -> tuple:
-        return (
-            int(self.s0[i]), int(self.s[i]), int(self.a[i]), float(self.r[i]), int(self.sp[i]),
         )
 
 
@@ -382,8 +377,8 @@ def sample_tuples(mdp, count: int, rng_seed, state_action_dist: np.ndarray | Non
         sa_probs = np.asarray(state_action_dist, dtype=np.float64).reshape(S * A)
     s0 = rng.choice(S, size=count, p=mdp.initial_dist)
     sa = rng.choice(S * A, size=count, p=sa_probs / sa_probs.sum())
-    s, a = sa // A, sa % A
-    # One block of exactly two uniforms per tuple: a shared generator advances by 2 * count.
-    draws = CategoricalDraws(mdp, rng, block=2 * count)
-    r, sp = zip(*map(draws.outcome, s.tolist(), a.tolist()))
-    return TupleDataset(s0, s, a, np.array(r, dtype=np.float64), np.array(sp), S, A)
+    values, reward_cdf, transition_cdf = mdp.outcome_tables
+    # Reward, then next-state uniform per tuple: a shared generator advances by 2 * count.
+    u = rng.random((count, 2))
+    k, sp = categorical(reward_cdf, sa, u[:, 0]), categorical(transition_cdf, sa, u[:, 1])
+    return TupleDataset(s0, sa // A, sa % A, values[k, sa], sp, S, A)

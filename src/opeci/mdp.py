@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import gc
 import math
-from bisect import bisect_right
 from copy import copy
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice, repeat
+from itertools import islice, repeat, zip_longest
 from typing import NamedTuple
 
 import numpy as np
@@ -149,6 +148,18 @@ class TabularMdp:
     def mean_rewards(self) -> np.ndarray:
         """Expected reward per (s, a), read-only."""
         return self._mean_rewards
+
+    @cached_property
+    def outcome_tables(self) -> tuple:
+        """Read-only (values, reward_cdf, transition_cdf), one column per pair
+        ``s*A + a``; each reward CDF is +inf from its support's last entry on."""
+        S, A = self.num_states, self.num_actions
+        supports = [support for row in self.rewards for support in row]
+        padded = np.array(list(zip_longest(*supports, fillvalue=(0.0, 0.0))))  # (K, S*A, 2)
+        reward_cdf = _cdf(padded[..., 1])
+        reward_cdf[np.arange(len(padded))[:, None] >= np.array(list(map(len, supports))) - 1] = np.inf
+        tables = padded[..., 0], reward_cdf, _cdf(self.transitions.reshape(S * A, S).T)
+        return tuple(map(_freeze, tables))
 
     def with_discount(self, discount: float) -> "TabularMdp":
         """A copy with another discount; its already checked tables are shared."""
@@ -314,38 +325,26 @@ def q_values(mdp: TabularMdp, policy: Policy) -> np.ndarray:
     return solvers.q_table(mdp.mean_rewards(), mdp.transitions, policy.probs, mdp.discount)
 
 
-def _cdf(probs) -> list:
-    """Cumulative sums along the last axis as nested lists, each ending in +inf
-    so that ``bisect_right(cdf, u)`` gives the last category any uniform
-    ``u`` at or above the rounded total."""
-    cum = np.cumsum(probs, axis=-1)
-    cum[..., -1] = np.inf
-    return cum.tolist()
+_PICK_BYTES = 1 << 20  # bound on the CDF columns one categorical call gathers at once
 
 
-def _uniforms(rng, block: int):
-    while True:
-        yield from rng.random(block).tolist()
+def _cdf(probs) -> np.ndarray:
+    """Cumulative sums down the first axis, the categories', with the last set
+    to +inf so that a uniform past the rounded total picks the last category."""
+    cum = np.ascontiguousarray(np.cumsum(probs, axis=0))  # ``take`` copies any other layout
+    cum[-1] = np.inf
+    return cum
 
 
-class CategoricalDraws:
-    """The one place that does categorical sampling: inverse-CDF draws from an
-    MDP, one uniform each, taken from ``rng`` ``block`` uniforms at a time."""
-
-    def __init__(self, mdp: TabularMdp, rng, block: int):
-        self.next_uniform = _uniforms(rng, block).__next__
-        self.init_cdf, self.trans_cdf = _cdf(mdp.initial_dist), _cdf(mdp.transitions)
-        rewards = mdp.rewards
-        self.reward_values = [[[v for v, _ in support] for support in row] for row in rewards]
-        self.reward_cdf = [[_cdf([p for _, p in support]) for support in row] for row in rewards]
-
-    def pick(self, cdf: list) -> int:
-        return bisect_right(cdf, self.next_uniform())
-
-    def outcome(self, s: int, a: int) -> tuple:
-        """(reward, next state) of one step from (s, a), drawn in that order."""
-        reward = self.reward_values[s][a][self.pick(self.reward_cdf[s][a])]
-        return reward, self.pick(self.trans_cdf[s][a])
+def categorical(cdf: np.ndarray, dists: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The one place that does categorical sampling: for each uniform ``u[i]``,
+    the number of cumulative masses in column ``dists[i]`` of the (K, R) table
+    ``cdf`` at or below it.  Columns are gathered about ``_PICK_BYTES`` at a time."""
+    block = max(1, _PICK_BYTES // cdf[:, 0].nbytes)
+    if len(dists) <= block:
+        return (cdf.take(dists, 1) <= u).sum(0)
+    starts = range(0, len(dists), block)
+    return np.concatenate([categorical(cdf, dists[i : i + block], u[i : i + block]) for i in starts])
 
 
 def sample_episodes(
@@ -358,38 +357,43 @@ def sample_episodes(
     """Roll out ``count`` episodes under ``policy``, recording behavior probs.
 
     Episodes start from the MDP's initial distribution and stop on entering a
-    terminal state or after ``max_horizon`` steps.  Deterministic given the
-    seed.  Uniforms are drawn in blocks, so a ``Generator`` passed as the
-    seed ends up advanced past the draws used.
+    terminal state or after ``max_horizon`` steps; the seed fixes them.  After
+    ``rng.random(count)`` for the initial states, each step draws one
+    ``rng.random((3, live))`` block of action, reward and next-state uniforms
+    for all live episodes in episode order: ``count + 3 * steps`` in all.
     """
     if count < 1:
         raise ValidationError("count must be >= 1")
     if max_horizon < 1:
         raise ValidationError("max_horizon must be >= 1")
     check_policy(policy, mdp)
-    draws = CategoricalDraws(mdp, as_generator(rng_seed), block=4096)
-    pick, outcome = draws.pick, draws.outcome
-    policy_cdf, probs = _cdf(policy.probs), policy.probs.tolist()
-    terminal = [s in mdp.terminal_states for s in range(mdp.num_states)]
-    lists = StepColumns(*([] for _ in StepColumns._fields))
-    for _ in range(count):
-        s = pick(draws.init_cdf)
-        lists.s0.append(s)
-        length = 0
-        while length < max_horizon and not terminal[s]:
-            a = pick(policy_cdf[s])
-            r, ns = outcome(s, a)
-            lists.s.append(s)
-            lists.a.append(a)
-            lists.r.append(r)
-            lists.sp.append(ns)
-            lists.behavior_prob.append(probs[s][a])
-            lists.terminal.append(terminal[ns])
-            s = ns
-            length += 1
-        lists.lengths.append(length)
-    columns = StepColumns(*map(np.array, lists, COLUMN_DTYPES))
-    return EpisodeSet(columns, mdp.num_states, mdp.num_actions)
+    rng, A = as_generator(rng_seed), mdp.num_actions
+    values, reward_cdf, transition_cdf = mdp.outcome_tables
+    policy_cdf = _cdf(policy.probs.T)
+    going = np.ones(mdp.num_states, dtype=bool)
+    going[list(mdp.terminal_states)] = False
+    s0 = categorical(_cdf(mdp.initial_dist[:, None]), np.zeros(count, np.intp), rng.random(count))
+    live = np.flatnonzero(going[s0])
+    s = s0[live]
+    # Time-major (episodes, s*A + a, reward index, next state) per step, after an empty record.
+    steps = [(live[:0],) * 4]
+    while live.size and len(steps) <= max_horizon:
+        u = rng.random((3, live.size))
+        sa = s * A + categorical(policy_cdf, s, u[0])
+        sp = categorical(transition_cdf, sa, u[2])
+        steps.append((live, sa, categorical(reward_cdf, sa, u[1]), sp))
+        keep = going[sp]
+        live, s = live[keep], sp[keep]
+    episode, sa, k, sp = map(np.concatenate, zip(*steps))
+    del steps
+    order = np.argsort(episode, kind="stable")
+    sa, k, sp = sa[order], k[order], sp[order]
+    columns = StepColumns(
+        s0=s0, s=sa // A, a=sa % A, r=values[k, sa], sp=sp,
+        behavior_prob=policy.probs.reshape(-1)[sa], terminal=~going[sp],
+        lengths=np.bincount(episode, minlength=count),
+    )
+    return EpisodeSet(columns, mdp.num_states, A)
 
 
 def _deterministic_reward(value: float) -> tuple:
@@ -473,7 +477,6 @@ def make_frozen_lake(
         initial_dist=initial_dist,
         discount=float(discount),
         terminal_states=frozenset(terminal),
-        r_max=1.0,
     )
 
 
@@ -509,8 +512,6 @@ def make_counterexample_chain(n_intermediate: int, discount: float) -> TabularMd
         rewards=rewards,
         initial_dist=initial_dist,
         discount=float(discount),
-        terminal_states=frozenset(),
-        r_max=1.0,
     )
 
 
@@ -525,8 +526,6 @@ def make_bernoulli_bandit(p: float = 0.5) -> TabularMdp:
         rewards=[[((0.0, 1.0 - p), (1.0, p))]],
         initial_dist=np.ones(1),
         discount=0.0,
-        terminal_states=frozenset(),
-        r_max=1.0,
     )
 
 
@@ -578,8 +577,6 @@ def make_random_mdp(num_states: int, num_actions: int, discount: float, rng_seed
         rewards=rewards,
         initial_dist=initial_dist,
         discount=float(discount),
-        terminal_states=frozenset(),
-        r_max=1.0,
     )
 
 

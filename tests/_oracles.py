@@ -7,17 +7,22 @@ comparison.  The recursion oracles compute PDIS and DR one logged step
 object at a time, against the flat-column sweep in ``opeci.baselines``.
 ``episode_set`` flattens step objects to columns field by field, the
 reference that ``EpisodeSet.episodes`` is checked against.
+``lockstep_episodes`` draws the sampler's uniforms in its order and picks
+each category with ``bisect_right``, one step object at a time.
 ``loop_replicas`` is the per-replica reference for the batched DM bootstrap,
 and ``with_terminals`` marks states of a test MDP as absorbing terminals.
 """
 
 import dataclasses
+from bisect import bisect_right
+from itertools import accumulate
 
 import numpy as np
 
 from opeci import build_empirical_model, dm_value
 from opeci.empirical import resample_counts
-from opeci.mdp import EpisodeSet, StepColumns
+from opeci.mdp import Episode, EpisodeSet, Step, StepColumns
+from opeci.seeding import as_generator
 
 
 def loop_replicas(data, policy, b, seed, kappa, discount):
@@ -31,6 +36,11 @@ def loop_replicas(data, policy, b, seed, kappa, discount):
     distinct, draw = resample_counts(data, seed)
     point = value(data)
     return point, np.array([value(distinct, row) - point for row in draw(b)])
+
+
+def logged_tuples(data):
+    """Each (s0, s, a, r, s') of a TupleDataset as a tuple of Python numbers."""
+    return list(zip(*(col.tolist() for col in (data.s0, data.s, data.a, data.r, data.sp))))
 
 
 def with_terminals(mdp, states):
@@ -60,6 +70,35 @@ def episode_set(episodes, num_states, num_actions):
         num_states,
         num_actions,
     )
+
+
+def _bisect_pick(probs, u):
+    """Category of uniform ``u``: how many cumulative sums but the last lie at
+    or below it, so a ``u`` past the rounded total picks the last category."""
+    return bisect_right(list(accumulate(probs))[:-1], u)
+
+
+def lockstep_episodes(mdp, policy, count, max_horizon, seed):
+    """The reference for ``sample_episodes``: ``count`` uniforms for the
+    initial states, then per step one (3, live) block of action, reward and
+    next-state uniforms for the live episodes in episode order."""
+    rng, terminal = as_generator(seed), mdp.terminal_states
+    s0 = [_bisect_pick(mdp.initial_dist, u) for u in rng.random(count)]
+    state, steps = list(s0), [[] for _ in s0]
+    live = [e for e in range(count) if s0[e] not in terminal]
+    for _ in range(max_horizon):
+        if not live:
+            break
+        for e, (ua, ur, us) in zip(live, rng.random((3, len(live))).T):
+            s = state[e]
+            a = _bisect_pick(policy.probs[s], ua)
+            support = mdp.rewards[s][a]
+            reward = support[_bisect_pick([p for _, p in support], ur)][0]
+            state[e] = _bisect_pick(mdp.transitions[s, a], us)
+            steps[e].append(Step(s, a, reward, state[e], policy.probs[s, a], state[e] in terminal))
+        live = [e for e in live if state[e] not in terminal]
+    episodes = [Episode(s, tuple(taken)) for s, taken in zip(s0, steps)]
+    return episode_set(episodes, mdp.num_states, mdp.num_actions)
 
 
 def _row_sample(rng, cumulative_rows):

@@ -3,6 +3,7 @@
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -192,7 +193,7 @@ class TestGenDataAndInterval:
         assert "error" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("horizon, warning", [
-        (5, "warning: 45 of 50 episodes stopped at --horizon 5 before a terminal state\n"),
+        (5, "warning: 47 of 50 episodes stopped at --horizon 5 before a terminal state\n"),
         (10000, ""),
     ])
     def test_gen_data_warns_on_truncation(self, lake_files, tmp_path, capsys, horizon, warning):
@@ -582,6 +583,32 @@ class TestMalformedInputs:
     ], ids=["cases-0", "cases-neg", "tol-nan", "tol-inf", "tol-0", "tol-neg"])
     def test_check_grad_that_cannot_fail(self, capsys, flags):
         self.assert_validation_exit(["check-grad", "--cases", "1", *flags], capsys)
+
+    @pytest.mark.parametrize("flag, command, message", [
+        ("--tol", "check-grad", "tol must be a finite number > 0"),
+        ("--alpha", "interval", r"alpha must lie in \(0, 1\)"),
+        ("--kappa", "interval", "kappa must be a finite number >= 0"),
+        ("--gamma", "eval", r"discount must lie in \[0, 1\)"),
+        ("--noise-coef", "interval", "noise_coef must be a finite number >= 0"),
+    ], ids=["tol", "alpha", "kappa", "gamma", "noise-coef"])
+    def test_negative_exponent_form_float_reaches_range_check(
+        self, lake_files, tmp_path, capsys, flag, command, message
+    ):
+        # argparse alone reads "-1e-3" as an unknown option and exits 2.
+        mdp_path, target_path, behavior_path = lake_files
+        data_path = tmp_path / "episodes.jsonl"
+        assert main(["gen-data", "--mdp", str(mdp_path), "--policy", str(behavior_path),
+                     "--episodes", "5", "--horizon", "100", "--seed", "0",
+                     "--out", str(data_path)]) == 0
+        args = {
+            "check-grad": ["check-grad", "--cases", "1"],
+            "interval": ["interval", "--data", str(data_path), "--method", "dm-noisy-boot",
+                         "--b", "10", "--policy", str(target_path)],
+            "eval": ["eval", "--mdp", str(mdp_path), "--policy", str(target_path)],
+        }[command]
+        code, out, err = run_cli(args + [flag, "-1e-3"], capsys)
+        assert code == 1 and out == "" and err.startswith("error: ")
+        assert re.search(message, err)
 
 
 class TestCoverageCommand:

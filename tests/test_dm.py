@@ -258,14 +258,15 @@ class TestDmBootstrapReplicas:
 
     # sha256 of the point estimate and b=1000 replica differences on plain
     # 0/1-reward data; they pin the multinomial count draws with the seed
-    # (seed, "multinomial") together with the tables and the stacked solve.
+    # (seed, "multinomial") together with the tables and the stacked solve,
+    # on episodes from the lockstep sampler.
     GOLDEN = {
-        ("lake10", 0.0): "dc83d65c64851a9117a702df0a413e76ee87c75e2e4bfcb73e2ec724611f6aff",
-        ("lake10", 0.05): "605ec7f6e80dcbca252e27bda1244968e097cef665eec6d1fa8eb9932e7d4fac",
-        ("lake200", 0.0): "74bc42b7e36c3c4e6d98bd437671398f38b44018f4e07d60c5514b5ee3a0f19f",
-        ("lake200", 0.05): "62f6e97aa3914f5c2cabfa92b975b92f9acfb613f475555cc2c1f4360624c9b8",
-        ("bandit", 0.0): "fff18a885345bee9911ca23ae573130b45a0ade6f26403f740ec64dd01e01f53",
-        ("bandit", 0.05): "3856a9332e1b353eb6aea63d60dbadbd399be98f5e84f993bc501264734df43a",
+        ("lake10", 0.0): "8bae33c2a2f75ba4fd92cb0c7a2b6a6363e84e5c1a0d419b683084e7189b102d",
+        ("lake10", 0.05): "80ad24fab2db9bc6efc561b22e0b59a90586a3c8e0bbd40136e19d3e89c2342e",
+        ("lake200", 0.0): "54e3e52f1108b2709193d3b629a84f94f349f7c441cac8d0f94a01bbd59f2c4b",
+        ("lake200", 0.05): "8580c5d451408dbcd275c895b973b1956e57c33570d3fc78aebdd686a769f998",
+        ("bandit", 0.0): "198e4ee11428bab0df28901b4c6f44a3ad2060451a68b6aa722a6b3ad7f97389",
+        ("bandit", 0.05): "20e3006d0b230efbecc25cf4da34a11407389814b3eb167320ec40884459f6ed",
     }
 
     @pytest.mark.parametrize("name, kappa", sorted(GOLDEN))

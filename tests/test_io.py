@@ -13,13 +13,14 @@ from opeci import (
     make_random_mdp,
     make_random_policy,
     optimal_policy,
-    perturb_policy_epsilon_greedy,
     sample_episodes,
 )
 from opeci.io import (
     _MAX_DEPTH, load_episodes, load_mdp, load_policy, save_episodes, save_mdp, save_policy,
 )
-from opeci.mdp import Step
+from opeci.mdp import Episode, Step
+
+from _oracles import episode_set
 
 
 class TestMdpFiles:
@@ -94,13 +95,17 @@ class TestEpisodeFiles:
         assert discount == mdp.discount
 
     def test_golden_file_bytes(self, tmp_path):
-        # Pinned before episodes were written from columns instead of Step objects.
-        mdp = make_frozen_lake()
-        behavior = perturb_policy_epsilon_greedy(optimal_policy(mdp), 0.2)
+        # Hand-built, so the digest pins the writer and not the sampler: an
+        # empty episode, a cut one, and numbers that json writes in exponent form.
+        episodes = episode_set((
+            Episode(2, ()),
+            Episode(0, (Step(0, 1, -2.5e-07, 1, 1e-05, False), Step(1, 0, 1.0, 2, 0.5, True))),
+            Episode(1, (Step(1, 2, 0.1 + 0.2, 1, 1 / 3, False),)),
+        ), 3, 3)
         path = tmp_path / "episodes.jsonl"
-        save_episodes(sample_episodes(mdp, behavior, 40, 10_000, rng_seed=13), path, 0.999)
+        save_episodes(episodes, path, 0.999)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-            "d27d3917114105a94671e6bb007febdc05b28bd80874cf96a7cbcc20e1e02f16"
+            "e73b30d75a939133028bf270b11c741165167d56126ce9ef46cfc33cc75fb4d1"
         )
 
     def test_one_json_line_per_episode_plus_header(self, tmp_path):

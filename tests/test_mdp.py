@@ -23,7 +23,7 @@ from opeci import (
     sample_episodes,
     uniform_policy,
 )
-from opeci.mdp import Episode, EpisodeSet, Step, StepColumns
+from opeci.mdp import Episode, EpisodeSet, Step, StepColumns, _cdf, categorical
 
 from _oracles import episode_set, mc_value, mc_visitation, normalized_return, with_terminals
 
@@ -231,10 +231,31 @@ class TestSampleEpisodes:
         # horizon-120 truncation at discount 0.8 is ~1e-12 of the value
         assert abs(returns.mean() - exact) < 3 * se
 
+    def test_shared_generator_advances_by_exactly_its_draws(self):
+        # count uniforms for the initial states, then three per step taken.
+        mdp = with_terminals(make_random_mdp(4, 3, 0.9, rng_seed=5), {0})
+        rng, twin = np.random.default_rng(7), np.random.default_rng(7)
+        eps = sample_episodes(mdp, make_random_policy(4, 3, rng_seed=6), 50, 6, rng)
+        steps = int(eps.columns.lengths.sum())
+        assert 0 < steps < 50 * 6
+        twin.random(50 + 3 * steps)
+        assert rng.random() == twin.random()
+
     def test_bad_horizon_rejected(self):
         mdp = all_ones_mdp()
         with pytest.raises(ValidationError):
             sample_episodes(mdp, uniform_policy(3, 2), 1, 0, rng_seed=0)
+
+    def test_categorical_counts_masses_at_or_below_each_uniform(self):
+        # Columns: [0.5, 0.5], [0, 0.25, 0.75] and [0.3, 0.7 - 1e-12], whose
+        # total rounds below 1; a wide column is gathered in more than one block.
+        cdf = _cdf(np.array([[0.5, 0.0, 0.3], [0.5, 0.25, 0.7 - 1e-12], [0.0, 0.75, 0.0]]))
+        dists = np.array([0, 0, 0, 1, 1, 1, 2, 2])
+        u = np.array([0.0, 0.5, 0.9999, 0.0, 0.25, 0.2, 0.3, 0.99999999999999])
+        assert categorical(cdf, dists, u).tolist() == [0, 1, 1, 1, 2, 1, 1, 2]
+        cdf = _cdf(np.full((2**18, 1), 2.0**-18))  # 2 MB a column: one uniform per block
+        assert categorical(cdf, np.zeros(3, np.intp), np.array([0.0, 0.5, 0.999999])).tolist() == [
+            0, 2**17, 2**18 - 1]
 
     @pytest.mark.parametrize("count", [0, -1])
     def test_fewer_than_one_episode_rejected(self, count):
@@ -242,12 +263,12 @@ class TestSampleEpisodes:
             sample_episodes(all_ones_mdp(), uniform_policy(3, 2), count, 5, rng_seed=0)
 
     @pytest.mark.parametrize("case, digest", [
-        ("lake", "f6340e108216451d5ddfd036fe56f48016cb201e2a458248c293b0c255da90bc"),
-        ("random", "fe296205b0b0afc62f4aa2fdcf511d7a746028cfbf936929da91c2da619a779d"),
-    ])
+        ("lake", "e08e1ef2626451d19dafed1ea5cb9ff0af2693d0b4e8017c9f1adb62f53adbcb"),
+        ("random", "1bc807dcbd03bc346774522a8c3b53ee7fc86553a59f15b70652030ef1976e6a"),
+    ], ids=["lake", "random"])
     def test_golden_columns(self, case, digest):
-        # The draw stream is pinned: these digests were taken before the
-        # sampler moved from per-draw numpy calls to buffered uniforms.
+        # The lockstep draw stream is pinned; test_properties checks the same
+        # stream against a one-step-at-a-time oracle.
         if case == "lake":
             mdp = make_frozen_lake()
             policy = perturb_policy_epsilon_greedy(optimal_policy(mdp), 0.2)

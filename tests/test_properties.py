@@ -16,12 +16,14 @@ from opeci import (
     PriorSpec, TabularMdp, ValidationError, build_empirical_model, dm_value, dr_estimate,
     exact_policy_value, per_decision_is, sample_episodes, solvers,
 )
-from opeci import dm
+from opeci import dm, mdp as mdp_module
 from opeci.empirical import TupleDataset, augment_noisy_rewards, sample_tuples
 from opeci.io import load_episodes, load_mdp, load_policy, save_episodes
 from opeci.mdp import Episode, Step, make_random_mdp, make_random_policy
 
-from _oracles import episode_set, loop_replicas, range_bounds, recursive_estimate, with_terminals
+from _oracles import (
+    episode_set, lockstep_episodes, loop_replicas, range_bounds, recursive_estimate, with_terminals,
+)
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=50)
 
@@ -120,6 +122,41 @@ def test_episode_file_round_trip_keeps_columns(
         for name, column in episodes.columns._asdict().items():
             other = getattr(other_set.columns, name)
             assert other.dtype == column.dtype and np.array_equal(other, column), name
+
+
+@PROPERTY
+@given(
+    num_states=st.integers(1, 5),
+    num_actions=st.integers(1, 3),
+    count=st.integers(1, 30),
+    horizon=st.integers(1, 20),
+    terminal=st.sets(st.integers(0, 4), max_size=3),
+    pick_bytes=st.sampled_from([0, 64, 1 << 20]),
+    seed=seeds,
+)
+def test_lockstep_sampler_rolls_out_every_episode(
+    num_states, num_actions, count, horizon, terminal, pick_bytes, seed
+):
+    mdp = with_terminals(
+        make_random_mdp(num_states, num_actions, 0.9, (seed, "mdp")),
+        {s for s in terminal if s < num_states},
+    )
+    policy = make_random_policy(num_states, num_actions, (seed, "policy"))
+    # A small pick budget gathers the CDF columns a few at a time.
+    with mock.patch.object(mdp_module, "_PICK_BYTES", pick_bytes):
+        episodes = sample_episodes(mdp, policy, count, horizon, (seed, "episodes"))
+    assert episodes == lockstep_episodes(mdp, policy, count, horizon, (seed, "episodes"))
+    for episode in episodes.episodes:
+        state, steps = episode.initial_state, episode.steps
+        assert len(steps) <= horizon
+        for step in steps:
+            assert step.state == state and state not in mdp.terminal_states
+            assert step.behavior_prob == policy.probs[step.state, step.action]
+            assert step.reward in [v for v, _ in mdp.rewards[step.state][step.action]]
+            assert step.terminal == (step.next_state in mdp.terminal_states)
+            state = step.next_state
+        # An episode stops before the horizon only in a terminal state.
+        assert len(steps) == horizon or state in mdp.terminal_states
 
 
 @st.composite

@@ -21,6 +21,8 @@ from opeci.dm import empirical_on_policy_distribution
 from opeci.empirical import sample_tuples
 from opeci.errors import ValidationError
 
+from _oracles import logged_tuples
+
 
 def full_support_case(seed, num_states=4, num_actions=2, gamma=0.8):
     mdp = make_random_mdp(num_states, num_actions, gamma, rng_seed=seed)
@@ -97,7 +99,7 @@ class TestInfluence:
             _, policy, data = full_support_case(300)
             model = build_empirical_model(data, kappa=kappa, discount=0.8)
             total = sum(
-                influence(model, policy, data.tuple_at(i)).total for i in range(data.n)
+                influence(model, policy, tup).total for tup in logged_tuples(data)
             )
             assert abs(total / data.n) < 1e-9
 
@@ -105,7 +107,7 @@ class TestInfluence:
         _, policy, data = full_support_case(400)
         model = build_empirical_model(data, discount=0.8)
         sup_from_tuples = max(
-            influence(model, policy, data.tuple_at(i)).weight_ratio for i in range(data.n)
+            influence(model, policy, tup).weight_ratio for tup in logged_tuples(data)
         )
         dpi = empirical_on_policy_distribution(model, policy)
         mass = model.pair_mass()
