@@ -21,7 +21,6 @@ from .dm import (
     dm_bootstrap_replicas,
     dm_q,
     dm_value,
-    dm_value_via_qe,
     empirical_on_policy_distribution,
 )
 from .empirical import (

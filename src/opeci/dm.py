@@ -1,8 +1,7 @@
 """Direct-method policy value on an empirical model.
 
-Two equivalent routes are provided: an exact linear solve on the blended
-model tables, and fixed-point Q-evaluation iterated from the prior-implied
-Q-function.  Their agreement is a built-in cross-check used by the tests.
+The value, Q-function and on-policy distribution each come from one exact
+linear solve on the blended model tables (``opeci.solvers``).
 ``dm_bootstrap_replicas`` computes the bootstrap replicas of the DM value in
 stacked batches from multinomial counts over the distinct tuples.
 """
@@ -40,42 +39,6 @@ def empirical_on_policy_distribution(model: EmpiricalModel, policy: Policy) -> n
     return solvers.on_policy_distribution_table(
         model.transitions, model.initial_dist, policy.probs, model.discount
     )
-
-
-def qe_fixed_point(model: EmpiricalModel, policy: Policy, tolerance: float = 1e-12) -> tuple:
-    """Iterate the tabular backup to its fixed point.
-
-    Returns (q_table, iterations) where ``iterations`` counts backups
-    performed until the sup-norm change dropped to ``tolerance``.  The
-    iteration starts from the policy's Q-function under the pure-prior
-    model, which makes the prior semantics of unvisited pairs explicit
-    instead of leaving them to whatever the iteration started from.
-    """
-    if tolerance <= 0:
-        raise ValidationError("tolerance must be > 0")
-    check_policy(policy, model)
-    S, A = model.num_states, model.num_actions
-    rbar = model.mean_reward.reshape(S * A)
-    flat_t = model.transitions.reshape(S * A, S)
-    gamma = model.discount
-    prior_reward, prior_trans = model.priors.resolve(S, A)
-    q = solvers.q_table(prior_reward, prior_trans, policy.probs, gamma).reshape(S * A)
-    max_iters = max(
-        1000, solvers._contraction_iteration_cap(gamma, tolerance, float(np.abs(rbar).max()))
-    )
-
-    def backup(q):
-        return rbar + gamma * (flat_t @ (policy.probs * q.reshape(S, A)).sum(axis=1))
-
-    q, iterations = solvers.fixed_point(backup, q, tolerance, max_iters, "Q-evaluation")
-    return q.reshape(S, A), iterations
-
-
-def dm_value_via_qe(model: EmpiricalModel, policy: Policy, tolerance: float = 1e-12) -> float:
-    """Direct-method value via Q-evaluation instead of a linear solve."""
-    q, _ = qe_fixed_point(model, policy, tolerance)
-    p0 = solvers.initial_state_action(model.initial_dist, policy.probs)
-    return float((1.0 - model.discount) * (p0 @ q.reshape(-1)))
 
 
 def replica_chunk_size(num_states: int, num_actions: int, num_distinct: int = 0) -> int:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .mdp import EpisodeSet, categorical, check_discount
+from .mdp import EpisodeSet, _cdf, categorical, check_discount
 from .seeding import as_generator
 
 _CHUNK_BYTES = 1 << 20  # working memory of one block of bootstrap replicas
@@ -375,10 +375,13 @@ def sample_tuples(mdp, count: int, rng_seed, state_action_dist: np.ndarray | Non
         sa_probs = np.full(S * A, 1.0 / (S * A))
     else:
         sa_probs = np.asarray(state_action_dist, dtype=np.float64).reshape(S * A)
-    s0 = rng.choice(S, size=count, p=mdp.initial_dist)
-    sa = rng.choice(S * A, size=count, p=sa_probs / sa_probs.sum())
+        if not ((sa_probs >= 0).all() and 0 < sa_probs.sum() < np.inf):
+            raise ValidationError("state_action_dist must be finite, non-negative and not all zero")
+    one_column = np.zeros(count, np.intp)
+    s0 = categorical(_cdf(mdp.initial_dist[:, None]), one_column, rng.random(count))
+    sa = categorical(_cdf((sa_probs / sa_probs.sum())[:, None]), one_column, rng.random(count))
     values, reward_cdf, transition_cdf = mdp.outcome_tables
-    # Reward, then next-state uniform per tuple: a shared generator advances by 2 * count.
+    # s0, (s, a), then reward and next-state uniforms: a shared generator advances by 4 * count.
     u = rng.random((count, 2))
     k, sp = categorical(reward_cdf, sa, u[:, 0]), categorical(transition_cdf, sa, u[:, 1])
     return TupleDataset(s0, sa // A, sa % A, values[k, sa], sp, S, A)

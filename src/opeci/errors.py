@@ -14,4 +14,4 @@ class UnvisitedPairError(ValidationError):
 
 
 class SolverError(RuntimeError):
-    """A linear solve or fixed-point iteration violated its residual contract."""
+    """A linear solve violated its residual contract."""

@@ -68,7 +68,7 @@ def influence(model: EmpiricalModel, policy: Policy, tup) -> InfluenceBreakdown:
     dpi = empirical_on_policy_distribution(model, policy)
     q = dm_q(model, policy)
     v = solvers.state_values(q, policy.probs)
-    p0 = solvers.initial_state_action(model.initial_dist, policy.probs)
+    p0 = (model.initial_dist[:, None] * policy.probs).reshape(-1)
     rho = float((1.0 - gamma) * (p0 @ q.reshape(-1)))
 
     m1 = model.reward_sums / model.total_weight

@@ -1,4 +1,4 @@
-"""Linear-solve and fixed-point evaluation of a policy on tabular model tables.
+"""Linear-solve evaluation of a policy on tabular model tables.
 
 Everything here operates on raw arrays (mean rewards, transition rows, an
 initial state distribution, policy rows, and a discount) so the same code
@@ -16,28 +16,17 @@ and the discounted visitation comes from the adjoint system
 
     d_S = (1-g) * (I - g*P_pi^T)^{-1} mu0,    d(s,a) = d_S(s) * pi(a|s).
 
-Models with up to ``DENSE_SIZE_LIMIT`` states solve by dense LU with an
-explicit residual check per stacked system; larger ones fall back to
-fixed-point iteration, which is a discount-rate contraction and cannot
-diverge.
+Every model, at every size, solves by dense LU with an explicit residual
+check per stacked system.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
 from .errors import SolverError
 
-DENSE_SIZE_LIMIT = 4096  # states
-
 _RESIDUAL_TOL = 1e-10
-
-
-def initial_state_action(initial_dist: np.ndarray, policy_probs: np.ndarray) -> np.ndarray:
-    """Flat initial state-action distribution p0[(s,a)] = mu0(s)*pi(a|s)."""
-    return (initial_dist[:, None] * policy_probs).reshape(-1)
 
 
 def _policy_chain(transitions: np.ndarray, policy_probs: np.ndarray) -> np.ndarray:
@@ -60,57 +49,13 @@ def _checked_solve(a_mat: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def _contraction_iteration_cap(discount: float, tol: float, reward_scale: float) -> int:
-    if discount == 0.0:
-        return 2
-    scale = max(reward_scale, 1.0) / (1.0 - discount)
-    return int(math.ceil(math.log(max(tol, 1e-300) / (2.0 * scale)) / math.log(discount))) + 2
-
-
-def fixed_point(backup, start: np.ndarray, tol: float, max_iters: int, what: str) -> tuple:
-    """(x, backups): iterate x <- backup(x) from ``start`` until one backup
-    moves x by at most ``tol`` in sup norm; NaN never converges."""
-    x = start
-    for backups in range(1, max_iters + 1):
-        x_next = backup(x)
-        delta = np.abs(x_next - x).max()
-        x = x_next
-        if delta <= tol:
-            return x, backups
-    raise SolverError(f"{what} did not converge to {tol:.1e} within {max_iters} backups")
-
-
-def _iterate_distribution(
-    initial_dist: np.ndarray, p_pi: np.ndarray, discount: float, tol: float
-) -> np.ndarray:
-    total = np.zeros(np.broadcast_shapes(initial_dist.shape, p_pi.shape[:-1]))
-    pulse = initial_dist
-    weight = 1.0 - discount
-    max_iters = _contraction_iteration_cap(discount, tol, 1.0)
-    for _ in range(max_iters):
-        total += weight * pulse
-        if weight * pulse.max() <= tol:
-            return total
-        pulse = (pulse[..., None, :] @ p_pi)[..., 0, :]
-        weight *= discount
-    raise SolverError(f"distribution iteration did not reach {tol:.1e}")
-
-
 def _solve_state_values(
     mean_rewards: np.ndarray, transitions: np.ndarray, policy_probs: np.ndarray, discount: float
 ) -> np.ndarray:
     """V(s) = r_pi(s) + g*E[V(s')], the un-normalized state-level fixed point."""
-    num_states = policy_probs.shape[0]
     p_pi = _policy_chain(transitions, policy_probs)
     r_pi = (policy_probs * np.asarray(mean_rewards, dtype=np.float64)).sum(axis=-1)
-    if num_states <= DENSE_SIZE_LIMIT:
-        return _checked_solve(np.eye(num_states) - discount * p_pi, r_pi)
-    tol = 1e-13
-    cap = _contraction_iteration_cap(discount, tol, float(np.abs(r_pi).max()))
-    return fixed_point(
-        lambda v: r_pi + discount * (p_pi @ v[..., None])[..., 0],
-        np.zeros_like(r_pi), tol, cap, "fixed-point iteration",
-    )[0]
+    return _checked_solve(np.eye(policy_probs.shape[0]) - discount * p_pi, r_pi)
 
 
 def q_table(
@@ -128,14 +73,10 @@ def on_policy_distribution_table(
     discount: float,
 ) -> np.ndarray:
     """Discounted state-action visitation d(s,a), normalized to sum to 1."""
-    num_states = policy_probs.shape[0]
     p_pi = _policy_chain(transitions, policy_probs)
-    if num_states <= DENSE_SIZE_LIMIT:
-        a_mat = np.eye(num_states) - discount * np.swapaxes(p_pi, -1, -2)
-        b = np.broadcast_to((1.0 - discount) * initial_dist, a_mat.shape[:-1])
-        d_states = _checked_solve(a_mat, b)
-    else:
-        d_states = _iterate_distribution(initial_dist, p_pi, discount, tol=1e-15)
+    a_mat = np.eye(policy_probs.shape[0]) - discount * np.swapaxes(p_pi, -1, -2)
+    b = np.broadcast_to((1.0 - discount) * initial_dist, a_mat.shape[:-1])
+    d_states = _checked_solve(a_mat, b)
     # LU round-off can leave entries at -1e-17; the result is a distribution.
     return np.maximum(d_states[..., None] * policy_probs, 0.0)
 

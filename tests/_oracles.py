@@ -11,17 +11,20 @@ reference that ``EpisodeSet.episodes`` is checked against.
 each category with ``bisect_right``, one step object at a time.
 ``loop_replicas`` is the per-replica reference for the batched DM bootstrap,
 and ``with_terminals`` marks states of a test MDP as absorbing terminals.
+``qe_fixed_point`` (Q-evaluation) and ``value_iteration_policy`` iterate
+contractions, the references for the dense solve and ``optimal_policy``.
 """
 
 import dataclasses
+import math
 from bisect import bisect_right
 from itertools import accumulate
 
 import numpy as np
 
-from opeci import build_empirical_model, dm_value
+from opeci import Policy, SolverError, ValidationError, build_empirical_model, dm_value, solvers
 from opeci.empirical import resample_counts
-from opeci.mdp import Episode, EpisodeSet, Step, StepColumns
+from opeci.mdp import Episode, EpisodeSet, Step, StepColumns, check_policy
 from opeci.seeding import as_generator
 
 
@@ -213,3 +216,67 @@ def range_bounds(episodes, target, discount, q, v):
     for _ in range(t_max):
         dr = v_max + rho_max * (r_max + discount * dr + q_max)
     return pdis, (1.0 - discount) * dr
+
+
+def _contraction_iteration_cap(discount, tol, reward_scale):
+    if discount == 0.0:
+        return 2
+    scale = max(reward_scale, 1.0) / (1.0 - discount)
+    return int(math.ceil(math.log(max(tol, 1e-300) / (2.0 * scale)) / math.log(discount))) + 2
+
+
+def fixed_point(backup, start, tol, max_iters, what):
+    """(x, backups): iterate x <- backup(x) from ``start`` until one backup
+    moves x by at most ``tol`` in sup norm; NaN never converges."""
+    x = start
+    for backups in range(1, max_iters + 1):
+        x_next = backup(x)
+        delta = np.abs(x_next - x).max()
+        x = x_next
+        if delta <= tol:
+            return x, backups
+    raise SolverError(f"{what} did not converge to {tol:.1e} within {max_iters} backups")
+
+
+def qe_fixed_point(model, policy, tolerance=1e-12):
+    """(q_table, backups): iterate the tabular backup until one moves Q by at
+    most ``tolerance``, from the policy's Q under the pure-prior model, so
+    unvisited pairs keep their prior meaning whatever the start."""
+    if tolerance <= 0:
+        raise ValidationError("tolerance must be > 0")
+    check_policy(policy, model)
+    S, A = model.num_states, model.num_actions
+    rbar = model.mean_reward.reshape(S * A)
+    flat_t = model.transitions.reshape(S * A, S)
+    gamma = model.discount
+    prior_reward, prior_trans = model.priors.resolve(S, A)
+    q = solvers.q_table(prior_reward, prior_trans, policy.probs, gamma).reshape(S * A)
+    max_iters = max(1000, _contraction_iteration_cap(gamma, tolerance, float(np.abs(rbar).max())))
+
+    def backup(q):
+        return rbar + gamma * (flat_t @ (policy.probs * q.reshape(S, A)).sum(axis=1))
+
+    q, iterations = fixed_point(backup, q, tolerance, max_iters, "Q-evaluation")
+    return q.reshape(S, A), iterations
+
+
+def dm_value_via_qe(model, policy, tolerance=1e-12):
+    """Direct-method value via Q-evaluation instead of a linear solve."""
+    q, _ = qe_fixed_point(model, policy, tolerance)
+    p0 = (model.initial_dist[:, None] * policy.probs).reshape(-1)
+    return float((1.0 - model.discount) * (p0 @ q.reshape(-1)))
+
+
+def value_iteration_policy(mdp, tol=1e-12):
+    """Deterministic greedy policy from value iteration (ties: lowest index)."""
+    rbar = mdp.mean_rewards()
+    flat_t = mdp.transitions.reshape(-1, mdp.num_states)
+    gamma = mdp.discount
+    cap = _contraction_iteration_cap(gamma, tol, float(np.abs(rbar).max()))
+    q, _ = fixed_point(
+        lambda q: rbar + gamma * (flat_t @ q.max(axis=1)).reshape(q.shape),
+        np.zeros((mdp.num_states, mdp.num_actions)), tol, cap, "value iteration",
+    )
+    probs = np.zeros_like(q)
+    probs[np.arange(mdp.num_states), q.argmax(axis=1)] = 1.0
+    return Policy(probs)

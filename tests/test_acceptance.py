@@ -21,7 +21,6 @@ from opeci import (
     check_gradients,
     counterexample_blowup_probe,
     dm_value,
-    dm_value_via_qe,
     exact_policy_value,
     make_counterexample_chain,
     make_random_mdp,
@@ -32,6 +31,8 @@ from opeci import (
 from opeci.cli import main as cli_main
 from opeci.empirical import sample_tuples
 from opeci.harness import ExperimentConfig, run_coverage_experiment
+
+from _oracles import dm_value_via_qe
 
 MASTER_SEED = 20240817
 WORKERS = 2

@@ -12,7 +12,6 @@ from opeci import (
     build_empirical_model,
     dm_q,
     dm_value,
-    dm_value_via_qe,
     empirical_on_policy_distribution,
     exact_policy_value,
     make_frozen_lake,
@@ -27,12 +26,12 @@ from opeci import (
     uniform_policy,
 )
 from opeci import solvers
-from opeci.dm import dm_bootstrap_replicas, qe_fixed_point, replica_chunk_size
+from opeci.dm import dm_bootstrap_replicas, replica_chunk_size
 from opeci.empirical import augment_noisy_rewards, resample_counts, sample_tuples
 from opeci.mdp import make_bernoulli_bandit
 from opeci.errors import SolverError, ValidationError
 
-from _oracles import loop_replicas
+from _oracles import dm_value_via_qe, fixed_point, loop_replicas, qe_fixed_point
 
 
 def exhaustive_model(mdp, kappa=0.0):
@@ -335,22 +334,8 @@ class TestStackedSolves:
             assert np.array_equal(q[i], dm_q(model, policy))
             assert np.array_equal(dist[i], empirical_on_policy_distribution(model, policy))
 
-    def test_fixed_point_fallback_matches_dense(self, monkeypatch):
-        _, rewards, transitions, initial = self.stack()
-        policy = make_random_policy(5, 2, rng_seed=46)
-        dense = solvers.policy_value(rewards, transitions, initial, policy.probs, 0.95)
-        q_dense = solvers.q_table(rewards, transitions, policy.probs, 0.95)
-        d_dense = solvers.on_policy_distribution_table(transitions, initial, policy.probs, 0.95)
-        monkeypatch.setattr(solvers, "DENSE_SIZE_LIMIT", 0)
-        iterated = solvers.policy_value(rewards, transitions, initial, policy.probs, 0.95)
-        assert np.abs(dense - iterated).max() < 1e-11
-        q_iter = solvers.q_table(rewards, transitions, policy.probs, 0.95)
-        assert np.abs(q_dense - q_iter).max() < 1e-10
-        d_iter = solvers.on_policy_distribution_table(transitions, initial, policy.probs, 0.95)
-        assert np.abs(d_dense - d_iter).max() < 1e-12
-
     def test_fixed_point_counts_backups_and_names_a_stall(self):
-        x, backups = solvers.fixed_point(lambda x: 0.5 * x, np.array([1.0]), 0.1, 10, "halving")
+        x, backups = fixed_point(lambda x: 0.5 * x, np.array([1.0]), 0.1, 10, "halving")
         assert backups == 4 and x[0] == 0.0625  # the fourth backup moves x by 0.0625
         with pytest.raises(SolverError, match="NaN map did not converge to 1.0e-01 within 3"):
-            solvers.fixed_point(lambda x: x * np.nan, np.array([1.0]), 0.1, 3, "NaN map")
+            fixed_point(lambda x: x * np.nan, np.array([1.0]), 0.1, 3, "NaN map")

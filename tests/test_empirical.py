@@ -372,6 +372,12 @@ class TestSampleTuples:
             "986a9848500d310b38a285150f1c91ee1d2d6be87ac80049c6a7823edaac1afb"
         )
 
+    @pytest.mark.parametrize("first, others", [(-1.0, 1.0), (np.nan, 1.0), (np.inf, 1.0), (0.0, 0.0)])
+    def test_bad_state_action_dist_rejected(self, first, others):
+        dist = np.array([first] + [others] * 67)  # one weight per pair of the 4x4 lake
+        with pytest.raises(ValidationError, match="state_action_dist"):
+            sample_tuples(make_frozen_lake(), 10, rng_seed=0, state_action_dist=dist)
+
     def test_golden_hash_lake_weighted_pairs(self):
         lake = make_frozen_lake()
         dist = np.arange(1.0, lake.num_states * lake.num_actions + 1).reshape(

@@ -12,6 +12,7 @@ from opeci import (
     TabularMdp,
     ValidationError,
     exact_policy_value,
+    make_bernoulli_bandit,
     make_counterexample_chain,
     make_frozen_lake,
     make_random_mdp,
@@ -25,7 +26,9 @@ from opeci import (
 )
 from opeci.mdp import Episode, EpisodeSet, Step, StepColumns, _cdf, categorical
 
-from _oracles import episode_set, mc_value, mc_visitation, normalized_return, with_terminals
+from _oracles import (
+    episode_set, mc_value, mc_visitation, normalized_return, value_iteration_policy, with_terminals,
+)
 
 
 def all_ones_mdp(num_states=3, num_actions=2, discount=0.7):
@@ -391,6 +394,19 @@ class TestFrozenLake:
         eps = sample_episodes(mdp, optimal_policy(mdp), 1, 50, rng_seed=0)
         rewards = [s.reward for s in eps.episodes[0].steps]
         assert rewards == [0.0, 1.0]  # move onto goal, then exit reward once
+
+
+@pytest.mark.parametrize(
+    "mdp",
+    [
+        make_frozen_lake(), make_frozen_lake(discount=0.95), make_frozen_lake(slip_prob=0.0),
+        make_frozen_lake(slip_prob=0.0, grid=("SG",), discount=0.9), make_counterexample_chain(50, 0.5),
+        make_bernoulli_bandit(0.5), make_bernoulli_bandit(0.5).with_discount(0.9), all_ones_mdp(),
+    ]
+    + [make_random_mdp(8, 3, g, ("optimal", i)) for g in (0.0, 0.5, 0.95, 0.999) for i in range(10)],
+)
+def test_optimal_policy_matches_value_iteration(mdp):
+    assert np.array_equal(optimal_policy(mdp).probs, value_iteration_policy(mdp).probs)
 
 
 class TestCounterexampleChain:

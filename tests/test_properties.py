@@ -19,7 +19,7 @@ from opeci import (
 from opeci import dm, mdp as mdp_module
 from opeci.empirical import TupleDataset, augment_noisy_rewards, sample_tuples
 from opeci.io import load_episodes, load_mdp, load_policy, save_episodes
-from opeci.mdp import Episode, Step, make_random_mdp, make_random_policy
+from opeci.mdp import Episode, Step, make_random_mdp, make_random_policy, optimal_policy, q_values
 
 from _oracles import (
     episode_set, lockstep_episodes, loop_replicas, range_bounds, recursive_estimate, with_terminals,
@@ -28,6 +28,23 @@ from _oracles import (
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=50)
 
 seeds = st.integers(0, 2**32 - 1)
+
+
+@PROPERTY
+@given(
+    num_states=st.integers(1, 6),
+    columns=st.lists(st.integers(0, 2), min_size=4, max_size=6),  # action a copies columns[a]
+    discount=st.sampled_from([0.0, 0.5, 0.9, 0.999]),
+    seed=seeds,
+)
+def test_optimal_policy_is_greedy_and_breaks_ties_to_the_lowest_index(num_states, columns, discount, seed):
+    base = make_random_mdp(num_states, 3, discount, (seed, "mdp"))
+    rewards = [[row[c] for c in columns] for row in base.rewards]
+    mdp = TabularMdp(num_states, len(columns), base.transitions[:, columns], rewards, base.initial_dist, discount)
+    policy = optimal_policy(mdp)
+    chosen, q = policy.probs.argmax(axis=1), q_values(mdp, policy)
+    assert (q[np.arange(num_states), chosen] >= q.max(axis=1) - mdp_module._TIE_TOL).all()
+    assert chosen.tolist() == [columns.index(columns[a]) for a in chosen]  # four copies of three tie
 
 
 @PROPERTY
