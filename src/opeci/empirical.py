@@ -97,7 +97,6 @@ class AugmentedDataset:
     """
 
     base: TupleDataset
-    noise_scale: float
     view: TupleDataset
 
     @property
@@ -319,7 +318,7 @@ def augment_noisy_rewards(data: TupleDataset, noise_scale: float) -> AugmentedDa
         data.num_states,
         data.num_actions,
     )
-    return AugmentedDataset(base=data, noise_scale=float(noise_scale), view=view)
+    return AugmentedDataset(base=data, view=view)
 
 
 def sufficient_noise_scale(r_max: float, discount: float) -> float:

@@ -1,12 +1,13 @@
 """Sensitivity of the direct-method value to the data distribution.
 
 ``influence`` gives the closed-form directional derivative of the DM value
-when the empirical tuple distribution is tilted toward a single tuple
-(direction delta_tuple - d).  ``finite_difference_influence`` evaluates the
-same derivative numerically on exact weighted mixtures, making the closed
-form independently checkable.  ``counterexample_blowup_probe`` drives the
-derivative through a chain construction where it diverges without
-regularization and stays bounded with it.
+when the empirical tuple distribution is tilted toward a tuple (direction
+delta_tuple - d), for every tuple of a dataset in one call that solves the
+model once.  ``finite_difference_influence`` evaluates the same derivative
+numerically on exact weighted mixtures, making the closed form independently
+checkable.  ``counterexample_blowup_probe`` drives the derivative through a
+chain construction where it diverges without regularization and stays
+bounded with it.
 """
 
 from __future__ import annotations
@@ -39,72 +40,60 @@ from . import solvers
 
 @dataclass(frozen=True)
 class InfluenceBreakdown:
-    """Directional derivative of the DM value, split by which empirical
-    quantity the probe tuple perturbs."""
+    """Directional derivative of the DM value toward each probe tuple, split
+    by which empirical quantity the tuple perturbs.  Every field is an array
+    with one entry per probe row."""
 
-    reward_term: float
-    initial_state_term: float
-    next_state_term: float
-    total: float
-    weight_ratio: float  # on-policy mass over data mass at the probe pair
+    reward_term: np.ndarray
+    initial_state_term: np.ndarray
+    next_state_term: np.ndarray
+    total: np.ndarray
+    weight_ratio: np.ndarray  # on-policy mass over data mass at the probe pair
 
 
-def influence(model: EmpiricalModel, policy: Policy, tup) -> InfluenceBreakdown:
-    """Closed-form influence of one tuple on the DM value.
+def influence(model: EmpiricalModel, policy: Policy, tuples: TupleDataset) -> InfluenceBreakdown:
+    """Closed-form influence of each tuple of ``tuples`` on the DM value.
 
-    Requires positive blended mass at the probed pair: either kappa > 0 or
+    Requires positive blended mass at every probed pair: either kappa > 0 or
     the pair is visited.  With kappa > 0 the mixture also rescales every
-    other pair's blend toward its prior, and those global terms are included.
+    other pair's blend toward its prior.  The blend identity
+    mean * d - m = kappa * (prior - mean), for rewards and transition rows
+    alike, folds those global terms into one sum shared by every row.
     """
-    s0x, sx, ax, rx, spx = (int(tup[0]), int(tup[1]), int(tup[2]), float(tup[3]), int(tup[4]))
+    if (tuples.num_states, tuples.num_actions) != (model.num_states, model.num_actions):
+        raise ValidationError(
+            f"probe tuples have {tuples.num_states} states and {tuples.num_actions} actions, "
+            f"the model {model.num_states} and {model.num_actions}"
+        )
+    s, a = tuples.s, tuples.a
     gamma = model.discount
     kappa = model.kappa
     d = model.pair_mass()
-    if kappa == 0.0 and d[sx, ax] == 0.0:
+    if kappa == 0.0 and not d[s, a].all():
+        i = np.argmax(d[s, a] == 0.0)
         raise UnvisitedPairError(
-            f"pair (s={sx}, a={ax}) is unvisited and kappa=0: derivative diverges"
+            f"pair (s={s[i]}, a={a[i]}) is unvisited and kappa=0: derivative diverges"
         )
 
     dpi = empirical_on_policy_distribution(model, policy)
-    q = dm_q(model, policy)
-    v = solvers.state_values(q, policy.probs)
-    p0 = (model.initial_dist[:, None] * policy.probs).reshape(-1)
-    rho = float((1.0 - gamma) * (p0 @ q.reshape(-1)))
+    v = solvers.state_values(dm_q(model, policy), policy.probs)
+    rho = (1.0 - gamma) * (model.initial_dist @ v)
+    prior_reward, prior_trans = model.priors.resolve(model.num_states, model.num_actions)
 
-    m1 = model.reward_sums / model.total_weight
-    mt = model.transition_counts / model.total_weight
     denom = d + kappa
-
-    d_dot = -d.copy()
-    d_dot[sx, ax] += 1.0
-    m1_dot = -m1
-    m1_dot[sx, ax] += rx
-    mt_dot = -mt
-    mt_dot[sx, ax, spx] += 1.0
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r_dot = np.where(
-            denom > 0,
-            (m1_dot - model.mean_reward * d_dot) / np.where(denom > 0, denom, 1.0),
-            0.0,
-        )
-        t_dot = np.where(
-            denom[:, :, None] > 0,
-            (mt_dot - model.transitions * d_dot[:, :, None])
-            / np.where(denom[:, :, None] > 0, denom[:, :, None], 1.0),
-            0.0,
-        )
-
-    reward_term = float((dpi * r_dot).sum())
-    next_state_term = float(gamma * (dpi[:, :, None] * v[None, None, :] * t_dot).sum())
-    initial_state_term = float((1.0 - gamma) * v[s0x] - rho)
-    total = reward_term + initial_state_term + next_state_term
-    ratio = float(dpi[sx, ax] / d[sx, ax]) if d[sx, ax] > 0 else float("inf")
+    w = np.divide(dpi, denom, out=np.zeros_like(dpi), where=denom > 0)
+    tv = model.transitions @ v
+    reward_shift = kappa * (w * (prior_reward - model.mean_reward)).sum()
+    next_state_shift = kappa * (w * (prior_trans @ v - tv)).sum()
+    reward_term = w[s, a] * (tuples.r - model.mean_reward[s, a]) + reward_shift
+    next_state_term = gamma * (w[s, a] * (v[tuples.sp] - tv[s, a]) + next_state_shift)
+    initial_state_term = (1.0 - gamma) * v[tuples.s0] - rho
+    ratio = np.divide(dpi[s, a], d[s, a], out=np.full(len(s), np.inf), where=d[s, a] > 0)
     return InfluenceBreakdown(
         reward_term=reward_term,
         initial_state_term=initial_state_term,
         next_state_term=next_state_term,
-        total=total,
+        total=reward_term + initial_state_term + next_state_term,
         weight_ratio=ratio,
     )
 
@@ -182,10 +171,7 @@ def _random_case_data(rng, num_states, num_actions, full_support):
         keep = extra.s * num_actions + extra.a < (num_states * num_actions) // 2
         if not keep.any():
             keep[:] = True
-        data = TupleDataset(
-            extra.s0[keep], extra.s[keep], extra.a[keep], extra.r[keep], extra.sp[keep],
-            num_states, num_actions,
-        )
+        data = extra[keep]
     return mdp, policy, data, gamma
 
 
@@ -218,26 +204,26 @@ def check_gradients(
         rng = as_generator(("gradcheck", rng_seed, case))
         mdp, policy, data, gamma = _random_case_data(rng, num_states, num_actions, full_support)
         model = build_empirical_model(data, None, kappa, discount=gamma)
-        pairs = []
-        failure = None
-        for _ in range(tuples_per_case):
-            tup = (
+        tuples = [
+            (
                 int(rng.integers(num_states)),
                 int(rng.integers(num_states)),
                 int(rng.integers(num_actions)),
                 float(rng.uniform(-1.0, 1.0)),
                 int(rng.integers(num_states)),
             )
-            try:
-                closed = influence(model, policy, tup).total
-            except UnvisitedPairError as exc:
-                failure = str(exc)
-                break
-            fd = finite_difference_influence(data, policy, tup, t, kappa, discount=gamma)
-            pairs.append((closed, fd))
-        if failure is not None:
-            report_cases.append(GradientCase(case, float("nan"), failure))
+            for _ in range(tuples_per_case)
+        ]
+        probes = TupleDataset.from_tuples(tuples, num_states, num_actions)
+        try:
+            closed = influence(model, policy, probes).total
+        except UnvisitedPairError as exc:
+            report_cases.append(GradientCase(case, float("nan"), str(exc)))
             continue
+        pairs = [
+            (c, finite_difference_influence(data, policy, tup, t, kappa, discount=gamma))
+            for c, tup in zip(closed.tolist(), tuples)
+        ]
         floor = max(1e-3 * max(max(abs(c), abs(f)) for c, f in pairs), 1e-12)
         errors = [abs(c - f) / max(abs(c), abs(f), floor) for c, f in pairs]
         report_cases.append(GradientCase(case, max([0.0] + errors), None))

@@ -13,6 +13,8 @@ each category with ``bisect_right``, one step object at a time.
 and ``with_terminals`` marks states of a test MDP as absorbing terminals.
 ``qe_fixed_point`` (Q-evaluation) and ``value_iteration_policy`` iterate
 contractions, the references for the dense solve and ``optimal_policy``.
+``influence_per_tuple`` builds one tuple's dense perturbation tables and sums
+them, the reference for the closed form in ``sensitivity.influence``.
 """
 
 import dataclasses
@@ -22,10 +24,15 @@ from itertools import accumulate
 
 import numpy as np
 
-from opeci import Policy, SolverError, ValidationError, build_empirical_model, dm_value, solvers
-from opeci.empirical import resample_counts
+from opeci import (
+    Policy, SolverError, UnvisitedPairError, ValidationError, build_empirical_model, dm_value,
+    solvers,
+)
+from opeci.dm import dm_q, empirical_on_policy_distribution
+from opeci.empirical import EmpiricalModel, resample_counts
 from opeci.mdp import Episode, EpisodeSet, Step, StepColumns, check_policy
 from opeci.seeding import as_generator
+from opeci.sensitivity import InfluenceBreakdown
 
 
 def loop_replicas(data, policy, b, seed, kappa, discount):
@@ -280,3 +287,63 @@ def value_iteration_policy(mdp, tol=1e-12):
     probs = np.zeros_like(q)
     probs[np.arange(mdp.num_states), q.argmax(axis=1)] = 1.0
     return Policy(probs)
+
+
+def influence_per_tuple(model: EmpiricalModel, policy: Policy, tup) -> InfluenceBreakdown:
+    """Closed-form influence of one tuple on the DM value.
+
+    Requires positive blended mass at the probed pair: either kappa > 0 or
+    the pair is visited.  With kappa > 0 the mixture also rescales every
+    other pair's blend toward its prior, and those global terms are included.
+    """
+    s0x, sx, ax, rx, spx = (int(tup[0]), int(tup[1]), int(tup[2]), float(tup[3]), int(tup[4]))
+    gamma = model.discount
+    kappa = model.kappa
+    d = model.pair_mass()
+    if kappa == 0.0 and d[sx, ax] == 0.0:
+        raise UnvisitedPairError(
+            f"pair (s={sx}, a={ax}) is unvisited and kappa=0: derivative diverges"
+        )
+
+    dpi = empirical_on_policy_distribution(model, policy)
+    q = dm_q(model, policy)
+    v = solvers.state_values(q, policy.probs)
+    p0 = (model.initial_dist[:, None] * policy.probs).reshape(-1)
+    rho = float((1.0 - gamma) * (p0 @ q.reshape(-1)))
+
+    m1 = model.reward_sums / model.total_weight
+    mt = model.transition_counts / model.total_weight
+    denom = d + kappa
+
+    d_dot = -d.copy()
+    d_dot[sx, ax] += 1.0
+    m1_dot = -m1
+    m1_dot[sx, ax] += rx
+    mt_dot = -mt
+    mt_dot[sx, ax, spx] += 1.0
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r_dot = np.where(
+            denom > 0,
+            (m1_dot - model.mean_reward * d_dot) / np.where(denom > 0, denom, 1.0),
+            0.0,
+        )
+        t_dot = np.where(
+            denom[:, :, None] > 0,
+            (mt_dot - model.transitions * d_dot[:, :, None])
+            / np.where(denom[:, :, None] > 0, denom[:, :, None], 1.0),
+            0.0,
+        )
+
+    reward_term = float((dpi * r_dot).sum())
+    next_state_term = float(gamma * (dpi[:, :, None] * v[None, None, :] * t_dot).sum())
+    initial_state_term = float((1.0 - gamma) * v[s0x] - rho)
+    total = reward_term + initial_state_term + next_state_term
+    ratio = float(dpi[sx, ax] / d[sx, ax]) if d[sx, ax] > 0 else float("inf")
+    return InfluenceBreakdown(
+        reward_term=reward_term,
+        initial_state_term=initial_state_term,
+        next_state_term=next_state_term,
+        total=total,
+        weight_ratio=ratio,
+    )

@@ -1,6 +1,7 @@
 """Command-line interface: flags, exit codes, outputs, determinism."""
 
 import argparse
+import hashlib
 import json
 import os
 import re
@@ -663,6 +664,19 @@ class TestProbesAndChecks:
         )
         assert code == 1
         assert "FAIL" in out
+
+    # sha256 of the full default-suite stdout, and the exit code (seed 1 has
+    # one case at 1.007e-03, just over the default tol)
+    @pytest.mark.parametrize("seed, code, digest", [
+        (0, 0, "f1a4363e68094c53f484db0761fee3331647cd62355cd0b284f94d740108964b"),
+        (1, 1, "7269484892055967afd841d8efeb5d14c0747bbecfc8932b51a8dc0157d484d2"),
+        (2, 0, "38c73694386c8870f8a53fca1eaaba5a2a8d6ea6b99f1146889b5977fbcd66d8"),
+        (3, 0, "f881e2f4ce3c3344eb8f2f711c2c9cefffc755f37dd2992bdf25934e4315c2c4"),
+    ])
+    def test_check_grad_golden_output(self, capsys, seed, code, digest):
+        got, out, _ = run_cli(["check-grad", "--seed", str(seed)], capsys)
+        assert got == code
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_blowup_probe_csv(self, tmp_path, capsys):
         out_path = tmp_path / "probe.csv"

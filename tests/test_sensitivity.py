@@ -1,5 +1,7 @@
 """Influence functional, finite-difference agreement, and the blow-up probe."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -20,8 +22,10 @@ from opeci import (
 from opeci.dm import empirical_on_policy_distribution
 from opeci.empirical import sample_tuples
 from opeci.errors import ValidationError
+from opeci.seeding import as_generator
+from opeci.sensitivity import _random_case_data
 
-from _oracles import logged_tuples
+from _oracles import influence_per_tuple, logged_tuples
 
 
 def full_support_case(seed, num_states=4, num_actions=2, gamma=0.8):
@@ -42,6 +46,27 @@ def full_support_case(seed, num_states=4, num_actions=2, gamma=0.8):
     return mdp, policy, data
 
 
+def one_row(tup, num_states, num_actions):
+    return TupleDataset.from_tuples([tup], num_states, num_actions)
+
+
+def gradient_check_probes(kappa, full_support, rng_seed, cases):
+    """Yield each gradient-check case's model, policy and probe tuples, drawn
+    in ``check_gradients``'s order from its per-case generator."""
+    for case in range(cases):
+        rng = as_generator(("gradcheck", rng_seed, case))
+        _, policy, data, gamma = _random_case_data(rng, 4, 2, full_support)
+        model = build_empirical_model(data, None, kappa, discount=gamma)
+        tuples = [
+            (
+                int(rng.integers(4)), int(rng.integers(4)), int(rng.integers(2)),
+                float(rng.uniform(-1.0, 1.0)), int(rng.integers(4)),
+            )
+            for _ in range(50)
+        ]
+        yield model, policy, TupleDataset.from_tuples(tuples, 4, 2)
+
+
 class TestInfluence:
     def test_all_rewards_one_stationary_tuple(self):
         # exhaustive all-ones model: V is 1/(1-g) everywhere, so a consistent
@@ -51,18 +76,19 @@ class TestInfluence:
         )
         model = build_empirical_model(data, discount=0.6)
         policy = uniform_policy(2, 1)
-        breakdown = influence(model, policy, (0, 1, 0, 1.0, 0))
-        assert breakdown.reward_term == pytest.approx(0.0, abs=1e-12)
-        assert breakdown.initial_state_term == pytest.approx(0.0, abs=1e-12)
-        assert breakdown.next_state_term == pytest.approx(0.0, abs=1e-12)
-        assert breakdown.total == pytest.approx(0.0, abs=1e-12)
+        breakdown = influence(model, policy, one_row((0, 1, 0, 1.0, 0), 2, 1))
+        assert breakdown.reward_term[0] == pytest.approx(0.0, abs=1e-12)
+        assert breakdown.initial_state_term[0] == pytest.approx(0.0, abs=1e-12)
+        assert breakdown.next_state_term[0] == pytest.approx(0.0, abs=1e-12)
+        assert breakdown.total[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_total_is_sum_of_terms(self):
         _, policy, data = full_support_case(100)
         model = build_empirical_model(data, discount=0.8)
-        breakdown = influence(model, policy, (0, 1, 1, 0.4, 2))
-        assert breakdown.total == pytest.approx(
-            breakdown.reward_term + breakdown.initial_state_term + breakdown.next_state_term,
+        breakdown = influence(model, policy, one_row((0, 1, 1, 0.4, 2), 4, 2))
+        assert breakdown.total[0] == pytest.approx(
+            breakdown.reward_term[0] + breakdown.initial_state_term[0]
+            + breakdown.next_state_term[0],
             abs=1e-12,
         )
 
@@ -75,7 +101,7 @@ class TestInfluence:
                 int(rng.integers(4)), int(rng.integers(4)), int(rng.integers(2)),
                 float(rng.uniform(-1, 1)), int(rng.integers(4)),
             )
-            closed = influence(model, policy, tup).total
+            closed = influence(model, policy, one_row(tup, 4, 2)).total[0]
             fd = finite_difference_influence(data, policy, tup, 1e-6, 0.0, discount=0.8)
             assert abs(closed - fd) < 1e-4 * max(abs(closed), abs(fd), 0.01)
 
@@ -83,14 +109,26 @@ class TestInfluence:
         data = TupleDataset.from_tuples([(0, 0, 0, 1.0, 1)], 3, 2)
         model = build_empirical_model(data, kappa=0.0, discount=0.5)
         with pytest.raises(UnvisitedPairError):
-            influence(model, uniform_policy(3, 2), (0, 2, 1, 0.0, 0))
+            influence(model, uniform_policy(3, 2), one_row((0, 2, 1, 0.0, 0), 3, 2))
+
+    def test_unvisited_error_names_first_unvisited_row(self):
+        data = TupleDataset.from_tuples([(0, 0, 0, 1.0, 1)], 3, 2)
+        model = build_empirical_model(data, kappa=0.0, discount=0.5)
+        probes = TupleDataset.from_tuples(
+            [(0, 0, 0, 0.0, 0), (0, 2, 1, 0.0, 0), (0, 1, 0, 0.0, 0)], 3, 2
+        )
+        with pytest.raises(UnvisitedPairError) as caught:
+            influence(model, uniform_policy(3, 2), probes)
+        assert str(caught.value) == (
+            "pair (s=2, a=1) is unvisited and kappa=0: derivative diverges"
+        )
 
     def test_kappa_positive_handles_unvisited(self):
         data = TupleDataset.from_tuples([(0, 0, 0, 1.0, 1)], 3, 2)
         model = build_empirical_model(data, kappa=0.5, discount=0.5)
         policy = uniform_policy(3, 2)
         tup = (0, 2, 1, 0.3, 0)
-        closed = influence(model, policy, tup).total
+        closed = influence(model, policy, one_row(tup, 3, 2)).total[0]
         fd = finite_difference_influence(data, policy, tup, 1e-7, 0.5, discount=0.5)
         assert abs(closed - fd) < 1e-4 * max(abs(closed), abs(fd), 0.01)
 
@@ -98,22 +136,47 @@ class TestInfluence:
         for kappa in (0.0, 0.3):
             _, policy, data = full_support_case(300)
             model = build_empirical_model(data, kappa=kappa, discount=0.8)
-            total = sum(
-                influence(model, policy, tup).total for tup in logged_tuples(data)
-            )
+            total = influence(model, policy, data).total.sum()
             assert abs(total / data.n) < 1e-9
 
     def test_weight_ratio_sup_agreement(self):
         _, policy, data = full_support_case(400)
         model = build_empirical_model(data, discount=0.8)
-        sup_from_tuples = max(
-            influence(model, policy, tup).weight_ratio for tup in logged_tuples(data)
-        )
+        sup_from_tuples = influence(model, policy, data).weight_ratio.max()
         dpi = empirical_on_policy_distribution(model, policy)
         mass = model.pair_mass()
         visited = mass > 0
         sup_direct = float((dpi[visited] / mass[visited]).max())
         assert sup_from_tuples == pytest.approx(sup_direct, rel=1e-12)
+
+    @pytest.mark.parametrize("num_states, num_actions", [(5, 2), (4, 3), (3, 2)])
+    def test_probe_space_must_match_model(self, num_states, num_actions):
+        _, policy, data = full_support_case(600)
+        model = build_empirical_model(data, discount=0.8)
+        probes = one_row((0, num_states - 1, num_actions - 1, 0.0, 0), num_states, num_actions)
+        with pytest.raises(ValidationError, match="probe tuples have"):
+            influence(model, policy, probes)
+
+    @pytest.mark.parametrize("kappa", [0.0, 0.05, 0.5])
+    @pytest.mark.parametrize("full_support", [True, False])
+    def test_matches_per_tuple_reference(self, kappa, full_support):
+        fields = ("reward_term", "initial_state_term", "next_state_term", "total", "weight_ratio")
+        checked = 0
+        for model, policy, probes in gradient_check_probes(kappa, full_support, 0, 10):
+            if kappa == 0.0:
+                probes = probes[model.counts[probes.s, probes.a] > 0]
+            got = influence(model, policy, probes)
+            refs = [influence_per_tuple(model, policy, tup) for tup in logged_tuples(probes)]
+            for name in fields:
+                have = getattr(got, name)
+                want = np.array([getattr(ref, name) for ref in refs])
+                # 1e-12 relative with an absolute floor of 1; infinities exactly
+                finite = np.isfinite(want)
+                assert (have[~finite] == want[~finite]).all(), name
+                gap = np.abs(have[finite] - want[finite])
+                assert (gap <= 1e-12 * np.maximum(np.abs(want[finite]), 1.0)).all(), name
+            checked += probes.n
+        assert checked >= 200
 
 
 class TestFiniteDifference:
@@ -151,6 +214,18 @@ class TestCheckGradients:
         )
         assert not report.passed
         assert any(c.error is not None for c in report.cases)
+
+    def test_sparse_kappa_zero_error_strings(self):
+        report = check_gradients(kappa=0.0, full_support=False)
+        pairs = [
+            (3, 1), (2, 0), (2, 0), (3, 0), (3, 0), (2, 1), (3, 1), (2, 1), (2, 1), (3, 0),
+            (3, 1), (3, 1), (3, 0), (2, 1), (3, 1), (2, 1), (3, 0), (2, 1), (2, 1), (3, 0),
+        ]
+        assert [c.error for c in report.cases] == [
+            f"pair (s={s}, a={a}) is unvisited and kappa=0: derivative diverges"
+            for s, a in pairs
+        ]
+        assert all(math.isnan(c.max_rel_error) for c in report.cases)
 
     def test_sparse_with_kappa_passes(self):
         report = check_gradients(
