@@ -701,17 +701,46 @@ def child_env():
     return env
 
 
+LOADED_SCIPY = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
+
+
 def test_package_import_loads_no_scipy_stats():
-    # A fresh interpreter: other test modules load scipy.stats into this one.
-    code = (
-        "import sys, opeci, opeci.cli, opeci.harness; "
-        "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['scipy', 'stats']))"
-    )
+    # A fresh interpreter: other test modules load scipy into this one.
+    code = f"import sys, opeci, opeci.cli, opeci.harness; print({LOADED_SCIPY})"
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=child_env(),
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_only_student_t_loads_scipy(lake_files, tmp_path):
+    # A fresh interpreter runs the commands in turn and prints the scipy
+    # modules loaded after the DM and IS intervals, then whether the
+    # Student-t interval loaded scipy.special.
+    mdp_path, target_path, behavior_path = lake_files
+    data_path = str(tmp_path / "episodes.jsonl")
+    interval = ["interval", "--data", data_path, "--b", "20", "--seed", "1",
+                "--policy", str(target_path), "--method"]
+    before_t = [
+        ["gen-data", "--mdp", str(mdp_path), "--policy", str(behavior_path),
+         "--episodes", "20", "--horizon", "100", "--seed", "0", "--out", data_path],
+        interval + ["dm-boot"],
+        interval + ["is-boot"],
+    ]
+    code = (
+        "import sys\nfrom opeci.cli import main\n"
+        f"for args in {before_t!r}:\n    assert main(args) == 0\n"
+        f"print('before:', {LOADED_SCIPY})\n"
+        f"assert main({interval + ['student-t']!r}) == 0\n"
+        "print('after:', 'scipy.special' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    marked = [line for line in proc.stdout.splitlines() if line.startswith(("before:", "after:"))]
+    assert marked == ["before: []", "after: True"]
 
 
 def test_deeply_nested_episode_line_is_validation_error(lake_files, tmp_path):
