@@ -13,12 +13,16 @@ interval`` call on a large file.  Whole documents (MDP specs, policies,
 configs and report sidecars) are small and stay on json, whose ``NaN`` then
 fails the field check that names the field; orjson refuses ``NaN`` at the
 parse.  Every file is written by json, whose bytes the golden files pin.
+When at most a quarter of an episode set's steps are distinct, as in a
+Frozen Lake file, ``save_episodes`` renders each distinct step once and
+joins the texts into each line; the bytes are still those json writes for
+the whole line.
 """
 
 from __future__ import annotations
 
 import json
-from itertools import chain, islice
+from itertools import chain, islice, repeat
 from pathlib import Path
 
 import numpy as np
@@ -137,14 +141,19 @@ def check_kinds(value, kinds: frozenset, what: str, depth: int = 0, *, must: str
     ValidationError("<what> must be <must>"), ``must`` naming the kinds by
     default."""
     message = f"{what} must be {must or _KIND_NAMES[kinds]}"
-    items = [value]
+    rows = [[value]]
     for _ in range(depth):
-        if not set(map(type, items)) <= _LISTS:
+        if not _types(rows) <= _LISTS:
             raise ValidationError(message)
-        items = [*chain.from_iterable(items)]
-    if not set(map(type, items)) <= kinds:
+        rows = [*chain.from_iterable(rows)]
+    if not _types(rows) <= kinds:
         raise ValidationError(message)
     return value
+
+
+def _types(rows) -> set:
+    """The types of the items of the lists in ``rows``, with no flattened copy."""
+    return set().union(*map(map, repeat(type), rows))
 
 
 def load_mdp(path) -> TabularMdp:
@@ -189,9 +198,48 @@ def load_policy(path) -> Policy:
     return policy_from_doc(read_json(path, "policy"), path)
 
 
+def _step_texts(cols):
+    """json's text of each step in order, each distinct step rendered once,
+    or None when more than a quarter of the steps are distinct.
+
+    Steps are compared on the bit patterns of their fields: -0.0 equals 0.0,
+    but json writes them differently.  Past about two fifths of the steps
+    distinct, one json.dumps per step costs more than one per line.
+    """
+    fields = [*(col.view(np.uint64) for col in cols[1:6]), cols.terminal]
+    mixed = np.zeros(cols.s.size, np.uint64)
+    for column in fields:
+        mixed *= np.uint64(0x9E3779B97F4A7C15)
+        mixed += column
+    # Equal steps hash equal, so there are no more distinct hashes than steps.
+    hashes = np.sort(mixed)
+    if 4 * (np.count_nonzero(hashes[1:] != hashes[:-1]) + 1) > hashes.size:
+        return None
+    # Sorted by its hash, each step sits next to its equals.  A step starts a
+    # new group unless every field equals the step's before it, so a hash
+    # collision can split a group but never merge two steps.
+    order = np.argsort(mixed)
+    new = np.zeros(order.size, bool)
+    new[:1] = True
+    for column in fields:
+        ordered = column[order]
+        new[1:] |= ordered[1:] != ordered[:-1]
+    key = np.empty_like(order)
+    key[order] = np.cumsum(new) - 1
+    first = order[new]
+    rows = zip(*(col[first].tolist() for col in cols[1:6]),
+               cols.terminal[first].astype(np.int64).tolist())
+    return iter(np.array([*map(json.dumps, rows)], object)[key].tolist())
+
+
 def save_episodes(episodes: EpisodeSet, path, discount: float | None = None) -> None:
     """One JSON line per episode, preceded by a metadata header line; each
-    line is written as it is made."""
+    line is written as it is made.
+
+    When steps repeat, each distinct step is rendered by json once and its
+    text joined into every line that holds it; otherwise json renders each
+    line whole.  Either way the bytes are those json writes for the line.
+    """
     header = {
         "meta": {
             "num_states": episodes.num_states,
@@ -200,11 +248,18 @@ def save_episodes(episodes: EpisodeSet, path, discount: float | None = None) -> 
         }
     }
     cols = episodes.columns
-    steps = zip(*(col.tolist() for col in cols[1:6]), cols.terminal.astype(np.int64).tolist())
-    lines = (
-        json.dumps({"initial_state": s0, "steps": list(islice(steps, length))})
-        for s0, length in zip(cols.s0.tolist(), cols.lengths.tolist())
-    )
+    texts = _step_texts(cols)
+    if texts is None:
+        steps = zip(*(col.tolist() for col in cols[1:6]), cols.terminal.astype(np.int64).tolist())
+        lines = (
+            json.dumps({"initial_state": s0, "steps": list(islice(steps, length))})
+            for s0, length in zip(cols.s0.tolist(), cols.lengths.tolist())
+        )
+    else:
+        lines = (
+            '{"initial_state": %d, "steps": [%s]}' % (s0, ", ".join(islice(texts, length)))
+            for s0, length in zip(cols.s0.tolist(), cols.lengths.tolist())
+        )
     write_lines(path, "episodes", chain([json.dumps(header)], lines))
 
 

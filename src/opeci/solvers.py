@@ -35,11 +35,20 @@ def _policy_chain(transitions: np.ndarray, policy_probs: np.ndarray) -> np.ndarr
 
 
 def _checked_solve(a_mat: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve each stacked system a_mat x = b and check its residual."""
+    """Solve each stacked system a_mat x = b and check its residual.
+
+    A system with finite inputs fails unless its residual is within the
+    tolerance, so a NaN residual fails too; a system with non-finite inputs
+    is left to its caller's check, which names what is not finite.
+    """
     x = np.linalg.solve(a_mat, b[..., None])[..., 0]
     residual = np.abs((a_mat @ x[..., None])[..., 0] - b).max(axis=-1)
     scale = np.maximum(np.abs(b).max(axis=-1), 1.0)
-    bad = residual > _RESIDUAL_TOL * scale
+    bad = (
+        ~(residual <= _RESIDUAL_TOL * scale)
+        & np.isfinite(a_mat).all(axis=(-2, -1))
+        & np.isfinite(b).all(axis=-1)
+    )
     if bad.any():
         i = int(np.argmax(bad))
         raise SolverError(

@@ -7,6 +7,8 @@ comparison.  The recursion oracles compute PDIS and DR one logged step
 object at a time, against the flat-column sweep in ``opeci.baselines``.
 ``episode_set`` flattens step objects to columns field by field, the
 reference that ``EpisodeSet.episodes`` is checked against.
+``save_episodes_reference`` writes an episode file with one ``json.dumps``
+per line, the bytes that ``io.save_episodes`` must reproduce.
 ``lockstep_episodes`` draws the sampler's uniforms in its order and picks
 each category with ``bisect_right``, one step object at a time.
 ``loop_replicas`` is the per-replica reference for the batched DM bootstrap,
@@ -18,9 +20,10 @@ them, the reference for the closed form in ``sensitivity.influence``.
 """
 
 import dataclasses
+import json
 import math
 from bisect import bisect_right
-from itertools import accumulate
+from itertools import accumulate, chain, islice
 
 import numpy as np
 
@@ -30,6 +33,7 @@ from opeci import (
 )
 from opeci.dm import dm_q, empirical_on_policy_distribution
 from opeci.empirical import EmpiricalModel, resample_counts
+from opeci.io import write_lines
 from opeci.mdp import Episode, EpisodeSet, Step, StepColumns, check_policy
 from opeci.seeding import as_generator
 from opeci.sensitivity import InfluenceBreakdown
@@ -80,6 +84,24 @@ def episode_set(episodes, num_states, num_actions):
         num_states,
         num_actions,
     )
+
+
+def save_episodes_reference(episodes, path, discount=None):
+    """The episode file of ``episodes``, each line rendered whole by json."""
+    header = {
+        "meta": {
+            "num_states": episodes.num_states,
+            "num_actions": episodes.num_actions,
+            "discount": discount,
+        }
+    }
+    cols = episodes.columns
+    steps = zip(*(col.tolist() for col in cols[1:6]), cols.terminal.astype(np.int64).tolist())
+    lines = (
+        json.dumps({"initial_state": s0, "steps": list(islice(steps, length))})
+        for s0, length in zip(cols.s0.tolist(), cols.lengths.tolist())
+    )
+    write_lines(path, "episodes", chain([json.dumps(header)], lines))
 
 
 def _bisect_pick(probs, u):

@@ -334,6 +334,16 @@ class TestStackedSolves:
             assert np.array_equal(q[i], dm_q(model, policy))
             assert np.array_equal(dist[i], empirical_on_policy_distribution(model, policy))
 
+    def test_nan_residual_of_finite_system_raises(self):
+        # Finite inputs whose values overflow to +-inf: 0 * inf in the
+        # residual's product makes it NaN, which no comparison exceeds.
+        rewards = np.array([[1e308], [-1e308]])
+        transitions = np.eye(2)[:, None, :]  # two absorbing states
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(SolverError, match="residual nan"):
+                solvers.policy_value(rewards, transitions, np.array([0.5, 0.5]),
+                                     np.ones((2, 1)), 0.99)
+
     def test_fixed_point_counts_backups_and_names_a_stall(self):
         x, backups = fixed_point(lambda x: 0.5 * x, np.array([1.0]), 0.1, 10, "halving")
         assert backups == 4 and x[0] == 0.0625  # the fourth backup moves x by 0.0625

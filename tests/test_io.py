@@ -16,11 +16,12 @@ from opeci import (
     sample_episodes,
 )
 from opeci.io import (
-    _MAX_DEPTH, load_episodes, load_mdp, load_policy, save_episodes, save_mdp, save_policy,
+    _MAX_DEPTH, _step_texts, load_episodes, load_mdp, load_policy, save_episodes, save_mdp,
+    save_policy,
 )
 from opeci.mdp import Episode, Step
 
-from _oracles import episode_set
+from _oracles import episode_set, save_episodes_reference
 
 
 class TestMdpFiles:
@@ -108,6 +109,21 @@ class TestEpisodeFiles:
             "e73b30d75a939133028bf270b11c741165167d56126ce9ef46cfc33cc75fb4d1"
         )
 
+    def test_bytes_equal_reference_writer_whether_or_not_steps_repeat(self, tmp_path):
+        # The lake repeats its steps, so each distinct step is rendered once;
+        # a 30-state random MDP's steps are mostly distinct, so json renders
+        # each line whole.
+        lake, mdp = make_frozen_lake(), make_random_mdp(30, 3, 0.9, 4)
+        for episodes, repeats in (
+            (sample_episodes(lake, optimal_policy(lake), 50, 60, rng_seed=3), True),
+            (sample_episodes(mdp, make_random_policy(30, 3, 5), 50, 10, rng_seed=3), False),
+        ):
+            assert (_step_texts(episodes.columns) is not None) == repeats
+            path, reference = tmp_path / "episodes.jsonl", tmp_path / "reference.jsonl"
+            save_episodes(episodes, path, 0.9)
+            save_episodes_reference(episodes, reference, 0.9)
+            assert path.read_bytes() == reference.read_bytes()
+
     def test_one_json_line_per_episode_plus_header(self, tmp_path):
         mdp = make_frozen_lake()
         episodes = sample_episodes(mdp, optimal_policy(mdp), 5, 60, rng_seed=5)
@@ -163,6 +179,23 @@ class TestEpisodeFiles:
         path = tmp_path / "bad.jsonl"
         path.write_text(json.dumps({"meta": meta}) + "\n" + json.dumps(episode) + "\n")
         with pytest.raises(ValidationError):
+            load_episodes(path)
+
+    @pytest.mark.parametrize("field, value, message", [
+        (3, True, "logged states and actions must be JSON integers"),
+        (3, 2.0, "logged states and actions must be JSON integers"),
+        (4, True, "logged rewards and behavior probabilities must be JSON numbers"),
+    ])
+    def test_wrong_kind_in_last_row_of_last_column_rejected(self, tmp_path, field, value, message):
+        # Kinds are checked over whole columns; the one bad item is the last
+        # one the check of its column reads.
+        lines = self.clean_lines(tmp_path)
+        last = json.loads(lines[-1])
+        last["steps"][-1][field] = value
+        lines[-1] = json.dumps(last) + "\n"
+        path = tmp_path / "bad.jsonl"
+        path.write_text("".join(lines))
+        with pytest.raises(ValidationError, match=message):
             load_episodes(path)
 
     @staticmethod

@@ -10,7 +10,7 @@ from pathlib import Path
 from unittest import mock
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from opeci import (
     PriorSpec, TabularMdp, ValidationError, build_empirical_model, dm_value, dr_estimate,
@@ -22,7 +22,8 @@ from opeci.io import load_episodes, load_mdp, load_policy, save_episodes
 from opeci.mdp import Episode, Step, make_random_mdp, make_random_policy, optimal_policy, q_values
 
 from _oracles import (
-    episode_set, lockstep_episodes, loop_replicas, range_bounds, recursive_estimate, with_terminals,
+    episode_set, lockstep_episodes, loop_replicas, range_bounds, recursive_estimate,
+    save_episodes_reference, with_terminals,
 )
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=50)
@@ -139,6 +140,57 @@ def test_episode_file_round_trip_keeps_columns(
         for name, column in episodes.columns._asdict().items():
             other = getattr(other_set.columns, name)
             assert other.dtype == column.dtype and np.array_equal(other, column), name
+
+
+# Floats whose json text is easy to get wrong: both signed zeros, exponent
+# forms, the smallest subnormal and a sum that is not 0.3.
+_TRICKY_FLOATS = [0.0, -0.0, 1e-05, 1e16, -2.5e-07, 5e-324, 0.1 + 0.2, 1.0]
+_logged_steps = st.builds(
+    Step,
+    st.integers(0, 2),
+    st.integers(0, 1),
+    st.sampled_from(_TRICKY_FLOATS) | st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(0, 2),
+    st.sampled_from([1.0, 0.5, 1e-05, 5e-324, 0.1 + 0.2]) | st.floats(0.0, 1.0, exclude_min=True),
+    st.sampled_from([False, True, 0, 1]),
+)
+# Steps drawn from a pool of up to six: a long file repeats them, so the
+# writer renders each distinct step once; a short one leaves them mostly
+# distinct, so json renders each line whole.
+_logged_episodes = st.lists(_logged_steps, min_size=1, max_size=6).flatmap(
+    lambda pool: st.lists(
+        st.builds(Episode, st.integers(0, 2), st.lists(st.sampled_from(pool), max_size=12).map(tuple)),
+        max_size=6,
+    )
+)
+
+
+def _step(reward, terminal=False):
+    return Step(0, 1, reward, 2, 0.5, terminal)
+
+
+@PROPERTY
+@given(episodes=_logged_episodes, discount=st.one_of(st.none(), st.floats(0.0, 0.999)))
+@example(  # both signed zeros, within a line and across lines
+    episodes=[Episode(0, tuple(map(_step, [0.0, -0.0, -0.0, 0.0] * 3))),
+              Episode(1, (_step(-0.0),) * 4)],
+    discount=None,
+)
+@example(episodes=[Episode(1, tuple(map(_step, _TRICKY_FLOATS)))], discount=0.9)  # all distinct
+@example(  # the same steps flagged by bool and by int
+    episodes=[Episode(0, (_step(1.0, True), _step(1.0, 1), _step(0.0, False), _step(0.0, 0)) * 3)],
+    discount=0.999,
+)
+@example(episodes=[Episode(2, ()), Episode(0, ()), Episode(1, (_step(1e16),) * 4)], discount=0.0)
+@example(episodes=[Episode(0, (_step(0.1 + 0.2, True),))], discount=0.5)  # a single step
+@example(episodes=[], discount=None)
+def test_episode_file_bytes_equal_the_reference_writer(episodes, discount):
+    logged = episode_set(episodes, 3, 2)
+    with tempfile.TemporaryDirectory() as tmp:
+        path, reference = Path(tmp) / "episodes.jsonl", Path(tmp) / "reference.jsonl"
+        save_episodes(logged, path, discount)
+        save_episodes_reference(logged, reference, discount)
+        assert path.read_bytes() == reference.read_bytes()
 
 
 @PROPERTY
