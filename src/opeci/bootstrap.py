@@ -1,10 +1,9 @@
 """Non-parametric basic (reverse-percentile) bootstrap.
 
-Generic over the estimator functional; the resampling granularity follows
-the data type: tuple datasets and augmented datasets resample tuples, and
-plain value arrays resample values.  All b replicas draw their indices
-through ``empirical.resample_indices`` from one generator seeded
-(master seed, "indices"), in blocks that do not change the draws.
+Generic over the estimator functional of a value array (per-episode IS or DR
+estimates, say; DM replicas come from ``dm.dm_bootstrap_replicas``).  All b
+replicas draw their indices through ``empirical.resample_indices`` from one
+generator seeded (master seed, "indices"), in blocks that do not change the draws.
 """
 
 from __future__ import annotations
@@ -68,7 +67,7 @@ def check_replicas(point: float, diffs: np.ndarray) -> None:
         raise ValidationError(f"bootstrap replica {k} is not finite (difference {diffs[k]})")
 
 
-def bootstrap_replicas(data, functional, b: int, rng_seed):
+def bootstrap_replicas(values, functional, b: int, rng_seed):
     """Point estimate plus the b recentered replica differences.
 
     Computing these once lets several confidence levels share one set of
@@ -76,12 +75,12 @@ def bootstrap_replicas(data, functional, b: int, rng_seed):
     """
     if b < 2:
         raise ValidationError("b must be >= 2")
-    pool, draws = resample_indices(data, rng_seed, b)
-    point = float(functional(data))
+    draws = resample_indices(values, rng_seed, b)
+    point = float(functional(values))
     diffs = np.empty(b)
     for k, idx in enumerate(draws):
         try:
-            diffs[k] = float(functional(pool[idx])) - point
+            diffs[k] = float(functional(values[idx])) - point
         except Exception as exc:
             raise RuntimeError(f"estimator functional failed on bootstrap replica {k}") from exc
     check_replicas(point, diffs)
@@ -115,17 +114,17 @@ def interval_from_replicas(
 
 
 def bootstrap_interval(
-    data,
+    values,
     functional,
     alpha: float,
     b: int,
     rng_seed,
     side: str = "two",
 ) -> ConfidenceInterval:
-    """Resample ``data`` b times, re-evaluate ``functional``, and invert the
+    """Resample ``values`` b times, re-evaluate ``functional``, and invert the
     recentered replica distribution into a confidence interval.
 
-    Deterministic given (data, seed, b, alpha, side).
+    Deterministic given (values, seed, b, alpha, side).
     """
-    point, diffs = bootstrap_replicas(data, functional, b, rng_seed)
+    point, diffs = bootstrap_replicas(values, functional, b, rng_seed)
     return interval_from_replicas(point, diffs, alpha, side)

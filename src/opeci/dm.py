@@ -1,7 +1,7 @@
 """Direct-method policy value on an empirical model.
 
-The value, Q-function and on-policy distribution each come from one exact
-linear solve on the blended model tables (``opeci.solvers``).
+``dm_value``, ``dm_q`` and ``empirical_on_policy_distribution`` are the
+``opeci.mdp`` evaluators, which solve an empirical model as they do a true one.
 ``dm_bootstrap_replicas`` computes the bootstrap replicas of the DM value in
 stacked batches from multinomial counts over the distinct tuples.
 """
@@ -11,34 +11,11 @@ from __future__ import annotations
 import numpy as np
 
 from .bootstrap import check_replicas
-from .empirical import (
-    _CHUNK_BYTES, EmpiricalModel, _count_tables, blend_tables, build_empirical_model, resample_counts,
-)
+from .empirical import _CHUNK_BYTES, _count_tables, blend_tables, build_empirical_model, resample_counts
 from .errors import SolverError, ValidationError
-from .mdp import Policy, check_policy
+from .mdp import Policy, exact_policy_value as dm_value, q_values as dm_q
+from .mdp import on_policy_distribution as empirical_on_policy_distribution
 from . import solvers
-
-
-def dm_value(model: EmpiricalModel, policy: Policy) -> float:
-    """Normalized value of the policy in the empirical MDP (linear solve)."""
-    check_policy(policy, model)
-    return solvers.policy_value(
-        model.mean_reward, model.transitions, model.initial_dist, policy.probs, model.discount
-    )
-
-
-def dm_q(model: EmpiricalModel, policy: Policy) -> np.ndarray:
-    """Q-function of the policy under the empirical MDP."""
-    check_policy(policy, model)
-    return solvers.q_table(model.mean_reward, model.transitions, policy.probs, model.discount)
-
-
-def empirical_on_policy_distribution(model: EmpiricalModel, policy: Policy) -> np.ndarray:
-    """Discounted on-policy state-action distribution in the empirical MDP."""
-    check_policy(policy, model)
-    return solvers.on_policy_distribution_table(
-        model.transitions, model.initial_dist, policy.probs, model.discount
-    )
 
 
 def replica_chunk_size(num_states: int, num_actions: int, num_distinct: int = 0) -> int:

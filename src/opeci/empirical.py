@@ -50,14 +50,8 @@ class TupleDataset:
             raise ValidationError("dataset must contain at least one tuple")
         if not np.isfinite(r).all():
             raise ValidationError("tuple rewards must be finite")
-        if (
-            self.s0.min() < 0
-            or self.s0.max() >= self.num_states
-            or self.s.min() < 0
-            or self.s.max() >= self.num_states
-            or self.sp.min() < 0
-            or self.sp.max() >= self.num_states
-        ):
+        states = (self.s0, self.s, self.sp)
+        if min(c.min() for c in states) < 0 or max(c.max() for c in states) >= self.num_states:
             raise ValidationError("state index outside [0, num_states)")
         if self.a.min() < 0 or self.a.max() >= self.num_actions:
             raise ValidationError("action index outside [0, num_actions)")
@@ -65,9 +59,6 @@ class TupleDataset:
     @property
     def n(self) -> int:
         return len(self.r)
-
-    def __len__(self) -> int:
-        return self.n
 
     def __getitem__(self, idx) -> "TupleDataset":
         """The tuples at an index array, in its order."""
@@ -326,32 +317,30 @@ def sufficient_noise_scale(r_max: float, discount: float) -> float:
     return math.sqrt(1.5) * r_max / (1.0 - check_discount(discount))
 
 
-def resample_indices(data, rng_seed, b: int) -> tuple:
-    """(pool, draws): the pool to index and, for each of b bootstrap replicas,
-    the indices of a uniform with-replacement resample of n items.
+def resample_indices(values, rng_seed, b: int):
+    """For each of b bootstrap replicas, the indices of a uniform
+    with-replacement resample of the n entries of the value array ``values``.
 
-    ``data`` is a value array, a TupleDataset or an AugmentedDataset (whose
-    pool is its 3n view; n stays the base size).  Draws come in (rows, n)
-    blocks of about 1 MB from one generator seeded (rng_seed, "indices").
+    Draws come in (rows, n) blocks of about 1 MB from one generator seeded
+    (rng_seed, "indices").  DM replicas draw counts instead (``resample_counts``).
     """
-    pool = _materialized(data)
-    if not isinstance(pool, (np.ndarray, TupleDataset)):
-        raise ValidationError(f"cannot resample a {type(data).__name__}")
-    n = data.n if isinstance(data, AugmentedDataset) else len(pool)
+    if not isinstance(values, np.ndarray):
+        raise ValidationError(f"cannot resample a {type(values).__name__}")
+    n = len(values)
     if n < 1:
         raise ValidationError("cannot resample an empty dataset")
     rng, rows = as_generator((rng_seed, "indices")), max(1, _CHUNK_BYTES // (8 * n))
-    blocks = (rng.integers(0, len(pool), size=(min(rows, b - start), n)) for start in range(0, b, rows))
-    return pool, (idx for block in blocks for idx in block)
+    blocks = (rng.integers(0, n, size=(min(rows, b - start), n)) for start in range(0, b, rows))
+    return (idx for block in blocks for idx in block)
 
 
 def resample_counts(data, rng_seed) -> tuple:
-    """(distinct, draw): the sorted distinct tuples of the pool that
-    ``resample_indices`` indexes, and ``draw(m)``, the next m replicas' counts.
+    """(distinct, draw): the sorted distinct tuples of the pool (the data, or
+    an augmented dataset's 3n view) and ``draw(m)``, the next m replicas' counts.
 
-    A uniform resample of n pool tuples is a multinomial(n, c_k / len(pool))
-    draw over the distinct tuples, c_k each one's multiplicity.  Every
-    ``draw`` continues one generator seeded (rng_seed, "multinomial").
+    A uniform resample of n pool tuples (n the base size) is a multinomial(n,
+    c_k / len(pool)) draw over the distinct tuples, c_k each one's multiplicity.
+    Every ``draw`` continues one generator seeded (rng_seed, "multinomial").
     """
     pool = _materialized(data)
     S, A = pool.num_states, pool.num_actions

@@ -39,6 +39,7 @@ from .mdp import (
     Policy,
     TabularMdp,
     check_discount,
+    check_policy,
     exact_policy_value,
     make_bernoulli_bandit,
     make_counterexample_chain,
@@ -208,7 +209,8 @@ def method_intervals(
     """{alpha: ConfidenceInterval} from one interval method on logged episodes.
 
     The one dispatch over ``METHODS``, for the coverage harness and ``opeci
-    interval`` alike; bootstrap replicas are shared across alphas.
+    interval`` alike; bootstrap replicas are shared across alphas.  The
+    target's shape is checked before any method builds a model.
     Estimators are looked up by name in this module at call time.
     """
     if method not in METHODS:
@@ -217,6 +219,7 @@ def method_intervals(
         raise ValidationError(f"alpha must lie in (0, 1), not {alphas!r}")
     if not 0.0 <= noise_coef < math.inf:
         raise ValidationError(f"noise_coef must be a finite number >= 0, not {noise_coef!r}")
+    check_policy(target, episodes)
     if method in ("dm-boot", "dm-noisy-boot"):
         data = tuples_from_episodes(episodes)
         if method == "dm-noisy-boot":

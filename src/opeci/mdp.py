@@ -11,7 +11,7 @@ from __future__ import annotations
 import gc
 import math
 from copy import copy
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import islice, repeat, zip_longest
 from typing import NamedTuple
@@ -101,6 +101,7 @@ class TabularMdp:
     discount: float
     terminal_states: frozenset = frozenset()
     r_max: float = 1.0
+    mean_reward: np.ndarray = field(init=False, repr=False)  # (S, A) expected reward, read-only
 
     def __post_init__(self):
         S, A = self.num_states, self.num_actions
@@ -141,13 +142,9 @@ class TabularMdp:
         for name, value in (
             ("transitions", transitions), ("initial_dist", initial), ("rewards", rewards),
             ("terminal_states", frozenset(terminal)), ("discount", discount), ("r_max", r_max),
-            ("_mean_rewards", _freeze(means)),
+            ("mean_reward", _freeze(means)),
         ):
             object.__setattr__(self, name, value)
-
-    def mean_rewards(self) -> np.ndarray:
-        """Expected reward per (s, a), read-only."""
-        return self._mean_rewards
 
     @cached_property
     def outcome_tables(self) -> tuple:
@@ -303,26 +300,26 @@ class EpisodeSet:
         return int(np.count_nonzero(~self.columns.terminal[last]))
 
 
-def exact_policy_value(mdp: TabularMdp, policy: Policy) -> float:
-    """Normalized policy value via an exact linear solve."""
-    check_policy(policy, mdp)
+def exact_policy_value(model, policy: Policy) -> float:
+    """Normalized policy value in a TabularMdp or EmpiricalModel, by exact linear solve."""
+    check_policy(policy, model)
     return solvers.policy_value(
-        mdp.mean_rewards(), mdp.transitions, mdp.initial_dist, policy.probs, mdp.discount
+        model.mean_reward, model.transitions, model.initial_dist, policy.probs, model.discount
     )
 
 
-def on_policy_distribution(mdp: TabularMdp, policy: Policy) -> np.ndarray:
-    """Discounted state-action visitation distribution of the policy."""
-    check_policy(policy, mdp)
+def on_policy_distribution(model, policy: Policy) -> np.ndarray:
+    """Discounted state-action visitation of the policy in a TabularMdp or EmpiricalModel."""
+    check_policy(policy, model)
     return solvers.on_policy_distribution_table(
-        mdp.transitions, mdp.initial_dist, policy.probs, mdp.discount
+        model.transitions, model.initial_dist, policy.probs, model.discount
     )
 
 
-def q_values(mdp: TabularMdp, policy: Policy) -> np.ndarray:
-    """Un-normalized Q(s,a) satisfying the exact Bellman identity."""
-    check_policy(policy, mdp)
-    return solvers.q_table(mdp.mean_rewards(), mdp.transitions, policy.probs, mdp.discount)
+def q_values(model, policy: Policy) -> np.ndarray:
+    """Un-normalized Q(s,a) in a TabularMdp or EmpiricalModel, by the exact Bellman identity."""
+    check_policy(policy, model)
+    return solvers.q_table(model.mean_reward, model.transitions, policy.probs, model.discount)
 
 
 _PICK_BYTES = 1 << 20  # bound on the CDF columns one categorical call gathers at once
@@ -555,7 +552,7 @@ def optimal_policy(mdp: TabularMdp) -> Policy:
     whose action is more than ``_TIE_TOL`` below its best Q to the lowest-index
     action within ``_TIE_TOL`` of that best.  A move gains, so V never falls
     and no policy repeats; there are finitely many, so the loop ends."""
-    rbar, states = mdp.mean_rewards(), np.arange(mdp.num_states)
+    rbar, states = mdp.mean_reward, np.arange(mdp.num_states)
     actions = np.zeros(mdp.num_states, np.intp)
     while True:
         probs = np.eye(mdp.num_actions)[actions]

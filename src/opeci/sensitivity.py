@@ -101,36 +101,30 @@ def influence(model: EmpiricalModel, policy: Policy, tuples: TupleDataset) -> In
 def finite_difference_influence(
     data: TupleDataset,
     policy: Policy,
-    tup,
+    probes: TupleDataset,
     t: float,
     kappa: float,
     *,
     discount: float,
-) -> float:
-    """Forward difference quotient of the DM value along delta_tuple - d.
+) -> np.ndarray:
+    """Forward difference quotients of the DM value along delta_tuple - d,
+    one per row of ``probes``, all against one solve of the untilted model.
 
-    The mixture (1-t)*d + t*delta is evaluated exactly through fractional
-    tuple weights, so the quotient is noise-free.
+    Each mixture (1-t)*d + t*delta is evaluated exactly through fractional
+    tuple weights, so the quotients are noise-free.
     """
-    return _difference_quotients(data, policy, [tup], t, kappa, discount)[0]
-
-
-def _difference_quotients(data, policy, tuples, t, kappa, discount) -> list:
-    """``finite_difference_influence`` toward each of ``tuples``, all taken
-    from one solve of the untilted model."""
     if not 0.0 < t <= 1.0:
         raise ValidationError("t must lie in (0, 1]")
     base_w = np.ones(data.n) / data.n
     mixed_w = np.append((1.0 - t) * base_w, t)
     base = build_empirical_model(data, None, kappa, discount=discount, weights=base_w)
     f_base = dm_value(base, policy)
-    quotients = []
-    for tup in tuples:
-        tilted = build_empirical_model(
-            _appended(data, [tup]), None, kappa, discount=discount, weights=mixed_w
-        )
-        quotients.append((dm_value(tilted, policy) - f_base) / t)
-    return quotients
+    rows = zip(*(col.tolist() for col in (probes.s0, probes.s, probes.a, probes.r, probes.sp)))
+    tilted = (
+        build_empirical_model(_appended(data, [row]), None, kappa, discount=discount, weights=mixed_w)
+        for row in rows
+    )
+    return np.array([(dm_value(model, policy) - f_base) / t for model in tilted])
 
 
 def _appended(data: TupleDataset, tuples) -> TupleDataset:
@@ -230,8 +224,8 @@ def check_gradients(
         except UnvisitedPairError as exc:
             report_cases.append(GradientCase(case, float("nan"), str(exc)))
             continue
-        quotients = _difference_quotients(data, policy, tuples, t, kappa, gamma)
-        pairs = list(zip(closed.tolist(), quotients))
+        quotients = finite_difference_influence(data, policy, probes, t, kappa, discount=gamma)
+        pairs = list(zip(closed.tolist(), quotients.tolist()))
         floor = max(1e-3 * max(max(abs(c), abs(f)) for c, f in pairs), 1e-12)
         errors = [abs(c - f) / max(abs(c), abs(f), floor) for c, f in pairs]
         report_cases.append(GradientCase(case, max([0.0] + errors), None))

@@ -298,7 +298,7 @@ def dm_value_via_qe(model, policy, tolerance=1e-12):
 
 def value_iteration_policy(mdp, tol=1e-12):
     """Deterministic greedy policy from value iteration (ties: lowest index)."""
-    rbar = mdp.mean_rewards()
+    rbar = mdp.mean_reward
     flat_t = mdp.transitions.reshape(-1, mdp.num_states)
     gamma = mdp.discount
     cap = _contraction_iteration_cap(gamma, tol, float(np.abs(rbar).max()))

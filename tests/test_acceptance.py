@@ -16,10 +16,10 @@ import pytest
 from opeci import (
     TupleDataset,
     augment_noisy_rewards,
-    bootstrap_interval,
     build_empirical_model,
     check_gradients,
     counterexample_blowup_probe,
+    dm_bootstrap_replicas,
     dm_value,
     exact_policy_value,
     make_counterexample_chain,
@@ -28,6 +28,7 @@ from opeci import (
     on_policy_distribution,
     uniform_policy,
 )
+from opeci.bootstrap import interval_from_replicas
 from opeci.cli import main as cli_main
 from opeci.empirical import sample_tuples
 from opeci.harness import ExperimentConfig, run_coverage_experiment
@@ -219,12 +220,12 @@ def test_criterion_09_worker_determinism(tmp_path, capsys):
 
 
 def test_criterion_10_single_tuple_degenerate_interval():
+    # through the DM bootstrap that ``dm-boot`` runs
     data = TupleDataset.from_tuples([(0, 0, 0, 0.7, 0)], 1, 1)
-
-    def functional(ds):
-        return dm_value(build_empirical_model(ds, discount=0.5), uniform_policy(1, 1))
-
-    ci = bootstrap_interval(data, functional, 0.1, 100, rng_seed=MASTER_SEED)
+    point, diffs = dm_bootstrap_replicas(
+        data, uniform_policy(1, 1), 100, MASTER_SEED, kappa=0.0, discount=0.5
+    )
+    ci = interval_from_replicas(point, diffs, 0.1)
     ok = ci.lower == ci.upper == ci.point_estimate
     report_line(
         "criterion 10 (n=1 degenerate interval)", ok,

@@ -50,9 +50,18 @@ class TestQuantile:
 
 class TestBootstrapInterval:
     def test_single_point_dataset_degenerate(self):
-        data = TupleDataset.from_tuples([(0, 0, 0, 3.0, 0)], 1, 1)
-        ci = bootstrap_interval(data, lambda d: float(d.r.mean()), 0.1, 50, rng_seed=0)
+        ci = bootstrap_interval(np.array([3.0]), mean_functional, 0.1, 50, rng_seed=0)
         assert ci.lower == ci.upper == ci.point_estimate == 3.0
+
+    def test_tuple_data_rejected_before_the_functional_runs(self):
+        # DM replicas come only from dm_bootstrap_replicas
+        data = TupleDataset.from_tuples([(0, 0, 0, 3.0, 0)], 1, 1)
+
+        def functional(d):
+            raise AssertionError("functional called")
+
+        with pytest.raises(ValidationError, match="cannot resample a TupleDataset"):
+            bootstrap_interval(data, functional, 0.1, 50, rng_seed=0)
 
     def test_constant_functional(self):
         values = np.arange(20.0)
@@ -110,8 +119,8 @@ class TestBootstrapInterval:
     def test_non_finite_replica_named(self):
         # the values cancel in the original data; a replica drawing one twice overflows
         values = np.array([1e308, -1e308])
-        pool, draws = resample_indices(values, 12, 50)
-        first = next(k for k, idx in enumerate(draws) if len(set(pool[idx].tolist())) == 1)
+        draws = resample_indices(values, 12, 50)
+        first = next(k for k, idx in enumerate(draws) if len(set(values[idx].tolist())) == 1)
 
         def mean(v):
             with np.errstate(over="ignore"):

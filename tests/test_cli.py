@@ -162,6 +162,32 @@ class TestGenDataAndInterval:
         assert code == 1
         assert "error" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("method", METHODS)
+    def test_policy_shape_checked_before_any_model_is_built(
+        self, lake_files, tmp_path, capsys, monkeypatch, method
+    ):
+        # The header declares 18 states, the lake target has 17: the shapes
+        # must be compared before a method flattens the episodes into tuples
+        # and builds (S, A, S) tables, which for a large header need not fit.
+        def flatten(episodes):
+            raise AssertionError("tuples built before the policy shape was checked")
+
+        monkeypatch.setattr(opeci.harness, "tuples_from_episodes", flatten)
+        _, target_path, _ = lake_files
+        meta = {"num_states": 18, "num_actions": 4, "discount": 0.999}
+        lines = [json.dumps({"meta": meta})]
+        lines += [json.dumps({"initial_state": 0, "steps": [[0, 2, 0.0, 4, 0.85, 0]]})] * 3
+        data_path = tmp_path / "states18.jsonl"
+        data_path.write_text("\n".join(lines) + "\n")
+        code, _, err = run_cli(
+            ["interval", "--data", str(data_path), "--method", method, "--b", "10",
+             "--policy", str(target_path)],
+            capsys,
+        )
+        assert code == 1
+        assert "policy shape (17, 4) does not match the 18 states" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("method", ["dm-boot", "is-boot"])
     def test_zero_behavior_prob_is_validation_error(self, lake_files, tmp_path, capsys, method):
         _, target_path, _ = lake_files

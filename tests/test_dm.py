@@ -349,3 +349,9 @@ class TestStackedSolves:
         assert backups == 4 and x[0] == 0.0625  # the fourth backup moves x by 0.0625
         with pytest.raises(SolverError, match="NaN map did not converge to 1.0e-01 within 3"):
             fixed_point(lambda x: x * np.nan, np.array([1.0]), 0.1, 3, "NaN map")
+
+
+def test_dm_names_are_the_model_evaluators():
+    # One evaluator per quantity serves true and empirical models alike.
+    assert dm_value is exact_policy_value and dm_q is q_values
+    assert empirical_on_policy_distribution is on_policy_distribution

@@ -223,10 +223,9 @@ class TestNoiseScales:
             sufficient_noise_scale(1.0, 1.0)
 
 
-def first_replica(data, rng_seed):
-    """Replica 0 of ``data`` under ``rng_seed``."""
-    pool, draws = resample_indices(data, rng_seed, 1)
-    return pool[next(draws)]
+def first_replica(values, rng_seed):
+    """Replica 0 of the value array ``values`` under ``rng_seed``."""
+    return values[next(resample_indices(values, rng_seed, 1))]
 
 
 def draws_digest(draws):
@@ -238,23 +237,19 @@ def draws_digest(draws):
 
 class TestResampling:
     def test_singleton_dataset_resamples_to_itself(self):
-        data = single_tuple_dataset()
-        out = first_replica(data, rng_seed=0)
-        assert out.n == 1
-        assert logged_tuples(out) == logged_tuples(data)
+        assert first_replica(np.array([1.5]), rng_seed=0).tolist() == [1.5]
 
     def test_same_seed_identical(self):
-        mdp = make_random_mdp(4, 2, 0.8, rng_seed=8)
-        data = sample_tuples(mdp, 50, rng_seed=9)
-        a = first_replica(data, rng_seed=10)
-        b = first_replica(data, rng_seed=10)
-        assert np.array_equal(a.r, b.r) and np.array_equal(a.s, b.s)
+        values = np.random.default_rng(9).normal(size=50)
+        a = list(resample_indices(values, 10, 5))
+        b = list(resample_indices(values, 10, 5))
+        assert draws_digest(a) == draws_digest(b)
+        assert draws_digest(a) != draws_digest(resample_indices(values, 11, 5))
 
     def test_support_preserved(self):
-        mdp = make_random_mdp(4, 2, 0.8, rng_seed=11)
-        data = sample_tuples(mdp, 30, rng_seed=12)
-        out = first_replica(data, rng_seed=13)
-        assert set(logged_tuples(out)) <= set(logged_tuples(data))
+        values = np.random.default_rng(12).normal(size=30)
+        out = first_replica(values, rng_seed=13)
+        assert len(out) == 30 and set(out.tolist()) <= set(values.tolist())
 
     @staticmethod
     def distinct_rewards(n):
@@ -275,8 +270,8 @@ class TestResampling:
 
     def test_multiplicities_match_binomial(self):
         n = 10_000
-        out = first_replica(self.distinct_rewards(n), rng_seed=14)
-        self.assert_binomial_multiplicities(np.bincount(out.r.astype(int), minlength=n))
+        out = first_replica(np.arange(n), rng_seed=14)
+        self.assert_binomial_multiplicities(np.bincount(out, minlength=n))
 
     def test_count_rows_match_binomial(self):
         n = 10_000
@@ -301,51 +296,41 @@ class TestResampling:
         se = np.sqrt(data.n * p * (1 - p) / len(rows))
         assert (np.abs(rows.mean(axis=0) - c / 3) < 5 * se).all()
 
-    def test_augmented_pool_three_n_output_n(self):
-        data = TupleDataset.from_tuples([(0, 0, 0, 0.0, 0)] * 8, 1, 1)
-        aug = augment_noisy_rewards(data, 1.0)
-        out = first_replica(aug, rng_seed=15)
-        assert out.n == 8
-        assert set(out.r.tolist()) <= {-1.0, 0.0, 1.0}
-
     def test_unsupported_data_rejected(self):
         with pytest.raises(ValidationError, match="cannot resample a list"):
             resample_indices([1.0, 2.0], 0, 1)
         with pytest.raises(ValidationError, match="cannot resample an empty dataset"):
             resample_indices(np.array([]), 0, 1)
+        # tuple data is resampled only by counts, through the DM bootstrap
+        data = single_tuple_dataset()
+        with pytest.raises(ValidationError, match="cannot resample a TupleDataset"):
+            resample_indices(data, 0, 1)
+        with pytest.raises(ValidationError, match="cannot resample a AugmentedDataset"):
+            resample_indices(augment_noisy_rewards(data, 0.5), 0, 1)
 
-    # Value replicas draw n uniform pool indices each, DM replicas draw
+    # Value replicas draw n uniform indices each, DM replicas draw
     # multinomial counts over the distinct tuples, each from one generator
-    # seeded (seed, label).  These digests of 64 replicas pin both schemes
-    # for value arrays, tuple datasets and augmented datasets (a 75-tuple
-    # pool, 25 tuples per draw).
+    # seeded (seed, label).  These digests of 64 replicas pin both schemes:
+    # index draws for a value array, count draws for a tuple dataset and an
+    # augmented dataset (a 75-tuple pool, 25 tuples per draw).
     GOLDEN_SEED = ("interval", 0, 12345, 10, 3, "dm-boot")
     GOLDEN = {
         "values": "44b0c6db05c3e1dc928b447880cc17152a1fdf95a18c1069156c122729402d51",
-        "tuples": "2a6f6534a625bd2828bcc323dbde7b77e3f6153ac1e1e6627adf6734435a5bf6",
-        "augmented": "acdafc45e47d3aacc9047ebe35db09005f1400728d359de84a0b196fd4024bc4",
         "tuples-counts": "8d131dcb14c34159d716b12cbde263b426abc0da59c1b7e001e3dce50c89f37d",
         "augmented-counts": "5649f7d16f0bed00d1c06db8bf32e13f719ce478c3890866a8cbde023b32b00f",
     }
 
     def test_draw_scheme_pinned(self):
+        draws = list(resample_indices(np.linspace(-1.0, 1.0, 37), self.GOLDEN_SEED, 64))
+        assert {len(idx) for idx in draws} == {37}
+        assert max(idx.max() for idx in draws) < 37
+        assert draws_digest(draws) == self.GOLDEN["values"]
         data = sample_tuples(make_random_mdp(4, 2, 0.9, rng_seed=3), 25, rng_seed=4)
-        cases = {
-            "values": np.linspace(-1.0, 1.0, 37),
-            "tuples": data,
-            "augmented": augment_noisy_rewards(data, 0.5),
-        }
-        for name, case in cases.items():
-            pool, draws = resample_indices(case, self.GOLDEN_SEED, 64)
-            draws = list(draws)
-            assert {len(idx) for idx in draws} == {25 if name != "values" else 37}
-            assert max(idx.max() for idx in draws) < len(pool)
-            assert draws_digest(draws) == self.GOLDEN[name], name
-            if name != "values":
-                _, draw = resample_counts(case, self.GOLDEN_SEED)
-                counts = draw(64)
-                assert (counts.sum(axis=1) == 25).all()
-                assert draws_digest(counts) == self.GOLDEN[name + "-counts"], name
+        for name, case in (("tuples", data), ("augmented", augment_noisy_rewards(data, 0.5))):
+            _, draw = resample_counts(case, self.GOLDEN_SEED)
+            counts = draw(64)
+            assert (counts.sum(axis=1) == 25).all()
+            assert draws_digest(counts) == self.GOLDEN[name + "-counts"], name
 
 
 def tuple_digest(data):

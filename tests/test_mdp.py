@@ -173,7 +173,7 @@ class TestQValues:
         policy = make_random_policy(5, 3, rng_seed=22)
         q = q_values(mdp, policy)
         v = (policy.probs * q).sum(axis=1)
-        backup = mdp.mean_rewards() + mdp.discount * mdp.transitions @ v
+        backup = mdp.mean_reward + mdp.discount * mdp.transitions @ v
         assert np.abs(q - backup).max() < 1e-9
 
     def test_value_consistency_identities(self):
@@ -184,12 +184,12 @@ class TestQValues:
         p0 = (mdp.initial_dist[:, None] * policy.probs).reshape(-1)
         assert abs((1 - mdp.discount) * (p0 @ q.reshape(-1)) - value) < 1e-9
         dist = on_policy_distribution(mdp, policy)
-        assert abs((dist * mdp.mean_rewards()).sum() - value) < 1e-9
+        assert abs((dist * mdp.mean_reward).sum() - value) < 1e-9
 
 
 def test_mean_rewards_read_only_and_exact():
     mdp = make_random_mdp(5, 3, 0.9, rng_seed=14)
-    means = mdp.mean_rewards()
+    means = mdp.mean_reward
     assert not means.flags.writeable
     for s in range(5):
         for a in range(3):

@@ -268,12 +268,12 @@ def test_huge_kappa_dm_value_is_the_pure_prior_value(num_states, num_actions, n,
     mdp = make_random_mdp(num_states, num_actions, discount, (seed, "mdp"))
     prior = make_random_mdp(num_states, num_actions, discount, (seed, "prior"))
     policy = make_random_policy(num_states, num_actions, (seed, "policy"))
-    priors = PriorSpec(prior.mean_rewards(), prior.transitions)
+    priors = PriorSpec(prior.mean_reward, prior.transitions)
     model = build_empirical_model(
         sample_tuples(mdp, n, (seed, "tuples")), priors, kappa=1e12, discount=discount
     )
     # The prior model keeps only the data's start-state frequencies.
-    rewards = [[((mean, 1.0),) for mean in row] for row in prior.mean_rewards().tolist()]
+    rewards = [[((mean, 1.0),) for mean in row] for row in prior.mean_reward.tolist()]
     pure = TabularMdp(
         num_states, num_actions, prior.transitions, rewards, model.initial_dist, discount
     )

@@ -96,14 +96,15 @@ class TestInfluence:
         _, policy, data = full_support_case(200)
         model = build_empirical_model(data, discount=0.8)
         rng = np.random.default_rng(0)
-        for _ in range(20):
-            tup = (
-                int(rng.integers(4)), int(rng.integers(4)), int(rng.integers(2)),
-                float(rng.uniform(-1, 1)), int(rng.integers(4)),
-            )
-            closed = influence(model, policy, one_row(tup, 4, 2)).total[0]
-            fd = finite_difference_influence(data, policy, tup, 1e-6, 0.0, discount=0.8)
-            assert abs(closed - fd) < 1e-4 * max(abs(closed), abs(fd), 0.01)
+        probes = TupleDataset(
+            rng.integers(4, size=20), rng.integers(4, size=20), rng.integers(2, size=20),
+            rng.uniform(-1, 1, size=20), rng.integers(4, size=20), 4, 2,
+        )
+        closed = influence(model, policy, probes).total
+        fd = finite_difference_influence(data, policy, probes, 1e-6, 0.0, discount=0.8)
+        assert fd.shape == (20,)
+        bound = 1e-4 * np.maximum(np.maximum(np.abs(closed), np.abs(fd)), 0.01)
+        assert (np.abs(closed - fd) < bound).all()
 
     def test_unvisited_pair_kappa_zero_raises(self):
         data = TupleDataset.from_tuples([(0, 0, 0, 1.0, 1)], 3, 2)
@@ -128,8 +129,9 @@ class TestInfluence:
         model = build_empirical_model(data, kappa=0.5, discount=0.5)
         policy = uniform_policy(3, 2)
         tup = (0, 2, 1, 0.3, 0)
-        closed = influence(model, policy, one_row(tup, 3, 2)).total[0]
-        fd = finite_difference_influence(data, policy, tup, 1e-7, 0.5, discount=0.5)
+        probe = one_row(tup, 3, 2)
+        closed = influence(model, policy, probe).total[0]
+        fd = finite_difference_influence(data, policy, probe, 1e-7, 0.5, discount=0.5)[0]
         assert abs(closed - fd) < 1e-4 * max(abs(closed), abs(fd), 0.01)
 
     def test_zero_mean_over_data_distribution(self):
@@ -182,24 +184,34 @@ class TestInfluence:
 class TestFiniteDifference:
     def test_t_one_single_tuple_self_mixture(self):
         data = TupleDataset.from_tuples([(0, 0, 0, 1.0, 0)], 1, 1)
-        fd = finite_difference_influence(
-            data, uniform_policy(1, 1), (0, 0, 0, 1.0, 0), 1.0, 0.0, discount=0.5
-        )
-        assert fd == pytest.approx(0.0, abs=1e-12)
+        fd = finite_difference_influence(data, uniform_policy(1, 1), data, 1.0, 0.0, discount=0.5)
+        assert fd.tolist() == [pytest.approx(0.0, abs=1e-12)]
 
     def test_richardson_linearity(self):
         _, policy, data = full_support_case(500)
-        tup = (0, 2, 1, 0.7, 3)
-        coarse = finite_difference_influence(data, policy, tup, 1e-4, 0.0, discount=0.8)
-        fine = finite_difference_influence(data, policy, tup, 1e-6, 0.0, discount=0.8)
+        probe = one_row((0, 2, 1, 0.7, 3), 4, 2)
+        coarse = finite_difference_influence(data, policy, probe, 1e-4, 0.0, discount=0.8)[0]
+        fine = finite_difference_influence(data, policy, probe, 1e-6, 0.0, discount=0.8)[0]
         assert abs(coarse - fine) < 1e-2 * max(1.0, abs(fine))
+
+    def test_rows_are_independent_quotients(self):
+        # each row tilts the untilted data alone, so a quotient does not
+        # depend on the other probe rows or their order
+        _, policy, data = full_support_case(700)
+        probes = data[np.arange(6)]
+        together = finite_difference_influence(data, policy, probes, 1e-6, 0.3, discount=0.8)
+        for i in range(6):
+            alone = finite_difference_influence(data, policy, probes[[i]], 1e-6, 0.3, discount=0.8)
+            assert alone.tolist() == [together[i]]
+        reversed_rows = finite_difference_influence(
+            data, policy, probes[np.arange(5, -1, -1)], 1e-6, 0.3, discount=0.8
+        )
+        assert reversed_rows.tolist() == together[::-1].tolist()
 
     def test_invalid_t_rejected(self):
         data = TupleDataset.from_tuples([(0, 0, 0, 1.0, 0)], 1, 1)
         with pytest.raises(ValidationError):
-            finite_difference_influence(
-                data, uniform_policy(1, 1), (0, 0, 0, 1.0, 0), 0.0, 0.0, discount=0.5
-            )
+            finite_difference_influence(data, uniform_policy(1, 1), data, 0.0, 0.0, discount=0.5)
 
 
 class TestCheckGradients:
