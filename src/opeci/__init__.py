@@ -16,7 +16,7 @@ from .baselines import (
     per_decision_is,
     student_t_interval,
 )
-from .bootstrap import ConfidenceInterval, bootstrap_interval, quantile
+from .bootstrap import ConfidenceInterval, quantile
 from .dm import (
     dm_bootstrap_replicas,
     dm_q,

@@ -1,9 +1,11 @@
 """Non-parametric basic (reverse-percentile) bootstrap.
 
-Generic over the estimator functional of a value array (per-episode IS or DR
-estimates, say; DM replicas come from ``dm.dm_bootstrap_replicas``).  All b
-replicas draw their indices through ``empirical.resample_indices`` from one
-generator seeded (master seed, "indices"), in blocks that do not change the draws.
+``bootstrap_replicas`` bootstraps the mean of a value array, such as
+per-episode IS or DR estimates: each replica averages a uniform
+with-replacement resample of the n values.  All b replicas draw their indices
+from one generator seeded (master seed, "indices"), in (rows, n) blocks of
+about ``_CHUNK_BYTES`` that do not change the draws.  DM replicas come from
+``dm.dm_bootstrap_replicas``; ``interval_from_replicas`` inverts either kind.
 """
 
 from __future__ import annotations
@@ -13,8 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .empirical import resample_indices
 from .errors import ValidationError
+from .seeding import as_generator
+
+_CHUNK_BYTES = 1 << 20  # working memory of one block of bootstrap replicas
 
 
 @dataclass(frozen=True)
@@ -67,22 +71,26 @@ def check_replicas(point: float, diffs: np.ndarray) -> None:
         raise ValidationError(f"bootstrap replica {k} is not finite (difference {diffs[k]})")
 
 
-def bootstrap_replicas(values, functional, b: int, rng_seed):
-    """Point estimate plus the b recentered replica differences.
+def bootstrap_replicas(values, b: int, rng_seed):
+    """Mean of the value array ``values`` plus the b recentered replica means.
 
     Computing these once lets several confidence levels share one set of
     resamples.
     """
+    if not isinstance(values, np.ndarray):
+        raise ValidationError(f"cannot resample a {type(values).__name__}")
+    n = len(values)
+    if n < 1:
+        raise ValidationError("cannot resample an empty dataset")
     if b < 2:
         raise ValidationError("b must be >= 2")
-    draws = resample_indices(values, rng_seed, b)
-    point = float(functional(values))
+    rng, rows = as_generator((rng_seed, "indices")), max(1, _CHUNK_BYTES // (8 * n))
     diffs = np.empty(b)
-    for k, idx in enumerate(draws):
-        try:
-            diffs[k] = float(functional(values[idx])) - point
-        except Exception as exc:
-            raise RuntimeError(f"estimator functional failed on bootstrap replica {k}") from exc
+    with np.errstate(over="ignore", invalid="ignore"):  # check_replicas names a non-finite one
+        point = float(values.mean())
+        for start in range(0, b, rows):
+            block = rng.integers(0, n, size=(min(rows, b - start), n))
+            diffs[start:start + len(block)] = values[block].mean(axis=1) - point
     check_replicas(point, diffs)
     return point, diffs
 
@@ -111,20 +119,3 @@ def interval_from_replicas(
         confidence=1.0 - alpha,
         replicas=len(diffs),
     )
-
-
-def bootstrap_interval(
-    values,
-    functional,
-    alpha: float,
-    b: int,
-    rng_seed,
-    side: str = "two",
-) -> ConfidenceInterval:
-    """Resample ``values`` b times, re-evaluate ``functional``, and invert the
-    recentered replica distribution into a confidence interval.
-
-    Deterministic given (values, seed, b, alpha, side).
-    """
-    point, diffs = bootstrap_replicas(values, functional, b, rng_seed)
-    return interval_from_replicas(point, diffs, alpha, side)

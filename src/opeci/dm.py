@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bootstrap import check_replicas
-from .empirical import _CHUNK_BYTES, _count_tables, blend_tables, build_empirical_model, resample_counts
+from .bootstrap import _CHUNK_BYTES, check_replicas
+from .empirical import _count_tables, blend_tables, build_empirical_model, resample_counts
 from .errors import SolverError, ValidationError
 from .mdp import Policy, exact_policy_value as dm_value, q_values as dm_q
 from .mdp import on_policy_distribution as empirical_on_policy_distribution

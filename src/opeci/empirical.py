@@ -23,8 +23,6 @@ from .errors import ValidationError
 from .mdp import EpisodeSet, _cdf, categorical, check_discount
 from .seeding import as_generator
 
-_CHUNK_BYTES = 1 << 20  # working memory of one block of bootstrap replicas
-
 
 @dataclass(frozen=True, eq=False)
 class TupleDataset:
@@ -46,6 +44,12 @@ class TupleDataset:
         r = np.ascontiguousarray(self.r, dtype=np.float64)
         r.setflags(write=False)
         object.__setattr__(self, "r", r)
+        columns = (self.s0, self.s, self.a, r, self.sp)
+        if any(c.ndim != 1 for c in columns) or len({len(c) for c in columns}) > 1:
+            raise ValidationError(
+                "tuple columns (s0, s, a, r, sp) must be 1-d and of one length, not of shapes "
+                + ", ".join(str(c.shape) for c in columns)
+            )
         if self.n < 1:
             raise ValidationError("dataset must contain at least one tuple")
         if not np.isfinite(r).all():
@@ -315,23 +319,6 @@ def augment_noisy_rewards(data: TupleDataset, noise_scale: float) -> AugmentedDa
 def sufficient_noise_scale(r_max: float, discount: float) -> float:
     """Noise scale large enough to offset bootstrap under-coverage entirely."""
     return math.sqrt(1.5) * r_max / (1.0 - check_discount(discount))
-
-
-def resample_indices(values, rng_seed, b: int):
-    """For each of b bootstrap replicas, the indices of a uniform
-    with-replacement resample of the n entries of the value array ``values``.
-
-    Draws come in (rows, n) blocks of about 1 MB from one generator seeded
-    (rng_seed, "indices").  DM replicas draw counts instead (``resample_counts``).
-    """
-    if not isinstance(values, np.ndarray):
-        raise ValidationError(f"cannot resample a {type(values).__name__}")
-    n = len(values)
-    if n < 1:
-        raise ValidationError("cannot resample an empty dataset")
-    rng, rows = as_generator((rng_seed, "indices")), max(1, _CHUNK_BYTES // (8 * n))
-    blocks = (rng.integers(0, n, size=(min(rows, b - start), n)) for start in range(0, b, rows))
-    return (idx for block in blocks for idx in block)
 
 
 def resample_counts(data, rng_seed) -> tuple:

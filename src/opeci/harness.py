@@ -60,17 +60,23 @@ METHODS = (
 )
 
 
+def _distinct(xs) -> bool:
+    return len(set(xs)) == len(xs)
+
+
 # Each config field's JSON kinds, list depth, range test (None for none;
 # every test fails on NaN) and description.  Booleans are not numbers, and the
-# discount's range is ``check_discount``'s.
+# discount's range is ``check_discount``'s.  A repeated list entry would put
+# two rows of each trial into one coverage cell.
 _FIELDS = {
     "environment": (frozenset({dict}), 0, None, "an object"),
     "discount": (NUMBERS, 0, None, "a number"),
-    "sizes": (INTEGERS, 1, lambda ns: len(ns) > 0 and min(ns) >= 1,
-              "a non-empty list of positive integers"),
-    "methods": (STRINGS, 1, lambda ms: set(ms) <= set(METHODS), f"a list of tags from {METHODS}"),
-    "alphas": (NUMBERS, 1, lambda xs: all(0.0 < x < 1.0 for x in xs),
-               "a list of numbers in (0, 1)"),
+    "sizes": (INTEGERS, 1, lambda ns: len(ns) > 0 and min(ns) >= 1 and _distinct(ns),
+              "a non-empty list of distinct positive integers"),
+    "methods": (STRINGS, 1, lambda ms: set(ms) <= set(METHODS) and _distinct(ms),
+                f"a list of distinct tags from {METHODS}"),
+    "alphas": (NUMBERS, 1, lambda xs: all(0.0 < x < 1.0 for x in xs) and _distinct(xs),
+               "a list of distinct numbers in (0, 1)"),
     "target_policy": (frozenset({str, dict}), 0, None, "a string or an object"),
     "behavior_epsilon": (NUMBERS, 0, lambda x: 0.0 <= x <= 1.0, "a number in [0, 1]"),
     "trials": (INTEGERS, 0, lambda x: x >= 1, "a positive integer"),
@@ -227,13 +233,13 @@ def method_intervals(
         point, diffs = dm_bootstrap_replicas(data, target, b, seed, kappa=kappa, discount=discount)
     elif method == "is-boot":
         values = per_decision_is(episodes, target, discount).values
-        point, diffs = bootstrap_replicas(values, np.mean, b, seed)
+        point, diffs = bootstrap_replicas(values, b, rng_seed=seed)
     elif method == "dr-boot":
         model = build_empirical_model(
             tuples_from_episodes(episodes), None, kappa, discount=discount
         )
         values = dr_estimate(episodes, target, model, discount).values
-        point, diffs = bootstrap_replicas(values, np.mean, b, seed)
+        point, diffs = bootstrap_replicas(values, b, rng_seed=seed)
     else:
         formula = {
             "hoeffding": hoeffding_interval,

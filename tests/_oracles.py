@@ -12,6 +12,7 @@ per line, the bytes that ``io.save_episodes`` must reproduce.
 ``lockstep_episodes`` draws the sampler's uniforms in its order and picks
 each category with ``bisect_right``, one step object at a time.
 ``loop_replicas`` is the per-replica reference for the batched DM bootstrap,
+``loop_mean_replicas`` the one for the blocked mean bootstrap of a value array,
 and ``with_terminals`` marks states of a test MDP as absorbing terminals.
 ``qe_fixed_point`` (Q-evaluation) and ``value_iteration_policy`` iterate
 contractions, the references for the dense solve and ``optimal_policy``.
@@ -50,6 +51,15 @@ def loop_replicas(data, policy, b, seed, kappa, discount):
     distinct, draw = resample_counts(data, seed)
     point = value(data)
     return point, np.array([value(distinct, row) - point for row in draw(b)])
+
+
+def loop_mean_replicas(values, b, seed):
+    """The per-replica reference for ``bootstrap_replicas``: draw all b index
+    rows in one (b, n) block, then take ``np.mean`` of each row's values."""
+    point = float(np.mean(values))
+    draws = as_generator((seed, "indices")).integers(0, len(values), size=(b, len(values)))
+    with np.errstate(over="ignore"):
+        return point, np.array([float(np.mean(values[idx])) - point for idx in draws])
 
 
 def logged_tuples(data):

@@ -10,16 +10,16 @@ from opeci import (
     ConfidenceInterval,
     TupleDataset,
     ValidationError,
-    bootstrap_interval,
     quantile,
 )
-from opeci import empirical
+from opeci import bootstrap
 from opeci.bootstrap import bootstrap_replicas, interval_from_replicas
-from opeci.empirical import resample_indices
+
+from _oracles import loop_mean_replicas
 
 
-def mean_functional(values):
-    return float(np.mean(values))
+def mean_interval(values, alpha, b, rng_seed, side="two"):
+    return interval_from_replicas(*bootstrap_replicas(values, b, rng_seed), alpha, side)
 
 
 class TestQuantile:
@@ -50,103 +50,84 @@ class TestQuantile:
 
 class TestBootstrapInterval:
     def test_single_point_dataset_degenerate(self):
-        ci = bootstrap_interval(np.array([3.0]), mean_functional, 0.1, 50, rng_seed=0)
-        assert ci.lower == ci.upper == ci.point_estimate == 3.0
+        for values in (np.array([3.0]), np.full(20, 3.0)):
+            ci = mean_interval(values, 0.05, 50, rng_seed=0)
+            assert ci.lower == ci.upper == ci.point_estimate == 3.0
+            assert ci.confidence == 0.95 and ci.replicas == 50
 
-    def test_tuple_data_rejected_before_the_functional_runs(self):
+    def test_tuple_data_rejected(self):
         # DM replicas come only from dm_bootstrap_replicas
         data = TupleDataset.from_tuples([(0, 0, 0, 3.0, 0)], 1, 1)
-
-        def functional(d):
-            raise AssertionError("functional called")
-
         with pytest.raises(ValidationError, match="cannot resample a TupleDataset"):
-            bootstrap_interval(data, functional, 0.1, 50, rng_seed=0)
+            bootstrap_replicas(data, 50, rng_seed=0)
 
-    def test_constant_functional(self):
-        values = np.arange(20.0)
-        ci = bootstrap_interval(values, lambda v: 7.0, 0.05, 100, rng_seed=1)
-        assert ci.lower == ci.upper == 7.0
-        assert ci.confidence == 0.95
-        assert ci.replicas == 100
+    @pytest.mark.parametrize("n, b", [(1, 150), (7, 150), (2000, 150), (5106, 150), (131073, 5)])
+    def test_equals_loop_of_means_bit_for_bit(self, n, b):
+        # 2000 and 5106 values span several blocks, 131073 takes one row per block
+        values = np.random.default_rng(n).lognormal(size=n)
+        point, diffs = bootstrap_replicas(values, b, rng_seed=("loop", n))
+        ref_point, ref_diffs = loop_mean_replicas(values, b, ("loop", n))
+        assert point == ref_point
+        assert np.array_equal(diffs, ref_diffs)
 
     def test_shift_equivariance_exact(self):
         values = np.random.default_rng(2).normal(size=40)
-        base = bootstrap_interval(values, mean_functional, 0.1, 300, rng_seed=3)
-        shifted = bootstrap_interval(
-            values, lambda v: mean_functional(v) + 11.0, 0.1, 300, rng_seed=3
-        )
+        base = mean_interval(values, 0.1, 300, rng_seed=3)
+        shifted = mean_interval(values + 11.0, 0.1, 300, rng_seed=3)
         assert shifted.lower - base.lower == pytest.approx(11.0, abs=1e-12)
         assert shifted.upper - base.upper == pytest.approx(11.0, abs=1e-12)
 
     def test_nesting_of_confidence_levels(self):
         values = np.random.default_rng(4).normal(size=60)
-        point, diffs = bootstrap_replicas(values, mean_functional, 400, rng_seed=5)
+        point, diffs = bootstrap_replicas(values, 400, rng_seed=5)
         wide = interval_from_replicas(point, diffs, 0.05)
         narrow = interval_from_replicas(point, diffs, 0.2)
         assert wide.lower <= narrow.lower and narrow.upper <= wide.upper
 
     def test_determinism_bit_for_bit(self):
         values = np.random.default_rng(6).normal(size=30)
-        a = bootstrap_interval(values, mean_functional, 0.1, 200, rng_seed=7)
-        b = bootstrap_interval(values, mean_functional, 0.1, 200, rng_seed=7)
+        a = mean_interval(values, 0.1, 200, rng_seed=7)
+        b = mean_interval(values, 0.1, 200, rng_seed=7)
         assert (a.lower, a.upper, a.point_estimate) == (b.lower, b.upper, b.point_estimate)
 
     def test_one_sided_intervals(self):
         values = np.random.default_rng(8).normal(size=50)
-        lower_ci = bootstrap_interval(values, mean_functional, 0.1, 200, 9, side="lower")
-        upper_ci = bootstrap_interval(values, mean_functional, 0.1, 200, 9, side="upper")
+        lower_ci = mean_interval(values, 0.1, 200, 9, side="lower")
+        upper_ci = mean_interval(values, 0.1, 200, 9, side="upper")
         assert lower_ci.upper == math.inf
         assert upper_ci.lower == -math.inf
         # the one-sided 1-alpha bound is the two-sided 1-2*alpha endpoint
-        two = bootstrap_interval(values, mean_functional, 0.2, 200, 9)
+        two = mean_interval(values, 0.2, 200, 9)
         assert lower_ci.lower == pytest.approx(two.lower, abs=1e-15)
         assert upper_ci.upper == pytest.approx(two.upper, abs=1e-15)
-
-    def test_replica_failure_carries_index(self):
-        values = np.arange(10.0)
-        calls = {"count": -1}
-
-        def flaky(v):
-            calls["count"] += 1
-            if calls["count"] == 3:
-                raise ValueError("boom")
-            return float(v.mean())
-
-        with pytest.raises(RuntimeError, match="replica 2"):
-            bootstrap_interval(values, flaky, 0.1, 20, rng_seed=10)
 
     def test_non_finite_replica_named(self):
         # the values cancel in the original data; a replica drawing one twice overflows
         values = np.array([1e308, -1e308])
-        draws = resample_indices(values, 12, 50)
-        first = next(k for k, idx in enumerate(draws) if len(set(values[idx].tolist())) == 1)
-
-        def mean(v):
-            with np.errstate(over="ignore"):
-                return float(np.mean(v))
-
+        _, ref_diffs = loop_mean_replicas(values, 50, 12)
+        first = int(np.flatnonzero(~np.isfinite(ref_diffs))[0])
         with pytest.raises(ValidationError, match=f"bootstrap replica {first} is not finite"):
-            bootstrap_replicas(values, mean, 50, rng_seed=12)
+            bootstrap_replicas(values, 50, rng_seed=12)
 
     @pytest.mark.parametrize("n", [7, 2000, 5106])
     def test_chunking_cannot_change_results(self, n):
         values = np.linspace(-1.0, 1.0, n) ** 3
-        whole = bootstrap_replicas(values, mean_functional, 23, rng_seed=("chunks", n))
+        whole = bootstrap_replicas(values, 23, rng_seed=("chunks", n))
         for rows in (1, 2, 5):
-            with mock.patch.object(empirical, "_CHUNK_BYTES", 8 * n * rows):
-                chunked = bootstrap_replicas(values, mean_functional, 23, rng_seed=("chunks", n))
+            with mock.patch.object(bootstrap, "_CHUNK_BYTES", 8 * n * rows):
+                chunked = bootstrap_replicas(values, 23, rng_seed=("chunks", n))
             assert chunked[0] == whole[0]
             assert np.array_equal(chunked[1], whole[1])
 
     def test_argument_validation(self):
         values = np.arange(5.0)
+        point, diffs = bootstrap_replicas(values, 10, 0)
         with pytest.raises(ValidationError):
-            bootstrap_interval(values, mean_functional, 0.0, 10, 0)
+            interval_from_replicas(point, diffs, 0.0)
+        with pytest.raises(ValidationError, match="b must be >= 2"):
+            bootstrap_replicas(values, 1, 0)
         with pytest.raises(ValidationError):
-            bootstrap_interval(values, mean_functional, 0.1, 1, 0)
-        with pytest.raises(ValidationError):
-            bootstrap_interval(values, mean_functional, 0.1, 10, 0, side="sideways")
+            interval_from_replicas(point, diffs, 0.1, side="sideways")
 
     def test_mean_bootstrap_coverage_smoke(self):
         # small-scale calibration check; the full oracle-sized run lives in
@@ -156,7 +137,7 @@ class TestBootstrapInterval:
         covered = 0
         for k in range(trials):
             sample = (rng.random(n) < 0.5).astype(float)
-            ci = bootstrap_interval(sample, mean_functional, 0.1, 200, rng_seed=("cov", k))
+            ci = mean_interval(sample, 0.1, 200, rng_seed=("cov", k))
             covered += ci.lower <= 0.5 <= ci.upper
         assert 0.84 <= covered / trials <= 0.96
 

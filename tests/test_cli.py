@@ -675,6 +675,20 @@ class TestCoverageCommand:
         assert code == 1
         assert "error" in err
 
+    def test_repeated_method_validation_exit(self, tmp_path, capsys):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({
+            "environment": {"type": "bernoulli_bandit"}, "discount": 0.0, "sizes": [50],
+            "methods": ["dm-boot", "dm-boot"], "trials": 2, "bootstrap_b": 10,
+        }))
+        out_path = tmp_path / "x.csv"
+        code, _, err = run_cli(
+            ["coverage", "--config", str(config_path), "--out", str(out_path)], capsys
+        )
+        assert code == 1
+        assert err.startswith("error: ") and "config field methods must be a list of distinct" in err
+        assert not out_path.exists()
+
 
 class TestProbesAndChecks:
     def test_check_grad_passes(self, capsys):

@@ -19,7 +19,8 @@ from opeci import (
     sufficient_noise_scale,
     tuples_from_episodes,
 )
-from opeci.empirical import resample_counts, resample_indices, sample_tuples
+from opeci.bootstrap import bootstrap_replicas
+from opeci.empirical import resample_counts, sample_tuples
 from opeci.mdp import make_random_mdp
 
 from _oracles import episode_set, logged_tuples
@@ -27,6 +28,20 @@ from _oracles import episode_set, logged_tuples
 
 def single_tuple_dataset(r=1.0, num_states=3, num_actions=2):
     return TupleDataset.from_tuples([(0, 1, 0, r, 2)], num_states, num_actions)
+
+
+class TestTupleDataset:
+    @pytest.mark.parametrize("column, value", [
+        ("sp", [1]),  # would broadcast to every tuple
+        ("s0", [0, 0]),
+        ("s0", [0, 0, 0, 0]),
+        ("s", [[0, 1, 1]]),
+    ])
+    def test_column_shape_mismatch_rejected(self, column, value):
+        columns = dict(s0=[0, 0, 0], s=[0, 1, 1], a=[0, 0, 1], r=[1.0, 0.0, 2.0], sp=[1, 1, 0])
+        columns[column] = value
+        with pytest.raises(ValidationError, match="must be 1-d and of one length"):
+            TupleDataset(**columns, num_states=2, num_actions=2)
 
 
 class TestTuplesFromEpisodes:
@@ -223,11 +238,6 @@ class TestNoiseScales:
             sufficient_noise_scale(1.0, 1.0)
 
 
-def first_replica(values, rng_seed):
-    """Replica 0 of the value array ``values`` under ``rng_seed``."""
-    return values[next(resample_indices(values, rng_seed, 1))]
-
-
 def draws_digest(draws):
     h = hashlib.sha256()
     for idx in draws:
@@ -237,19 +247,28 @@ def draws_digest(draws):
 
 class TestResampling:
     def test_singleton_dataset_resamples_to_itself(self):
-        assert first_replica(np.array([1.5]), rng_seed=0).tolist() == [1.5]
+        point, diffs = bootstrap_replicas(np.array([1.5]), 5, rng_seed=0)
+        assert point == 1.5 and diffs.tolist() == [0.0] * 5
 
     def test_same_seed_identical(self):
         values = np.random.default_rng(9).normal(size=50)
-        a = list(resample_indices(values, 10, 5))
-        b = list(resample_indices(values, 10, 5))
-        assert draws_digest(a) == draws_digest(b)
-        assert draws_digest(a) != draws_digest(resample_indices(values, 11, 5))
+        a = bootstrap_replicas(values, 5, 10)[1]
+        b = bootstrap_replicas(values, 5, 10)[1]
+        assert a.tobytes() == b.tobytes()
+        assert a.tobytes() != bootstrap_replicas(values, 5, 11)[1].tobytes()
 
     def test_support_preserved(self):
+        # every drawn value is one of the data: replica means stay in their
+        # range, and the indicator means of all values add up to 1
+        def replica_means(v):
+            point, diffs = bootstrap_replicas(v, 50, rng_seed=13)
+            return point + diffs
+
         values = np.random.default_rng(12).normal(size=30)
-        out = first_replica(values, rng_seed=13)
-        assert len(out) == 30 and set(out.tolist()) <= set(values.tolist())
+        means = replica_means(values)
+        assert (values.min() <= means).all() and (means <= values.max()).all()
+        shares = sum(replica_means((values == v).astype(float)) for v in values)
+        assert np.allclose(shares, 1.0, rtol=0, atol=1e-12)
 
     @staticmethod
     def distinct_rewards(n):
@@ -259,19 +278,25 @@ class TestResampling:
         )
 
     @staticmethod
-    def assert_binomial_multiplicities(multiplicity):
-        # each of n distinct tuples is drawn Binomial(n, 1/n) times
-        n, max_k = len(multiplicity), 6
+    def assert_binomial_multiplicities(multiplicity, n):
+        # each multiplicity is a Binomial(n, 1/n) draw
+        max_k = 6
         observed = np.bincount(np.minimum(multiplicity, max_k), minlength=max_k + 1)
         pmf = stats.binom.pmf(np.arange(max_k), n, 1.0 / n)
-        expected = np.append(pmf, 1.0 - pmf.sum()) * n
+        expected = np.append(pmf, 1.0 - pmf.sum()) * len(multiplicity)
         result = stats.chisquare(observed, expected)
         assert result.pvalue > 0.001
 
     def test_multiplicities_match_binomial(self):
-        n = 10_000
-        out = first_replica(np.arange(n), rng_seed=14)
-        self.assert_binomial_multiplicities(np.bincount(out, minlength=n))
+        # n times a replica's mean of the indicator values == j is j's multiplicity;
+        # over independent replicas it follows Binomial(n, 1/n)
+        n, b = 1000, 10_000
+        indicator = (np.arange(n) == 0).astype(float)
+        point, diffs = bootstrap_replicas(indicator, b, rng_seed=14)
+        scaled = n * (point + diffs)
+        multiplicity = np.rint(scaled).astype(int)
+        assert np.allclose(scaled, multiplicity, rtol=0, atol=1e-9)
+        self.assert_binomial_multiplicities(multiplicity, n)
 
     def test_count_rows_match_binomial(self):
         n = 10_000
@@ -279,7 +304,7 @@ class TestResampling:
         assert distinct.n == n
         row = draw(1)[0]
         assert row.sum() == n
-        self.assert_binomial_multiplicities(row)
+        self.assert_binomial_multiplicities(row, n)
 
     def test_augmented_counts_give_each_variant_its_mass(self):
         # base multiplicities c = 1, 2, 3: each of a tuple's three reward variants
@@ -298,33 +323,32 @@ class TestResampling:
 
     def test_unsupported_data_rejected(self):
         with pytest.raises(ValidationError, match="cannot resample a list"):
-            resample_indices([1.0, 2.0], 0, 1)
+            bootstrap_replicas([1.0, 2.0], 2, 0)
         with pytest.raises(ValidationError, match="cannot resample an empty dataset"):
-            resample_indices(np.array([]), 0, 1)
+            bootstrap_replicas(np.array([]), 2, 0)
         # tuple data is resampled only by counts, through the DM bootstrap
         data = single_tuple_dataset()
         with pytest.raises(ValidationError, match="cannot resample a TupleDataset"):
-            resample_indices(data, 0, 1)
+            bootstrap_replicas(data, 2, 0)
         with pytest.raises(ValidationError, match="cannot resample a AugmentedDataset"):
-            resample_indices(augment_noisy_rewards(data, 0.5), 0, 1)
+            bootstrap_replicas(augment_noisy_rewards(data, 0.5), 2, 0)
 
     # Value replicas draw n uniform indices each, DM replicas draw
     # multinomial counts over the distinct tuples, each from one generator
     # seeded (seed, label).  These digests of 64 replicas pin both schemes:
-    # index draws for a value array, count draws for a tuple dataset and an
-    # augmented dataset (a 75-tuple pool, 25 tuples per draw).
+    # the replica mean differences of a value array, count draws for a tuple
+    # dataset and an augmented dataset (a 75-tuple pool, 25 tuples per draw).
     GOLDEN_SEED = ("interval", 0, 12345, 10, 3, "dm-boot")
     GOLDEN = {
-        "values": "44b0c6db05c3e1dc928b447880cc17152a1fdf95a18c1069156c122729402d51",
+        "values": "31874fbdf3c23aa73813f0f84454dcfc0d54c82a658cf2c62fda9e978221dd35",
         "tuples-counts": "8d131dcb14c34159d716b12cbde263b426abc0da59c1b7e001e3dce50c89f37d",
         "augmented-counts": "5649f7d16f0bed00d1c06db8bf32e13f719ce478c3890866a8cbde023b32b00f",
     }
 
     def test_draw_scheme_pinned(self):
-        draws = list(resample_indices(np.linspace(-1.0, 1.0, 37), self.GOLDEN_SEED, 64))
-        assert {len(idx) for idx in draws} == {37}
-        assert max(idx.max() for idx in draws) < 37
-        assert draws_digest(draws) == self.GOLDEN["values"]
+        _, diffs = bootstrap_replicas(np.linspace(-1.0, 1.0, 37), 64, self.GOLDEN_SEED)
+        values_bytes = np.ascontiguousarray(diffs, dtype="<f8").tobytes()
+        assert hashlib.sha256(values_bytes).hexdigest() == self.GOLDEN["values"]
         data = sample_tuples(make_random_mdp(4, 2, 0.9, rng_seed=3), 25, rng_seed=4)
         for name, case in (("tuples", data), ("augmented", augment_noisy_rewards(data, 0.5))):
             _, draw = resample_counts(case, self.GOLDEN_SEED)

@@ -168,6 +168,14 @@ class TestRunCoverageExperiment:
         with pytest.raises(ValidationError):
             ExperimentConfig.from_dict({"bogus_field": 1})
 
+    @pytest.mark.parametrize("field, value", [
+        ("sizes", (40, 40)), ("methods", ("dm-boot", "dm-boot")), ("alphas", (0.1, 0.1)),
+    ])
+    def test_repeated_entry_rejected(self, field, value):
+        # a repeat would add two rows per trial to one cell: coverage above 1
+        with pytest.raises(ValidationError, match=f"config field {field} must be .*distinct"):
+            bandit_config(**{field: value})
+
     def test_unknown_environment_rejected(self):
         with pytest.raises(ValidationError):
             run_coverage_experiment(bandit_config(environment={"type": "casino"}))
