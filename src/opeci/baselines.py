@@ -15,7 +15,6 @@ import numpy as np
 
 from .bootstrap import ConfidenceInterval
 from .dm import dm_q
-from .empirical import EmpiricalModel
 from .errors import ValidationError
 from .mdp import EpisodeSet, Policy, check_discount, check_policy
 from . import solvers
@@ -90,23 +89,15 @@ def per_decision_is(episodes: EpisodeSet, target: Policy, discount: float) -> Pe
 
 
 def dr_estimate(
-    episodes: EpisodeSet,
-    target: Policy,
-    model: EmpiricalModel | None,
-    discount: float,
-    q_table: np.ndarray | None = None,
+    episodes: EpisodeSet, target: Policy, model, discount: float
 ) -> PerEpisodeEstimates:
-    """Doubly-robust estimator with the model's Q-function as control variate.
+    """Doubly-robust estimator with the Q-function of ``model``, a TabularMdp
+    or an EmpiricalModel, as control variate.
 
     The recursion per step is  V(s) + ratio * (r + discount*tail - Q(s, a));
     with Q identically zero it reduces to per-decision IS exactly.
     """
-    if q_table is None:
-        if model is None:
-            raise ValidationError("dr_estimate needs a model or an explicit q_table")
-        q = dm_q(model, target)
-    else:
-        q = np.asarray(q_table, dtype=np.float64)
+    q = dm_q(model, target)
     v = solvers.state_values(q, target.probs)
     values, rho_max, r_max, t_max = _backward_sweep(episodes, target, discount, q, v)
     v_max, q_max = float(np.abs(v).max()), float(np.abs(q).max())
@@ -129,7 +120,7 @@ def hoeffding_interval(est: PerEpisodeEstimates, alpha: float) -> ConfidenceInte
         raise ValidationError("Hoeffding interval requires a finite range bound")
     mean, m = _mean_and_size(est, 1)
     half = est.range_bound * math.sqrt(math.log(2.0 / alpha) / (2.0 * m))
-    return ConfidenceInterval(mean - half, mean + half, mean, 1.0 - alpha, 0)
+    return ConfidenceInterval(mean - half, mean + half, mean, 1.0 - alpha)
 
 
 def empirical_bernstein_interval(est: PerEpisodeEstimates, alpha: float) -> ConfidenceInterval:
@@ -142,7 +133,7 @@ def empirical_bernstein_interval(est: PerEpisodeEstimates, alpha: float) -> Conf
     half = math.sqrt(2.0 * variance * log_term / m) + (
         7.0 * est.range_bound * log_term / (3.0 * (m - 1))
     )
-    return ConfidenceInterval(mean - half, mean + half, mean, 1.0 - alpha, 0)
+    return ConfidenceInterval(mean - half, mean + half, mean, 1.0 - alpha)
 
 
 def student_t_interval(est: PerEpisodeEstimates, alpha: float) -> ConfidenceInterval:
@@ -154,4 +145,4 @@ def student_t_interval(est: PerEpisodeEstimates, alpha: float) -> ConfidenceInte
     mean, m = _mean_and_size(est, 2)
     sd = float(est.values.std(ddof=1))
     half = float(stdtrit(m - 1, 1.0 - alpha / 2.0)) * sd / math.sqrt(m)
-    return ConfidenceInterval(mean - half, mean + half, mean, 1.0 - alpha, 0)
+    return ConfidenceInterval(mean - half, mean + half, mean, 1.0 - alpha)

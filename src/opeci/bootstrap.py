@@ -27,7 +27,6 @@ class ConfidenceInterval:
     upper: float
     point_estimate: float
     confidence: float
-    replicas: int
 
     def __post_init__(self):
         if not 0.0 < self.confidence < 1.0:
@@ -112,10 +111,4 @@ def interval_from_replicas(
         upper = point - quantile(diffs, alpha)
     else:
         raise ValidationError(f"side must be 'two', 'lower', or 'upper', not {side!r}")
-    return ConfidenceInterval(
-        lower=lower,
-        upper=upper,
-        point_estimate=point,
-        confidence=1.0 - alpha,
-        replicas=len(diffs),
-    )
+    return ConfidenceInterval(lower, upper, point, 1.0 - alpha)

@@ -24,6 +24,16 @@ from .mdp import EpisodeSet, _cdf, categorical, check_discount
 from .seeding import as_generator
 
 
+_COLUMNS = ("s0", "s", "a", "r", "sp")
+
+
+def _check_kind(name: str, dtype: np.dtype) -> None:
+    """Index columns hold integers and rewards integers or floats; nothing is coerced."""
+    kinds, what = ("iuf", "integers or floats") if name == "r" else ("iu", "integers")
+    if dtype.kind not in kinds:
+        raise ValidationError(f"tuple column {name} holds {dtype} values, not {what}")
+
+
 @dataclass(frozen=True, eq=False)
 class TupleDataset:
     """Column-oriented multiset of (s0, s, a, r, s') tuples."""
@@ -37,14 +47,13 @@ class TupleDataset:
     num_actions: int
 
     def __post_init__(self):
-        for name in ("s0", "s", "a", "sp"):
-            arr = np.ascontiguousarray(getattr(self, name), dtype=np.int64)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        r = np.ascontiguousarray(self.r, dtype=np.float64)
-        r.setflags(write=False)
-        object.__setattr__(self, "r", r)
-        columns = (self.s0, self.s, self.a, r, self.sp)
+        for name in _COLUMNS:
+            column = np.asarray(getattr(self, name))
+            _check_kind(name, column.dtype)
+            column = np.ascontiguousarray(column, np.float64 if name == "r" else np.int64)
+            column.setflags(write=False)
+            object.__setattr__(self, name, column)
+        columns = [getattr(self, name) for name in _COLUMNS]
         if any(c.ndim != 1 for c in columns) or len({len(c) for c in columns}) > 1:
             raise ValidationError(
                 "tuple columns (s0, s, a, r, sp) must be 1-d and of one length, not of shapes "
@@ -52,7 +61,7 @@ class TupleDataset:
             )
         if self.n < 1:
             raise ValidationError("dataset must contain at least one tuple")
-        if not np.isfinite(r).all():
+        if not np.isfinite(self.r).all():
             raise ValidationError("tuple rewards must be finite")
         states = (self.s0, self.s, self.sp)
         if min(c.min() for c in states) < 0 or max(c.max() for c in states) >= self.num_states:
@@ -76,11 +85,11 @@ class TupleDataset:
         cols = list(zip(*tuples))
         if len(cols) != 5:
             raise ValidationError("each record must be a 5-tuple (s0, s, a, r, s')")
-        s0, s, a, r, sp = cols
-        return cls(
-            np.array(s0), np.array(s), np.array(a), np.array(r, dtype=np.float64),
-            np.array(sp), num_states, num_actions,
-        )
+        # Value by value: numpy would read the column (0, True) as the integers (0, 1).
+        for name, col in zip(_COLUMNS, cols):
+            for value in col:
+                _check_kind(name, np.asarray(value).dtype)
+        return cls(*map(np.array, cols), num_states, num_actions)
 
 
 @dataclass(frozen=True, eq=False)
@@ -338,20 +347,15 @@ def resample_counts(data, rng_seed) -> tuple:
     return pool[first], lambda m: rng.multinomial(data.n, counts / pool.n, size=m)
 
 
-def sample_tuples(mdp, count: int, rng_seed, state_action_dist: np.ndarray | None = None) -> TupleDataset:
+def sample_tuples(mdp, count: int, rng_seed) -> TupleDataset:
     """Draw tuples from the generative data model: s0 from the initial
-    distribution, (s, a) from ``state_action_dist`` (uniform by default),
-    r from the reward distribution, s' from the transitions."""
+    distribution, (s, a) uniformly, r from the reward distribution, s' from
+    the transitions."""
     if count < 1:
         raise ValidationError("count must be >= 1")
     rng = as_generator(rng_seed)
     S, A = mdp.num_states, mdp.num_actions
-    if state_action_dist is None:
-        sa_probs = np.full(S * A, 1.0 / (S * A))
-    else:
-        sa_probs = np.asarray(state_action_dist, dtype=np.float64).reshape(S * A)
-        if not ((sa_probs >= 0).all() and 0 < sa_probs.sum() < np.inf):
-            raise ValidationError("state_action_dist must be finite, non-negative and not all zero")
+    sa_probs = np.full(S * A, 1.0 / (S * A))
     one_column = np.zeros(count, np.intp)
     s0 = categorical(_cdf(mdp.initial_dist[:, None]), one_column, rng.random(count))
     sa = categorical(_cdf((sa_probs / sa_probs.sum())[:, None]), one_column, rng.random(count))

@@ -127,6 +127,9 @@ class ExperimentConfig:
             raise ValidationError(
                 f"config field environment has type {kind!r}, not one of {sorted(_ENVIRONMENTS)}"
             )
+        unknown = sorted(set(self.environment) - {"type"} - set(_ENVIRONMENTS[kind]))
+        if unknown:
+            raise ValidationError(f"unknown environment fields for type {kind}: {unknown}")
         for name, (kinds, depth, required) in _ENVIRONMENTS[kind].items():
             if name in self.environment:
                 check_kinds(self.environment[name], kinds, f"environment field {name}", depth)
@@ -371,6 +374,10 @@ def emit_report(report: CoverageReport, path) -> None:
 
 def read_report(path) -> CoverageReport:
     """Reconstruct a report from the sidecar written by emit_report."""
-    doc = read_json(str(path) + ".json", "report sidecar")
-    cells = tuple(CoverageCell(**c) for c in doc["cells"])
-    return CoverageReport(cells=cells, config=ExperimentConfig.from_dict(doc["config"]))
+    source = str(path) + ".json"
+    doc = read_json(source, "report sidecar")
+    try:
+        cells = tuple(CoverageCell(**c) for c in doc["cells"])
+        return CoverageReport(cells=cells, config=ExperimentConfig.from_dict(doc["config"]))
+    except (KeyError, TypeError, ValidationError) as exc:
+        raise ValidationError(f"report sidecar {source} is malformed: {exc!r}") from exc

@@ -153,11 +153,6 @@ class GradientCheckReport:
     def passed(self) -> bool:
         return all(c.error is None and c.max_rel_error < self.tol for c in self.cases)
 
-    @property
-    def max_rel_error(self) -> float:
-        finite = [c.max_rel_error for c in self.cases if c.error is None]
-        return max(finite) if finite else float("nan")
-
 
 def _random_case_data(rng, num_states, num_actions, full_support):
     gamma = float(rng.uniform(0.3, 0.9))
@@ -179,13 +174,15 @@ def _random_case_data(rng, num_states, num_actions, full_support):
     return mdp, policy, data, gamma
 
 
+_TILT = 1e-6  # the mixture weight t of every finite-difference tilt in ``check_gradients``
+
+
 def check_gradients(
     cases: int = 20,
     tuples_per_case: int = 50,
     tol: float = 1e-3,
     kappa: float = 0.0,
     rng_seed=0,
-    t: float = 1e-6,
     full_support: bool = True,
 ) -> GradientCheckReport:
     """Compare closed-form influence against finite differences on random
@@ -224,7 +221,7 @@ def check_gradients(
         except UnvisitedPairError as exc:
             report_cases.append(GradientCase(case, float("nan"), str(exc)))
             continue
-        quotients = finite_difference_influence(data, policy, probes, t, kappa, discount=gamma)
+        quotients = finite_difference_influence(data, policy, probes, _TILT, kappa, discount=gamma)
         pairs = list(zip(closed.tolist(), quotients.tolist()))
         floor = max(1e-3 * max(max(abs(c), abs(f)) for c, f in pairs), 1e-12)
         errors = [abs(c - f) / max(abs(c), abs(f), floor) for c, f in pairs]
@@ -254,19 +251,12 @@ def _chain_tuple_distribution(n_intermediate: int, discount: float):
     return mdp, policy, data, weights
 
 
-def counterexample_blowup_probe(
-    n_intermediate: int,
-    kappa: float,
-    steps,
-    include_unvisited_mass: bool = True,
-) -> list:
+def counterexample_blowup_probe(n_intermediate: int, kappa: float, steps) -> list:
     """Difference quotients of the DM value along a perturbation sequence
     that re-populates an unvisited pair of the chain at discount 0.5.
 
     Returns [(epsilon, quotient), ...].  With kappa=0 the quotients grow like
     1/epsilon (the derivative does not exist); with kappa>0 they converge.
-    With ``include_unvisited_mass=False`` the perturbation keeps the
-    unvisited pair empty and the quotients are identically zero at kappa=0.
     """
     steps = [float(e) for e in steps]
     if any(not 0.0 < e < 1.0 for e in steps):
@@ -289,11 +279,7 @@ def counterexample_blowup_probe(
     extended = _appended(data, [unvisited_tuple, crowd_tuple])
     out = []
     for eps in steps:
-        if include_unvisited_mass:
-            extra = np.array([eps * eps, eps * (1.0 - eps)])
-        else:
-            extra = np.array([0.0, eps])
-        mixed_w = np.append((1.0 - eps) * weights, extra)
+        mixed_w = np.append((1.0 - eps) * weights, [eps * eps, eps * (1.0 - eps)])
         model = build_empirical_model(
             extended, probe_priors, kappa, discount=discount, weights=mixed_w
         )

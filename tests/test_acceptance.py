@@ -102,12 +102,13 @@ def test_criterion_03_qe_equals_mb():
 
 def test_criterion_04_gradient_suite():
     start = time.monotonic()
-    report = check_gradients(cases=20, tuples_per_case=50, tol=1e-3, t=1e-6, rng_seed=0)
+    report = check_gradients(cases=20, tuples_per_case=50, tol=1e-3, rng_seed=0)
     elapsed = time.monotonic() - start
+    worst = max((c.max_rel_error for c in report.cases if c.error is None), default=math.nan)
     ok = report.passed and elapsed < 60.0
     report_line(
         "criterion 4 (influence vs finite differences)", ok,
-        f"max rel error={report.max_rel_error:.2e}, runtime={elapsed:.1f}s",
+        f"max rel error={worst:.2e}, runtime={elapsed:.1f}s",
     )
 
 

@@ -28,7 +28,7 @@ from opeci import (
     uniform_policy,
 )
 from opeci import solvers
-from opeci.mdp import Episode, Step
+from opeci.mdp import Episode, Step, make_random_mdp
 
 from _oracles import episode_set, normalized_return, range_bounds, recursive_estimate
 
@@ -118,19 +118,19 @@ class TestRecursionOracle:
     @pytest.mark.parametrize("case", ["lake-ragged", "hand-built-empty-episode"])
     def test_values_and_range_bounds_equal_oracle(self, case):
         if case == "lake-ragged":
-            mdp, target, behavior = lake_setup()
-            eps = sample_episodes(mdp, behavior, 200, 300, rng_seed=12)
-            q = q_values(mdp, target)
+            model, target, behavior = lake_setup()
+            eps = sample_episodes(model, behavior, 200, 300, rng_seed=12)
             discount = 0.95
             assert len(set(eps.columns.lengths.tolist())) > 10
         else:
             eps = hand_built_set()
             target = Policy(np.array([[0.7, 0.3], [0.4, 0.6]]))
-            q = np.array([[0.3, -0.2], [0.1, 0.5]])
             discount = 0.9
+            model = make_random_mdp(2, 2, discount, rng_seed=13)
+        q = q_values(model, target)
         v = solvers.state_values(q, target.probs)
         pdis = per_decision_is(eps, target, discount)
-        dr = dr_estimate(eps, target, None, discount, q_table=q)
+        dr = dr_estimate(eps, target, model, discount)
         assert np.array_equal(
             pdis.values, [recursive_estimate(ep, target, discount) for ep in eps.episodes]
         )
@@ -145,7 +145,12 @@ class TestDoublyRobust:
         mdp, target, behavior = lake_setup()
         eps = sample_episodes(mdp, behavior, 50, 300, rng_seed=6)
         pdis = per_decision_is(eps, target, 0.95)
-        dr = dr_estimate(eps, target, None, 0.95, q_table=np.zeros((mdp.num_states, 4)))
+        # With every reward 0 the model's Q is exactly 0.
+        rewards = [[((0.0, 1.0),)] * mdp.num_actions] * mdp.num_states
+        zero = TabularMdp(mdp.num_states, mdp.num_actions, mdp.transitions, rewards,
+                          mdp.initial_dist, 0.95, mdp.terminal_states)
+        dr = dr_estimate(eps, target, zero, 0.95)
+        assert not q_values(zero, target).any()
         assert np.array_equal(pdis.values, dr.values)
 
     def test_perfect_q_on_deterministic_bandit(self):
@@ -155,30 +160,19 @@ class TestDoublyRobust:
         behavior = uniform_policy(1, 2)
         target = Policy(np.array([[0.75, 0.25]]))
         eps = sample_episodes(bandit, behavior, 100, 1, rng_seed=7)
-        dr = dr_estimate(eps, target, None, 0.0, q_table=q_values(bandit, target))
+        dr = dr_estimate(eps, target, bandit, 0.0)
         rho = exact_policy_value(bandit, target)
         assert np.abs(dr.values - rho).max() < 1e-12
 
     def test_exact_q_lowers_variance_and_stays_unbiased(self):
         mdp, target, behavior = lake_setup(discount=0.95)
         eps = sample_episodes(mdp, behavior, 10_000, 500, rng_seed=8)
-        exact_q = q_values(mdp, target)
-        dr = dr_estimate(eps, target, None, 0.95, q_table=exact_q)
+        dr = dr_estimate(eps, target, mdp, 0.95)
         pdis = per_decision_is(eps, target, 0.95)
         exact = exact_policy_value(mdp, target)
         se = dr.values.std(ddof=1) / math.sqrt(dr.m)
         assert abs(dr.values.mean() - exact) < 3 * se
         assert dr.values.var() <= pdis.values.var()
-
-    def test_model_route_equals_q_table_route(self):
-        mdp, target, behavior = lake_setup()
-        eps = sample_episodes(mdp, behavior, 30, 300, rng_seed=9)
-        model = build_empirical_model(tuples_from_episodes(eps), discount=0.95)
-        from opeci import dm_q
-
-        a = dr_estimate(eps, target, model, 0.95)
-        b = dr_estimate(eps, target, None, 0.95, q_table=dm_q(model, target))
-        assert np.array_equal(a.values, b.values)
 
 
 class TestConcentrationIntervals:

@@ -53,7 +53,7 @@ class TestBootstrapInterval:
         for values in (np.array([3.0]), np.full(20, 3.0)):
             ci = mean_interval(values, 0.05, 50, rng_seed=0)
             assert ci.lower == ci.upper == ci.point_estimate == 3.0
-            assert ci.confidence == 0.95 and ci.replicas == 50
+            assert ci.confidence == 0.95
 
     def test_tuple_data_rejected(self):
         # DM replicas come only from dm_bootstrap_replicas
@@ -145,18 +145,18 @@ class TestBootstrapInterval:
 class TestConfidenceInterval:
     def test_invariants_enforced(self):
         with pytest.raises(ValidationError):
-            ConfidenceInterval(1.0, 0.0, 0.5, 0.9, 10)
+            ConfidenceInterval(1.0, 0.0, 0.5, 0.9)
         with pytest.raises(ValidationError):
-            ConfidenceInterval(0.0, 1.0, 0.5, 1.0, 10)
+            ConfidenceInterval(0.0, 1.0, 0.5, 1.0)
 
     def test_nan_rejected_infinities_allowed(self):
         for bounds in ((math.nan, 1.0, 0.5), (0.0, math.nan, 0.5), (0.0, 1.0, math.nan)):
             with pytest.raises(ValidationError, match="NaN"):
-                ConfidenceInterval(*bounds, 0.9, 10)
-        ci = ConfidenceInterval(-math.inf, math.inf, 0.5, 0.9, 10)
+                ConfidenceInterval(*bounds, 0.9)
+        ci = ConfidenceInterval(-math.inf, math.inf, 0.5, 0.9)
         assert ci.contains(1e300)
 
     def test_width_and_contains(self):
-        ci = ConfidenceInterval(-1.0, 3.0, 1.0, 0.9, 10)
+        ci = ConfidenceInterval(-1.0, 3.0, 1.0, 0.9)
         assert ci.width == 4.0
         assert ci.contains(0.0) and not ci.contains(4.0)

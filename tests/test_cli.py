@@ -385,11 +385,12 @@ class TestMalformedInputs:
         {"discount": "0.0"}, {"trials": 2.5}, {"max_horizon": 2.5}, {"sizes": [10.7]},
         {"master_seed": 1.5}, {"noise_coef": "x"}, {"methods": "dm-boot"}, {"alphas": "0.1"},
         {"trials": True}, {"kappa": float("nan")}, {"environment": "bernoulli_bandit"},
-        {"noise_coef": -0.5},
+        {"noise_coef": -0.5}, {"environment": {"type": "bernoulli_bandit", "prob": 0.9}},
     ], ids=[
         "sizes", "target_policy", "target_policy-strings", "bootstrap_b", "kappa", "discount",
         "trials", "max_horizon", "sizes-float", "master_seed", "noise_coef", "methods", "alphas",
         "trials-bool", "kappa-nan", "environment", "noise_coef-negative",
+        "environment-unknown-field",
     ])
     def test_malformed_coverage_config(self, tmp_path, capsys, override):
         config = {

@@ -43,6 +43,24 @@ class TestTupleDataset:
         with pytest.raises(ValidationError, match="must be 1-d and of one length"):
             TupleDataset(**columns, num_states=2, num_actions=2)
 
+    @pytest.mark.parametrize("column, value", [
+        ("s", 1.7),  # a float state
+        ("a", True),  # a bool action
+        ("r", "1.5"),  # a string reward
+        ("sp", None),  # an object column
+    ])
+    @pytest.mark.parametrize("route", ["columns", "tuples"])
+    def test_column_of_wrong_kind_rejected(self, column, value, route):
+        columns = dict(s0=[0, 0], s=[0, 1], a=[1, 0], r=[1.0, 2], sp=[1, 0])
+        with pytest.raises(ValidationError, match=f"tuple column {column} holds"):
+            if route == "columns":
+                columns[column] = np.array([value, value])
+                TupleDataset(**columns, num_states=2, num_actions=2)
+            else:
+                # One good value first: numpy alone would read (0, True) as integers.
+                columns[column] = [columns[column][0], value]
+                TupleDataset.from_tuples(list(zip(*columns.values())), 2, 2)
+
 
 class TestTuplesFromEpisodes:
     def test_single_episode_s0_propagates(self):
@@ -379,20 +397,4 @@ class TestSampleTuples:
         data = sample_tuples(make_random_mdp(6, 3, 0.9, rng_seed=1), 400, rng_seed=2)
         assert tuple_digest(data) == (
             "986a9848500d310b38a285150f1c91ee1d2d6be87ac80049c6a7823edaac1afb"
-        )
-
-    @pytest.mark.parametrize("first, others", [(-1.0, 1.0), (np.nan, 1.0), (np.inf, 1.0), (0.0, 0.0)])
-    def test_bad_state_action_dist_rejected(self, first, others):
-        dist = np.array([first] + [others] * 67)  # one weight per pair of the 4x4 lake
-        with pytest.raises(ValidationError, match="state_action_dist"):
-            sample_tuples(make_frozen_lake(), 10, rng_seed=0, state_action_dist=dist)
-
-    def test_golden_hash_lake_weighted_pairs(self):
-        lake = make_frozen_lake()
-        dist = np.arange(1.0, lake.num_states * lake.num_actions + 1).reshape(
-            lake.num_states, lake.num_actions
-        )
-        data = sample_tuples(lake, 400, rng_seed=3, state_action_dist=dist)
-        assert tuple_digest(data) == (
-            "a123e3fa62f1082f1f7e24d434eb5bea5278bc96fa1a561c72c9188eb99e4a14"
         )

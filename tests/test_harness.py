@@ -1,6 +1,7 @@
 """Coverage harness: determinism, aggregation, report emission, replay."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -180,6 +181,15 @@ class TestRunCoverageExperiment:
         with pytest.raises(ValidationError):
             run_coverage_experiment(bandit_config(environment={"type": "casino"}))
 
+    @pytest.mark.parametrize("environment", [
+        {"type": "bernoulli_bandit", "prob": 0.9},  # would run with p = 0.5
+        {"type": "frozen_lake", "slip": 0.0},  # would keep the 0.25 slip
+    ])
+    def test_unknown_environment_field_rejected(self, environment):
+        name = next(k for k in environment if k != "type")
+        with pytest.raises(ValidationError, match=f"unknown environment fields .*'{name}'"):
+            bandit_config(environment=environment)
+
 
 class TestEnvironmentsAndPolicies:
     def test_frozen_lake_and_chain_builders(self):
@@ -210,6 +220,17 @@ class TestReportIO:
         out = tmp_path / "coverage.csv"
         emit_report(report, out)
         assert read_report(out) == report
+
+    @pytest.mark.parametrize("malform", ["empty-object", "list", "cell-missing-field"])
+    def test_malformed_sidecar_rejected(self, tmp_path, malform):
+        out = tmp_path / "coverage.csv"
+        emit_report(run_coverage_experiment(bandit_config(trials=2)), out)
+        sidecar = tmp_path / "coverage.csv.json"
+        doc = json.loads(sidecar.read_text())
+        del doc["cells"][0]["coverage"]
+        sidecar.write_text(json.dumps({"empty-object": {}, "list": []}.get(malform, doc)))
+        with pytest.raises(ValidationError, match=re.escape(f"report sidecar {sidecar} is malformed")):
+            read_report(out)
 
     def test_csv_shape_and_header(self, tmp_path):
         config = bandit_config()

@@ -247,10 +247,11 @@ def test_backward_sweep_equals_recursion_oracle(case, discount, seed):
     episodes, num_states, num_actions = case
     eps = episode_set(episodes, num_states, num_actions)
     target = make_random_policy(num_states, num_actions, (seed, "target"))
-    q = np.random.default_rng(seed).uniform(-2.0, 2.0, (num_states, num_actions))
+    model = make_random_mdp(num_states, num_actions, discount, (seed, "model"))
+    q = q_values(model, target)
     v = solvers.state_values(q, target.probs)
     pdis = per_decision_is(eps, target, discount)
-    dr = dr_estimate(eps, target, None, discount, q_table=q)
+    dr = dr_estimate(eps, target, model, discount)
     assert pdis.values.tolist() == [recursive_estimate(ep, target, discount) for ep in episodes]
     assert dr.values.tolist() == [recursive_estimate(ep, target, discount, q, v) for ep in episodes]
     assert (pdis.range_bound, dr.range_bound) == range_bounds(eps, target, discount, q, v)

@@ -218,7 +218,7 @@ class TestCheckGradients:
     def test_full_support_suite_passes(self):
         report = check_gradients(cases=8, tuples_per_case=25, tol=1e-3, rng_seed=1)
         assert report.passed
-        assert report.max_rel_error < 1e-3
+        assert max(c.max_rel_error for c in report.cases) < 1e-3
 
     def test_sparse_kappa_zero_reports_breach(self):
         report = check_gradients(
@@ -269,12 +269,6 @@ class TestBlowupProbe:
         # successive gaps shrink toward the limit
         gaps = [abs(b - a) for a, b in zip(quotients, quotients[1:])]
         assert gaps[0] > gaps[1] > gaps[2]
-
-    def test_limit_direction_is_flat_at_kappa_zero(self):
-        points = counterexample_blowup_probe(
-            50, 0.0, (0.1, 0.01, 0.001), include_unvisited_mass=False
-        )
-        assert all(abs(q) < 1e-12 for _, q in points)
 
     def test_base_value_shift_matches_prior_mass(self):
         # the re-assigned branch leaves the model value above the true 1/4 by
