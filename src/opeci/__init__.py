@@ -24,7 +24,6 @@ from .dm import (
     empirical_on_policy_distribution,
 )
 from .empirical import (
-    AugmentedDataset,
     EmpiricalModel,
     PriorSpec,
     TupleDataset,

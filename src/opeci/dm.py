@@ -3,7 +3,7 @@
 ``dm_value``, ``dm_q`` and ``empirical_on_policy_distribution`` are the
 ``opeci.mdp`` evaluators, which solve an empirical model as they do a true one.
 ``dm_bootstrap_replicas`` computes the bootstrap replicas of the DM value in
-stacked batches from multinomial counts over the distinct tuples.
+stacked batches from multinomial counts over the distinct tuples of a pool.
 """
 
 from __future__ import annotations
@@ -11,14 +11,15 @@ from __future__ import annotations
 import numpy as np
 
 from .bootstrap import _CHUNK_BYTES, check_replicas
-from .empirical import _count_tables, blend_tables, build_empirical_model, resample_counts
+from .empirical import TupleDataset, _count_tables, blend_tables, build_empirical_model
+from .empirical import resample_counts
 from .errors import SolverError, ValidationError
 from .mdp import Policy, exact_policy_value as dm_value, q_values as dm_q
 from .mdp import on_policy_distribution as empirical_on_policy_distribution
 from . import solvers
 
 
-def replica_chunk_size(num_states: int, num_actions: int, num_distinct: int = 0) -> int:
+def replica_chunk_size(num_states: int, num_actions: int, num_distinct: int) -> int:
     """Replicas per stacked solve, keeping a chunk's tables near 1 MB.
 
     Per replica: its counts of the distinct tuples, the count tables, the blend
@@ -30,34 +31,38 @@ def replica_chunk_size(num_states: int, num_actions: int, num_distinct: int = 0)
 
 
 def dm_bootstrap_replicas(
-    data,
+    pool: TupleDataset,
     policy: Policy,
     b: int,
     rng_seed,
     *,
     kappa: float,
     discount: float,
+    n: int,
 ) -> tuple:
-    """DM point estimate plus the b recentered bootstrap replica differences.
+    """DM point estimate on the pool plus the b recentered bootstrap replica
+    differences, each replica a resample of n pool tuples.
 
     Replica k is the DM value, up to the order reward sums add in, of
     ``build_empirical_model(distinct, weights=row)`` for the k-th count row
-    that ``resample_counts(data, rng_seed)`` draws.  Chunks of
+    that ``resample_counts(pool, n, rng_seed)`` draws.  Chunks of
     ``replica_chunk_size`` replicas are drawn, tabled, blended and solved as
     one stack each, and chunking changes no replica's value.
     """
     if b < 2:
         raise ValidationError("b must be >= 2")
-    model = build_empirical_model(data, kappa=kappa, discount=discount)
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+        raise ValidationError(f"resample size n must be an integer >= 1, not {n!r}")
+    model = build_empirical_model(pool, kappa=kappa, discount=discount)
     point = dm_value(model, policy)
-    distinct, draw = resample_counts(data, rng_seed)
+    distinct, draw = resample_counts(pool, n, rng_seed)
     chunk = replica_chunk_size(model.num_states, model.num_actions, distinct.n)
     diffs = np.empty(b)
     for start in range(0, b, chunk):
         stop = min(start + chunk, b)
         tables = _count_tables(distinct, draw(stop - start))
         mean_reward, transitions, initial_dist = blend_tables(
-            *tables, float(data.n), model.priors, kappa
+            *tables, float(n), model.priors, kappa
         )
         try:
             values = solvers.policy_value(

@@ -92,22 +92,6 @@ class TupleDataset:
         return cls(*map(np.array, cols), num_states, num_actions)
 
 
-@dataclass(frozen=True, eq=False)
-class AugmentedDataset:
-    """A dataset tripled with +/- noise_scale reward perturbations.
-
-    ``view`` materializes the 3n tuples (original block, +noise block,
-    -noise block).  Never persisted; always derived from its base.
-    """
-
-    base: TupleDataset
-    view: TupleDataset
-
-    @property
-    def n(self) -> int:
-        return self.base.n
-
-
 @dataclass(frozen=True)
 class PriorSpec:
     """Fallback reward/transition model for unvisited state-action pairs.
@@ -170,7 +154,6 @@ class EmpiricalModel:
     counts: np.ndarray  # (S, A) summed tuple weights per pair
     reward_sums: np.ndarray  # (S, A) weighted reward sums
     transition_counts: np.ndarray  # (S, A, S)
-    initial_counts: np.ndarray  # (S,)
     total_weight: float
     mean_reward: np.ndarray  # (S, A) blended
     transitions: np.ndarray  # (S, A, S) blended rows
@@ -192,12 +175,8 @@ def tuples_from_episodes(episodes: EpisodeSet) -> TupleDataset:
     )
 
 
-def _materialized(data) -> TupleDataset:
-    return data.view if isinstance(data, AugmentedDataset) else data
-
-
 def build_empirical_model(
-    data,
+    data: TupleDataset,
     priors: PriorSpec | None = None,
     kappa: float = 0.0,
     *,
@@ -213,7 +192,6 @@ def build_empirical_model(
     if not 0.0 <= kappa < math.inf:
         raise ValidationError(f"kappa must be a finite number >= 0, not {kappa!r}")
     discount = check_discount(discount)
-    data = _materialized(data)
     priors = priors or PriorSpec()
     S, A = data.num_states, data.num_actions
 
@@ -242,7 +220,6 @@ def build_empirical_model(
         counts=counts,
         reward_sums=reward_sums,
         transition_counts=transition_counts,
-        initial_counts=initial_counts,
         total_weight=total,
         mean_reward=mean_reward,
         transitions=transitions,
@@ -305,15 +282,16 @@ def blend_tables(
     return mean_reward, transitions, initial_counts / total
 
 
-def augment_noisy_rewards(data: TupleDataset, noise_scale: float) -> AugmentedDataset:
-    """Triple the dataset with rewards shifted by +/- noise_scale.
+def augment_noisy_rewards(data: TupleDataset, noise_scale: float) -> TupleDataset:
+    """The 3n tuples of the data, then of the data with rewards shifted up by
+    noise_scale, then shifted down.
 
     The population reward variance of the result is exactly
-    (2/3)*noise_scale**2 plus the base variance.
+    (2/3)*noise_scale**2 plus the data's variance.
     """
     if not 0.0 <= noise_scale < math.inf:
         raise ValidationError("noise_scale must be a finite number >= 0")
-    view = TupleDataset(
+    return TupleDataset(
         np.tile(data.s0, 3),
         np.tile(data.s, 3),
         np.tile(data.a, 3),
@@ -322,7 +300,6 @@ def augment_noisy_rewards(data: TupleDataset, noise_scale: float) -> AugmentedDa
         data.num_states,
         data.num_actions,
     )
-    return AugmentedDataset(base=data, view=view)
 
 
 def sufficient_noise_scale(r_max: float, discount: float) -> float:
@@ -330,21 +307,20 @@ def sufficient_noise_scale(r_max: float, discount: float) -> float:
     return math.sqrt(1.5) * r_max / (1.0 - check_discount(discount))
 
 
-def resample_counts(data, rng_seed) -> tuple:
-    """(distinct, draw): the sorted distinct tuples of the pool (the data, or
-    an augmented dataset's 3n view) and ``draw(m)``, the next m replicas' counts.
+def resample_counts(pool: TupleDataset, n: int, rng_seed) -> tuple:
+    """(distinct, draw): the sorted distinct tuples of the pool and ``draw(m)``,
+    the next m replicas' counts.
 
-    A uniform resample of n pool tuples (n the base size) is a multinomial(n,
-    c_k / len(pool)) draw over the distinct tuples, c_k each one's multiplicity.
-    Every ``draw`` continues one generator seeded (rng_seed, "multinomial").
+    A uniform resample of n pool tuples is a multinomial(n, c_k / pool.n) draw
+    over the distinct tuples, c_k each one's multiplicity.  Every ``draw``
+    continues one generator seeded (rng_seed, "multinomial").
     """
-    pool = _materialized(data)
     S, A = pool.num_states, pool.num_actions
     _, code = np.unique(((pool.s0 * S + pool.s) * A + pool.a) * S + pool.sp, return_inverse=True)
     _, reward = np.unique(pool.r, return_inverse=True)
     _, first, counts = np.unique(code * pool.n + reward, return_index=True, return_counts=True)
     rng = as_generator((rng_seed, "multinomial"))
-    return pool[first], lambda m: rng.multinomial(data.n, counts / pool.n, size=m)
+    return pool[first], lambda m: rng.multinomial(n, counts / pool.n, size=m)
 
 
 def sample_tuples(mdp, count: int, rng_seed) -> TupleDataset:

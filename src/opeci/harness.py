@@ -77,7 +77,9 @@ _FIELDS = {
                 f"a list of distinct tags from {METHODS}"),
     "alphas": (NUMBERS, 1, lambda xs: all(0.0 < x < 1.0 for x in xs) and _distinct(xs),
                "a list of distinct numbers in (0, 1)"),
-    "target_policy": (frozenset({str, dict}), 0, None, "a string or an object"),
+    "target_policy": (frozenset({str, dict}), 0,
+                      lambda p: not isinstance(p, dict) or list(p) in (["path"], ["probs"]),
+                      "a string or an object whose one key is path or probs"),
     "behavior_epsilon": (NUMBERS, 0, lambda x: 0.0 <= x <= 1.0, "a number in [0, 1]"),
     "trials": (INTEGERS, 0, lambda x: x >= 1, "a positive integer"),
     "bootstrap_b": (INTEGERS, 0, None, "an integer"),
@@ -86,6 +88,22 @@ _FIELDS = {
     "master_seed": (INTEGERS, 0, None, "an integer"),
     "max_horizon": (INTEGERS, 0, lambda x: x >= 1, "a positive integer"),
 }
+
+# Each report cell field's entry, as in ``_FIELDS``; a field not listed is a number.
+_CELL_FIELDS = {
+    "method": (STRINGS, 0, METHODS.__contains__, f"one of {METHODS}"),
+    "n": _FIELDS["trials"],
+    "alpha": (NUMBERS, 0, lambda x: 0.0 < x < 1.0, "a number in (0, 1)"),
+    "coverage": (NUMBERS, 0, lambda x: 0.0 <= x <= 1.0, "a number in [0, 1]"),
+    "trials": _FIELDS["trials"],
+}
+
+
+def _check_field(value, kinds, depth, in_range, description, what):
+    value = check_kinds(value, kinds, what, depth, must=description)
+    if in_range is not None and not in_range(value):
+        raise ValidationError(f"{what} must be {description}")
+
 
 # Each environment type's fields: JSON kinds, list depth and whether the
 # field is required.  The environment constructors check the ranges.
@@ -114,11 +132,8 @@ class ExperimentConfig:
     max_horizon: int = 10000
 
     def __post_init__(self):
-        for name, (kinds, depth, in_range, description) in _FIELDS.items():
-            what = f"config field {name}"
-            value = check_kinds(getattr(self, name), kinds, what, depth, must=description)
-            if in_range is not None and not in_range(value):
-                raise ValidationError(f"{what} must be {description}")
+        for name, spec in _FIELDS.items():
+            _check_field(getattr(self, name), *spec, f"config field {name}")
         check_discount(self.discount)
         if self.bootstrap_b < 2 and any(m.endswith("-boot") for m in self.methods):
             raise ValidationError("config field bootstrap_b must be >= 2 for bootstrap methods")
@@ -151,9 +166,6 @@ class ExperimentConfig:
         except (TypeError, ValueError) as exc:
             raise ValidationError(f"invalid config: {exc}") from exc
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 def build_environment(config: ExperimentConfig) -> TabularMdp:
     spec = config.environment
@@ -176,8 +188,8 @@ def resolve_target(mdp: TabularMdp, config: ExperimentConfig) -> Policy:
     if spec == "optimal":
         return optimal_policy(mdp)
     if isinstance(spec, dict) and "path" in spec:
-        return load_policy(spec["path"])
-    if isinstance(spec, dict) and "probs" in spec:
+        return load_policy(check_kinds(spec["path"], STRINGS, "config field target_policy path"))
+    if isinstance(spec, dict):
         return policy_from_doc(spec, "target_policy")
     raise ValidationError(f"cannot resolve target policy from {spec!r}")
 
@@ -230,10 +242,12 @@ def method_intervals(
         raise ValidationError(f"noise_coef must be a finite number >= 0, not {noise_coef!r}")
     check_policy(target, episodes)
     if method in ("dm-boot", "dm-noisy-boot"):
-        data = tuples_from_episodes(episodes)
+        data = pool = tuples_from_episodes(episodes)
         if method == "dm-noisy-boot":
-            data = augment_noisy_rewards(data, noise_coef * float(np.std(data.r)))
-        point, diffs = dm_bootstrap_replicas(data, target, b, seed, kappa=kappa, discount=discount)
+            pool = augment_noisy_rewards(data, noise_coef * float(np.std(data.r)))
+        point, diffs = dm_bootstrap_replicas(
+            pool, target, b, seed, kappa=kappa, discount=discount, n=data.n
+        )
     elif method == "is-boot":
         values = per_decision_is(episodes, target, discount).values
         point, diffs = bootstrap_replicas(values, b, rng_seed=seed)
@@ -361,7 +375,7 @@ def emit_report(report: CoverageReport, path) -> None:
         )
     write_lines(path, "report", lines)
     sidecar = {
-        "config": report.config.to_dict(),
+        "config": asdict(report.config),
         "seed_scheme": 'SeedSequence entropy: (label, master_seed, env_crc32, n, trial[, method, "multinomial"|"indices"])',
         "cells": [asdict(c) for c in report.cells],
     }
@@ -378,6 +392,10 @@ def read_report(path) -> CoverageReport:
     doc = read_json(source, "report sidecar")
     try:
         cells = tuple(CoverageCell(**c) for c in doc["cells"])
+        for cell in cells:
+            for name, value in vars(cell).items():
+                spec = _CELL_FIELDS.get(name, (NUMBERS, 0, None, "a number"))
+                _check_field(value, *spec, f"cell field {name}")
         return CoverageReport(cells=cells, config=ExperimentConfig.from_dict(doc["config"]))
     except (KeyError, TypeError, ValidationError) as exc:
         raise ValidationError(f"report sidecar {source} is malformed: {exc!r}") from exc

@@ -175,11 +175,11 @@ def _random_case_data(rng, num_states, num_actions, full_support):
 
 
 _TILT = 1e-6  # the mixture weight t of every finite-difference tilt in ``check_gradients``
+_PROBES = 50  # probe tuples per ``check_gradients`` case
 
 
 def check_gradients(
     cases: int = 20,
-    tuples_per_case: int = 50,
     tol: float = 1e-3,
     kappa: float = 0.0,
     rng_seed=0,
@@ -213,7 +213,7 @@ def check_gradients(
                 float(rng.uniform(-1.0, 1.0)),
                 int(rng.integers(num_states)),
             )
-            for _ in range(tuples_per_case)
+            for _ in range(_PROBES)
         ]
         probes = TupleDataset.from_tuples(tuples, num_states, num_actions)
         try:

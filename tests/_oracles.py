@@ -40,16 +40,16 @@ from opeci.seeding import as_generator
 from opeci.sensitivity import InfluenceBreakdown
 
 
-def loop_replicas(data, policy, b, seed, kappa, discount):
-    """The per-replica reference: draw all b count rows in one block, then
-    build each replica's model from its row as tuple weights, and solve."""
+def loop_replicas(pool, n, policy, b, seed, kappa, discount):
+    """The per-replica reference: draw all b count rows of n pool tuples in one
+    block, then build each replica's model from its row as tuple weights, and solve."""
 
     def value(d, weights=None):
         model = build_empirical_model(d, kappa=kappa, discount=discount, weights=weights)
         return dm_value(model, policy)
 
-    distinct, draw = resample_counts(data, seed)
-    point = value(data)
+    distinct, draw = resample_counts(pool, n, seed)
+    point = value(pool)
     return point, np.array([value(distinct, row) - point for row in draw(b)])
 
 

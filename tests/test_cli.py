@@ -386,11 +386,15 @@ class TestMalformedInputs:
         {"master_seed": 1.5}, {"noise_coef": "x"}, {"methods": "dm-boot"}, {"alphas": "0.1"},
         {"trials": True}, {"kappa": float("nan")}, {"environment": "bernoulli_bandit"},
         {"noise_coef": -0.5}, {"environment": {"type": "bernoulli_bandit", "prob": 0.9}},
+        {"target_policy": {"probs": [[1.0]], "epsilon": 0.3}},
+        {"target_policy": {"path": "target.json", "probs": [[1.0]]}},
+        {"target_policy": {"path": 5}},
     ], ids=[
         "sizes", "target_policy", "target_policy-strings", "bootstrap_b", "kappa", "discount",
         "trials", "max_horizon", "sizes-float", "master_seed", "noise_coef", "methods", "alphas",
         "trials-bool", "kappa-nan", "environment", "noise_coef-negative",
-        "environment-unknown-field",
+        "environment-unknown-field", "target_policy-unknown-key", "target_policy-path-and-probs",
+        "target_policy-path-kind",
     ])
     def test_malformed_coverage_config(self, tmp_path, capsys, override):
         config = {
@@ -665,6 +669,25 @@ class TestCoverageCommand:
         )
         assert code1 == code2 == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    # sha256 of the CSV and of its sidecar for a small lake run of all seven
+    # methods: any change to a draw, a table, a solve, an interval or the
+    # report format shows here.
+    GOLDEN_CSV = "63641489fbc907e497225bcb14786f11406dfafa26280549e138b205012ba521"
+    GOLDEN_SIDECAR = "f780f7462d44083ff9e2967a715b6d8ccaee3bea2d89f42d83cb62e68a6e1a92"
+
+    def test_lake_report_pinned(self, tmp_path, capsys):
+        config_path, out = tmp_path / "config.json", tmp_path / "coverage.csv"
+        config_path.write_text(json.dumps({
+            "environment": {"type": "frozen_lake"}, "discount": 0.999, "sizes": [10, 50],
+            "methods": list(METHODS), "alphas": [0.1], "trials": 5, "bootstrap_b": 100,
+            "master_seed": 23,
+        }))
+        code, _, _ = run_cli(["coverage", "--config", str(config_path), "--out", str(out)], capsys)
+        assert code == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.GOLDEN_CSV
+        sidecar = Path(f"{out}.json").read_bytes()
+        assert hashlib.sha256(sidecar).hexdigest() == self.GOLDEN_SIDECAR
 
     def test_bad_config_validation_exit(self, tmp_path, capsys):
         config_path = tmp_path / "config.json"

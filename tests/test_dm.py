@@ -243,15 +243,13 @@ class TestDmBootstrapReplicas:
     @pytest.mark.parametrize("noisy", [False, True])
     def test_equals_per_replica_loop(self, case, gamma, kappa, noisy):
         data, policy = case()
-        S, A = data.num_states, data.num_actions
-        if noisy:
-            data = augment_noisy_rewards(data, 0.25 * float(np.std(data.r)))
+        pool = augment_noisy_rewards(data, 0.25 * float(np.std(data.r))) if noisy else data
         # more than one chunk, the last one partial
-        b = replica_chunk_size(S, A) + 7
+        b = replica_chunk_size(data.num_states, data.num_actions, pool.n) + 7
         point, diffs = dm_bootstrap_replicas(
-            data, policy, b, ("eq", 1), kappa=kappa, discount=gamma
+            pool, policy, b, ("eq", 1), kappa=kappa, discount=gamma, n=data.n
         )
-        ref_point, ref_diffs = loop_replicas(data, policy, b, ("eq", 1), kappa, gamma)
+        ref_point, ref_diffs = loop_replicas(pool, data.n, policy, b, ("eq", 1), kappa, gamma)
         assert point == ref_point
         assert np.abs(diffs - ref_diffs).max() <= 1e-12
 
@@ -268,8 +266,19 @@ class TestDmBootstrapReplicas:
         ("bandit", 0.05): "20e3006d0b230efbecc25cf4da34a11407389814b3eb167320ec40884459f6ed",
     }
 
-    @pytest.mark.parametrize("name, kappa", sorted(GOLDEN))
-    def test_replicas_pinned(self, name, kappa):
+    # The same digests for dm-noisy-boot replicas: n tuples resampled from the
+    # 3n-tuple pool that noise scale 0.25 * std(r) augments, as the harness does.
+    NOISY_GOLDEN = {
+        ("lake10", 0.0): "6be18c1b48789b800593a133218f91e9f7b9401d03f6d9081590e7a7f96d381b",
+        ("lake10", 0.05): "b25dd3ffc8345cb18824e0bdcaf7ad7587e8f75e51bafa1df6f5ae4897849ed0",
+        ("lake200", 0.0): "b3c33c9c3e0e65e5d3eeff1c523b4705923ecad567c2e6d118598e04f5ffabf3",
+        ("lake200", 0.05): "ffb601e91ffa88417a72d83d3522f7504af2ae313a20d1214bf09e9b19495930",
+        ("bandit", 0.0): "03e8d1450b981177610bacf221b2c9d58fa5f17d81c95e24b7e8b744db80aa46",
+        ("bandit", 0.05): "fd3cdb9169785c569f49cebc9008729d2beccfd220ef6b467f7aab9a5a9193bd",
+    }
+
+    @staticmethod
+    def replica_digest(name, kappa, noisy):
         if name == "bandit":
             mdp, n, horizon = make_bernoulli_bandit(0.5).with_discount(0.0), 500, 1
         else:
@@ -277,36 +286,60 @@ class TestDmBootstrapReplicas:
         target = optimal_policy(mdp)
         behavior = perturb_policy_epsilon_greedy(target, 0.2)
         episodes = sample_episodes(mdp, behavior, n, horizon, rng_seed=("golden", name))
+        data = tuples_from_episodes(episodes)
+        pool = augment_noisy_rewards(data, 0.25 * float(np.std(data.r))) if noisy else data
         point, diffs = dm_bootstrap_replicas(
-            tuples_from_episodes(episodes), target, 1000, ("golden", name, kappa),
-            kappa=kappa, discount=mdp.discount,
+            pool, target, 1000, ("golden", name, kappa),
+            kappa=kappa, discount=mdp.discount, n=data.n,
         )
-        digest = hashlib.sha256(np.float64(point).tobytes() + diffs.tobytes()).hexdigest()
-        assert digest == self.GOLDEN[(name, kappa)]
+        return hashlib.sha256(np.float64(point).tobytes() + diffs.tobytes()).hexdigest()
+
+    @pytest.mark.parametrize("name, kappa", sorted(GOLDEN))
+    def test_replicas_pinned(self, name, kappa):
+        assert self.replica_digest(name, kappa, noisy=False) == self.GOLDEN[(name, kappa)]
+
+    @pytest.mark.parametrize("name, kappa", sorted(NOISY_GOLDEN))
+    def test_noisy_replicas_pinned(self, name, kappa):
+        assert self.replica_digest(name, kappa, noisy=True) == self.NOISY_GOLDEN[(name, kappa)]
 
     def test_chunking_cannot_change_results(self):
         data, policy = lake_case()
-        chunk = replica_chunk_size(data.num_states, data.num_actions)
-        small = dm_bootstrap_replicas(data, policy, chunk + 3, 5, kappa=0.0, discount=0.999)
-        large = dm_bootstrap_replicas(data, policy, 3 * chunk, 5, kappa=0.0, discount=0.999)
+        distinct, _ = resample_counts(data, data.n, 5)
+        chunk = replica_chunk_size(data.num_states, data.num_actions, distinct.n)
+        small = dm_bootstrap_replicas(
+            data, policy, chunk + 3, 5, kappa=0.0, discount=0.999, n=data.n
+        )
+        large = dm_bootstrap_replicas(
+            data, policy, 3 * chunk, 5, kappa=0.0, discount=0.999, n=data.n
+        )
         assert small[0] == large[0]
         assert np.array_equal(small[1], large[1][: chunk + 3])
 
     def test_non_finite_replica_named(self):
         # the two rewards cancel in the original data; a replica drawing one twice overflows
         data = TupleDataset.from_tuples([(0, 0, 0, 1e308, 0), (0, 0, 0, -1e308, 0)], 1, 1)
-        _, draw = resample_counts(data, 9)
+        _, draw = resample_counts(data, 2, 9)
         first = next(k for k, row in enumerate(draw(100)) if np.count_nonzero(row) == 1)
         with np.errstate(invalid="ignore"):
             with pytest.raises(ValidationError, match=f"bootstrap replica {first} is not finite"):
-                dm_bootstrap_replicas(data, uniform_policy(1, 1), 100, 9, kappa=0.0, discount=0.0)
+                dm_bootstrap_replicas(
+                    data, uniform_policy(1, 1), 100, 9, kappa=0.0, discount=0.0, n=2
+                )
 
     def test_argument_validation(self):
         data, policy = random_mdp_case()
         with pytest.raises(ValidationError):
-            dm_bootstrap_replicas(data, policy, 1, 0, kappa=0.0, discount=0.9)
+            dm_bootstrap_replicas(data, policy, 1, 0, kappa=0.0, discount=0.9, n=data.n)
         with pytest.raises(ValidationError):
-            dm_bootstrap_replicas(data, uniform_policy(3, 3), 10, 0, kappa=0.0, discount=0.9)
+            dm_bootstrap_replicas(
+                data, uniform_policy(3, 3), 10, 0, kappa=0.0, discount=0.9, n=data.n
+            )
+
+    @pytest.mark.parametrize("n", [0, -3, 150.0, True])
+    def test_resample_size_must_be_positive_integer(self, n):
+        data, policy = random_mdp_case()
+        with pytest.raises(ValidationError, match="resample size n"):
+            dm_bootstrap_replicas(data, policy, 10, 0, kappa=0.0, discount=0.9, n=n)
 
 
 class TestStackedSolves:

@@ -205,21 +205,21 @@ class TestNoiseAugmentation:
     def test_zero_rewards_unit_noise(self):
         data = TupleDataset.from_tuples([(0, 0, 0, 0.0, 0)] * 4, 1, 1)
         aug = augment_noisy_rewards(data, 1.0)
-        assert aug.view.n == 12
-        assert sorted(set(aug.view.r.tolist())) == [-1.0, 0.0, 1.0]
-        assert np.var(aug.view.r) == pytest.approx(2.0 / 3.0, abs=1e-15)
+        assert aug.n == 12
+        assert sorted(set(aug.r.tolist())) == [-1.0, 0.0, 1.0]
+        assert np.var(aug.r) == pytest.approx(2.0 / 3.0, abs=1e-15)
 
     def test_zero_noise_keeps_variance(self):
         data = TupleDataset.from_tuples([(0, 0, 0, float(v), 0) for v in (0, 2, 5)], 1, 1)
         aug = augment_noisy_rewards(data, 0.0)
-        assert aug.view.n == 9
-        assert np.var(aug.view.r) == pytest.approx(np.var(data.r), abs=1e-15)
+        assert aug.n == 9
+        assert np.var(aug.r) == pytest.approx(np.var(data.r), abs=1e-15)
 
     def test_variance_identity_by_enumeration(self):
         data = TupleDataset.from_tuples([(0, 0, 0, 0.0, 0), (0, 0, 0, 2.0, 0)], 1, 1)
         aug = augment_noisy_rewards(data, 3.0)
         # rewards {0,2, 3,5, -3,-1}: mean 1, variance 7 = (2/3)*9 + 1
-        assert np.var(aug.view.r) == pytest.approx(7.0, abs=1e-14)
+        assert np.var(aug.r) == pytest.approx(7.0, abs=1e-14)
 
     def test_variance_identity_on_random_datasets(self):
         rng = np.random.default_rng(7)
@@ -233,12 +233,12 @@ class TestNoiseAugmentation:
             scale = float(rng.uniform(0, 3))
             aug = augment_noisy_rewards(data, scale)
             expected = (2.0 / 3.0) * scale**2 + np.var(rewards)
-            assert abs(np.var(aug.view.r) - expected) < 1e-12
+            assert abs(np.var(aug.r) - expected) < 1e-12
 
     def test_reward_multiset(self):
         data = TupleDataset.from_tuples([(0, 0, 0, 1.0, 0), (0, 0, 0, 4.0, 0)], 1, 1)
         aug = augment_noisy_rewards(data, 0.5)
-        assert sorted(aug.view.r.tolist()) == [0.5, 1.0, 1.5, 3.5, 4.0, 4.5]
+        assert sorted(aug.r.tolist()) == [0.5, 1.0, 1.5, 3.5, 4.0, 4.5]
 
     @pytest.mark.parametrize("scale", [float("nan"), float("inf"), -1.0])
     def test_scale_not_finite_nonnegative_rejected(self, scale):
@@ -318,7 +318,7 @@ class TestResampling:
 
     def test_count_rows_match_binomial(self):
         n = 10_000
-        distinct, draw = resample_counts(self.distinct_rewards(n), 14)
+        distinct, draw = resample_counts(self.distinct_rewards(n), n, 14)
         assert distinct.n == n
         row = draw(1)[0]
         assert row.sum() == n
@@ -330,7 +330,7 @@ class TestResampling:
         data = TupleDataset.from_tuples(
             [(0, 0, 0, 0.0, 0)] + [(0, 0, 0, 1.0, 0)] * 2 + [(0, 0, 0, 5.0, 0)] * 3, 1, 1
         )
-        distinct, draw = resample_counts(augment_noisy_rewards(data, 0.25), 16)
+        distinct, draw = resample_counts(augment_noisy_rewards(data, 0.25), data.n, 16)
         assert distinct.r.tolist() == [-0.25, 0.0, 0.25, 0.75, 1.0, 1.25, 4.75, 5.0, 5.25]
         c = np.repeat([1, 2, 3], 3)
         rows = draw(20_000)
@@ -348,8 +348,6 @@ class TestResampling:
         data = single_tuple_dataset()
         with pytest.raises(ValidationError, match="cannot resample a TupleDataset"):
             bootstrap_replicas(data, 2, 0)
-        with pytest.raises(ValidationError, match="cannot resample a AugmentedDataset"):
-            bootstrap_replicas(augment_noisy_rewards(data, 0.5), 2, 0)
 
     # Value replicas draw n uniform indices each, DM replicas draw
     # multinomial counts over the distinct tuples, each from one generator
@@ -369,7 +367,7 @@ class TestResampling:
         assert hashlib.sha256(values_bytes).hexdigest() == self.GOLDEN["values"]
         data = sample_tuples(make_random_mdp(4, 2, 0.9, rng_seed=3), 25, rng_seed=4)
         for name, case in (("tuples", data), ("augmented", augment_noisy_rewards(data, 0.5))):
-            _, draw = resample_counts(case, self.GOLDEN_SEED)
+            _, draw = resample_counts(case, data.n, self.GOLDEN_SEED)
             counts = draw(64)
             assert (counts.sum(axis=1) == 25).all()
             assert draws_digest(counts) == self.GOLDEN[name + "-counts"], name

@@ -213,6 +213,15 @@ class TestEnvironmentsAndPolicies:
         with pytest.raises(ValidationError):
             resolve_target(build_environment(config), config)
 
+    @pytest.mark.parametrize("spec", [
+        {"probs": [[1.0]], "epsilon": 0.3}, {"path": "target.json", "probs": [[1.0]]}, {},
+        {"path": 5},
+    ])
+    def test_policy_object_holds_one_known_key(self, spec):
+        with pytest.raises(ValidationError, match="config field target_policy"):
+            config = bandit_config(target_policy=spec)
+            resolve_target(build_environment(config), config)
+
 
 class TestReportIO:
     def test_emit_and_round_trip(self, tmp_path):
@@ -221,13 +230,25 @@ class TestReportIO:
         emit_report(report, out)
         assert read_report(out) == report
 
-    @pytest.mark.parametrize("malform", ["empty-object", "list", "cell-missing-field"])
+    # (field, value) put into the last cell
+    BAD_CELLS = {
+        "coverage-string": ("coverage", "high"), "coverage-above-one": ("coverage", 1.5),
+        "trials-negative": ("trials", -5), "n-zero": ("n", 0), "n-float": ("n", 40.0),
+        "method-unknown": ("method", "dm-magic"), "alpha-one": ("alpha", 1.0),
+        "width-string": ("mean_width", "wide"), "true-value-bool": ("true_value", True),
+    }
+
+    @pytest.mark.parametrize("malform", ["empty-object", "list", "cell-missing-field", *BAD_CELLS])
     def test_malformed_sidecar_rejected(self, tmp_path, malform):
         out = tmp_path / "coverage.csv"
         emit_report(run_coverage_experiment(bandit_config(trials=2)), out)
         sidecar = tmp_path / "coverage.csv.json"
         doc = json.loads(sidecar.read_text())
-        del doc["cells"][0]["coverage"]
+        if malform in self.BAD_CELLS:
+            name, value = self.BAD_CELLS[malform]
+            doc["cells"][-1][name] = value
+        else:
+            del doc["cells"][0]["coverage"]
         sidecar.write_text(json.dumps({"empty-object": {}, "list": []}.get(malform, doc)))
         with pytest.raises(ValidationError, match=re.escape(f"report sidecar {sidecar} is malformed")):
             read_report(out)

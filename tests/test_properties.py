@@ -90,16 +90,16 @@ def test_batched_dm_bootstrap_equals_per_replica_loop(
 ):
     mdp = make_random_mdp(num_states, num_actions, discount, (seed, "mdp"))
     policy = make_random_policy(num_states, num_actions, (seed, "policy"))
-    data = sample_tuples(mdp, n, (seed, "tuples"))
+    pool = sample_tuples(mdp, n, (seed, "tuples"))
     if noisy:
-        data = augment_noisy_rewards(data, 0.25 * float(np.std(data.r)))
+        pool = augment_noisy_rewards(pool, 0.25 * float(np.std(pool.r)))
     # A small chunk budget makes b span more than one chunk.
     with mock.patch.object(dm, "_CHUNK_BYTES", chunk_bytes):
-        b = dm.replica_chunk_size(num_states, num_actions) + extra
+        b = dm.replica_chunk_size(num_states, num_actions, pool.n) + extra
         point, diffs = dm.dm_bootstrap_replicas(
-            data, policy, b, (seed, "boot"), kappa=kappa, discount=discount
+            pool, policy, b, (seed, "boot"), kappa=kappa, discount=discount, n=n
         )
-    ref_point, ref_diffs = loop_replicas(data, policy, b, (seed, "boot"), kappa, discount)
+    ref_point, ref_diffs = loop_replicas(pool, n, policy, b, (seed, "boot"), kappa, discount)
     assert point == ref_point
     assert np.abs(diffs - ref_diffs).max() <= 1e-12
 

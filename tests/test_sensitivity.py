@@ -216,14 +216,12 @@ class TestFiniteDifference:
 
 class TestCheckGradients:
     def test_full_support_suite_passes(self):
-        report = check_gradients(cases=8, tuples_per_case=25, tol=1e-3, rng_seed=1)
+        report = check_gradients(cases=8, tol=1e-3, rng_seed=1)
         assert report.passed
         assert max(c.max_rel_error for c in report.cases) < 1e-3
 
     def test_sparse_kappa_zero_reports_breach(self):
-        report = check_gradients(
-            cases=4, tuples_per_case=25, tol=1e-3, rng_seed=2, full_support=False
-        )
+        report = check_gradients(cases=4, tol=1e-3, rng_seed=2, full_support=False)
         assert not report.passed
         assert any(c.error is not None for c in report.cases)
 
@@ -241,7 +239,7 @@ class TestCheckGradients:
 
     def test_sparse_with_kappa_passes(self):
         report = check_gradients(
-            cases=6, tuples_per_case=25, tol=1e-3, kappa=0.1, rng_seed=3, full_support=False
+            cases=6, tol=1e-3, kappa=0.1, rng_seed=3, full_support=False
         )
         assert report.passed
 
