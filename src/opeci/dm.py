@@ -51,8 +51,6 @@ def dm_bootstrap_replicas(
     """
     if b < 2:
         raise ValidationError("b must be >= 2")
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValidationError(f"resample size n must be an integer >= 1, not {n!r}")
     model = build_empirical_model(pool, kappa=kappa, discount=discount)
     point = dm_value(model, policy)
     distinct, draw = resample_counts(pool, n, rng_seed)

@@ -315,6 +315,8 @@ def resample_counts(pool: TupleDataset, n: int, rng_seed) -> tuple:
     over the distinct tuples, c_k each one's multiplicity.  Every ``draw``
     continues one generator seeded (rng_seed, "multinomial").
     """
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+        raise ValidationError(f"resample size n must be an integer >= 1, not {n!r}")
     S, A = pool.num_states, pool.num_actions
     _, code = np.unique(((pool.s0 * S + pool.s) * A + pool.a) * S + pool.sp, return_inverse=True)
     _, reward = np.unique(pool.r, return_inverse=True)

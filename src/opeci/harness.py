@@ -78,8 +78,9 @@ _FIELDS = {
     "alphas": (NUMBERS, 1, lambda xs: all(0.0 < x < 1.0 for x in xs) and _distinct(xs),
                "a list of distinct numbers in (0, 1)"),
     "target_policy": (frozenset({str, dict}), 0,
-                      lambda p: not isinstance(p, dict) or list(p) in (["path"], ["probs"]),
-                      "a string or an object whose one key is path or probs"),
+                      lambda p: not isinstance(p, dict) or list(p) == ["probs"]
+                      or (list(p) == ["path"] and isinstance(p["path"], str)),
+                      "a string or an object whose one key is path (a string) or probs"),
     "behavior_epsilon": (NUMBERS, 0, lambda x: 0.0 <= x <= 1.0, "a number in [0, 1]"),
     "trials": (INTEGERS, 0, lambda x: x >= 1, "a positive integer"),
     "bootstrap_b": (INTEGERS, 0, None, "an integer"),
@@ -188,7 +189,7 @@ def resolve_target(mdp: TabularMdp, config: ExperimentConfig) -> Policy:
     if spec == "optimal":
         return optimal_policy(mdp)
     if isinstance(spec, dict) and "path" in spec:
-        return load_policy(check_kinds(spec["path"], STRINGS, "config field target_policy path"))
+        return load_policy(spec["path"])
     if isinstance(spec, dict):
         return policy_from_doc(spec, "target_policy")
     raise ValidationError(f"cannot resolve target policy from {spec!r}")

@@ -245,7 +245,8 @@ class TestDmBootstrapReplicas:
         data, policy = case()
         pool = augment_noisy_rewards(data, 0.25 * float(np.std(data.r))) if noisy else data
         # more than one chunk, the last one partial
-        b = replica_chunk_size(data.num_states, data.num_actions, pool.n) + 7
+        distinct, _ = resample_counts(pool, data.n, ("eq", 1))
+        b = replica_chunk_size(data.num_states, data.num_actions, distinct.n) + 7
         point, diffs = dm_bootstrap_replicas(
             pool, policy, b, ("eq", 1), kappa=kappa, discount=gamma, n=data.n
         )
@@ -338,6 +339,8 @@ class TestDmBootstrapReplicas:
     @pytest.mark.parametrize("n", [0, -3, 150.0, True])
     def test_resample_size_must_be_positive_integer(self, n):
         data, policy = random_mdp_case()
+        with pytest.raises(ValidationError, match="resample size n"):
+            resample_counts(data, n, 0)
         with pytest.raises(ValidationError, match="resample size n"):
             dm_bootstrap_replicas(data, policy, 10, 0, kappa=0.0, discount=0.9, n=n)
 

@@ -17,7 +17,7 @@ from opeci import (
     exact_policy_value, per_decision_is, sample_episodes, solvers,
 )
 from opeci import dm, mdp as mdp_module
-from opeci.empirical import TupleDataset, augment_noisy_rewards, sample_tuples
+from opeci.empirical import TupleDataset, augment_noisy_rewards, resample_counts, sample_tuples
 from opeci.io import load_episodes, load_mdp, load_policy, save_episodes
 from opeci.mdp import Episode, Step, make_random_mdp, make_random_policy, optimal_policy, q_values
 
@@ -95,7 +95,8 @@ def test_batched_dm_bootstrap_equals_per_replica_loop(
         pool = augment_noisy_rewards(pool, 0.25 * float(np.std(pool.r)))
     # A small chunk budget makes b span more than one chunk.
     with mock.patch.object(dm, "_CHUNK_BYTES", chunk_bytes):
-        b = dm.replica_chunk_size(num_states, num_actions, pool.n) + extra
+        distinct, _ = resample_counts(pool, n, (seed, "boot"))
+        b = dm.replica_chunk_size(num_states, num_actions, distinct.n) + extra
         point, diffs = dm.dm_bootstrap_replicas(
             pool, policy, b, (seed, "boot"), kappa=kappa, discount=discount, n=n
         )
