@@ -227,22 +227,29 @@ def build_empirical_model(
     )
 
 
-def _count_tables(tuples: TupleDataset, masses: np.ndarray) -> tuple:
+def _count_tables(tuples: TupleDataset, masses: np.ndarray, slots=None) -> tuple:
     """Count tables of m weightings of the tuples, stacked on a leading axis.
 
     Returns (counts, reward_sums, transition_counts, initial_counts).
     ``masses`` is an (m, K) array of the K tuples' masses in each weighting.
     Each table is one weighted bincount over the m*K entries, so reward sums
-    add mass * reward in tuple order.
+    add mass * reward in tuple order.  ``slots``, an (S, A) map of pairs to
+    columns 0..w-1 or -1 (left out), gives the pair tables w columns in place
+    of A; the initial counts take every tuple.
     """
     S, A = tuples.num_states, tuples.num_actions
-    m, sa = len(masses), tuples.s * A + tuples.a
+    if slots is None:
+        column, width, on = tuples.a, A, slice(None)
+    else:
+        column, width = slots[tuples.s, tuples.a], int(slots.max()) + 1
+        on = column >= 0
+    m, pair, pair_masses = len(masses), (tuples.s * width + column)[on], masses[:, on]
     with np.errstate(over="ignore"):  # a non-finite replica is its caller's to name
-        reward_masses = masses * tuples.r
+        reward_masses = pair_masses * tuples.r[on]
     tables = []
     for keys, shape, weights in (
-        (sa, (S, A), masses), (sa, (S, A), reward_masses),
-        (sa * S + tuples.sp, (S, A, S), masses), (tuples.s0, (S,), masses),
+        (pair, (S, width), pair_masses), (pair, (S, width), reward_masses),
+        (pair * S + tuples.sp[on], (S, width, S), pair_masses), (tuples.s0, (S,), masses),
     ):
         size = math.prod(shape)
         table = np.bincount((np.arange(m)[:, None] * size + keys).ravel(), weights.ravel(), m * size)
@@ -312,17 +319,22 @@ def resample_counts(pool: TupleDataset, n: int, rng_seed) -> tuple:
     the next m replicas' counts.
 
     A uniform resample of n pool tuples is a multinomial(n, c_k / pool.n) draw
-    over the distinct tuples, c_k each one's multiplicity.  Every ``draw``
-    continues one generator seeded (rng_seed, "multinomial").
+    over the distinct tuples, c_k each one's multiplicity.  Tuples are
+    distinct by (s0, s, a, s') and then reward value, in that sort order, so
+    rewards -0.0 and 0.0 are one tuple; each keeps its first occurrence in
+    the pool.  Every ``draw`` continues one generator seeded
+    (rng_seed, "multinomial").
     """
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
         raise ValidationError(f"resample size n must be an integer >= 1, not {n!r}")
     S, A = pool.num_states, pool.num_actions
-    _, code = np.unique(((pool.s0 * S + pool.s) * A + pool.a) * S + pool.sp, return_inverse=True)
-    _, reward = np.unique(pool.r, return_inverse=True)
-    _, first, counts = np.unique(code * pool.n + reward, return_index=True, return_counts=True)
+    key = ((pool.s0 * S + pool.s) * A + pool.a) * S + pool.sp
+    order = np.lexsort((pool.r, key))  # stable: a group starts at its first occurrence
+    key, r = key[order], pool.r[order]
+    start = np.flatnonzero(np.r_[True, (key[1:] != key[:-1]) | (r[1:] != r[:-1])])
+    counts = np.diff(start, append=pool.n)
     rng = as_generator((rng_seed, "multinomial"))
-    return pool[first], lambda m: rng.multinomial(n, counts / pool.n, size=m)
+    return pool[order[start]], lambda m: rng.multinomial(n, counts / pool.n, size=m)
 
 
 def sample_tuples(mdp, count: int, rng_seed) -> TupleDataset:

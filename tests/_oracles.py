@@ -12,8 +12,13 @@ per line, the bytes that ``io.save_episodes`` must reproduce.
 ``lockstep_episodes`` draws the sampler's uniforms in its order and picks
 each category with ``bisect_right``, one step object at a time.
 ``loop_replicas`` is the per-replica reference for the batched DM bootstrap,
-``loop_mean_replicas`` the one for the blocked mean bootstrap of a value array,
-and ``with_terminals`` marks states of a test MDP as absorbing terminals.
+``full_table_replicas`` the bit-exact one that tables every action instead of
+the target's support, ``unique_resample_counts`` groups a pool's distinct
+tuples with three ``np.unique`` calls, the reference for ``resample_counts``,
+and ``bootstrap_chunk`` and ``chunks_tabled`` give the chunk a DM bootstrap
+uses and the chunks it tables.  ``loop_mean_replicas`` is the reference for
+the blocked mean bootstrap of a value array, and ``with_terminals`` marks
+states of a test MDP as absorbing terminals.
 ``qe_fixed_point`` (Q-evaluation) and ``value_iteration_policy`` iterate
 contractions, the references for the dense solve and ``optimal_policy``.
 ``influence_per_tuple`` builds one tuple's dense perturbation tables and sums
@@ -25,6 +30,7 @@ import json
 import math
 from bisect import bisect_right
 from itertools import accumulate, chain, islice
+from unittest import mock
 
 import numpy as np
 
@@ -32,8 +38,9 @@ from opeci import (
     Policy, SolverError, UnvisitedPairError, ValidationError, build_empirical_model, dm_value,
     solvers,
 )
+from opeci import dm
 from opeci.dm import dm_q, empirical_on_policy_distribution
-from opeci.empirical import EmpiricalModel, resample_counts
+from opeci.empirical import EmpiricalModel, _count_tables, blend_tables, resample_counts
 from opeci.io import write_lines
 from opeci.mdp import Episode, EpisodeSet, Step, StepColumns, check_policy
 from opeci.seeding import as_generator
@@ -51,6 +58,42 @@ def loop_replicas(pool, n, policy, b, seed, kappa, discount):
     distinct, draw = resample_counts(pool, n, seed)
     point = value(pool)
     return point, np.array([value(distinct, row) - point for row in draw(b)])
+
+
+def full_table_replicas(pool, n, policy, b, seed, kappa, discount):
+    """The DM replicas from full (S, A) tables: the b count rows in one stack
+    through ``_count_tables``, ``blend_tables`` and ``solvers.policy_value``
+    with the policy's own rows, as the bootstrap tabled every action."""
+    model = build_empirical_model(pool, kappa=kappa, discount=discount)
+    point = dm_value(model, policy)
+    distinct, draw = resample_counts(pool, n, seed)
+    blended = blend_tables(*_count_tables(distinct, draw(b)), float(n), model.priors, kappa)
+    return point, solvers.policy_value(*blended, policy.probs, discount) - point
+
+
+def unique_resample_counts(pool, n, rng_seed):
+    """``resample_counts`` with the distinct tuples grouped by three ``np.unique``
+    calls: (s0, s, a, s') codes, reward ranks, then the pairs of the two."""
+    S, A = pool.num_states, pool.num_actions
+    _, code = np.unique(((pool.s0 * S + pool.s) * A + pool.a) * S + pool.sp, return_inverse=True)
+    _, reward = np.unique(pool.r, return_inverse=True)
+    _, first, counts = np.unique(code * pool.n + reward, return_index=True, return_counts=True)
+    rng = as_generator((rng_seed, "multinomial"))
+    return pool[first], lambda m: rng.multinomial(n, counts / pool.n, size=m)
+
+
+def bootstrap_chunk(pool, n, policy, seed):
+    """The replicas per chunk of ``dm_bootstrap_replicas`` on this pool and target."""
+    distinct, _ = resample_counts(pool, n, seed)
+    width = dm.support_slots(policy.probs)[1].shape[1]
+    return dm.replica_chunk_size(pool.num_states, width, distinct.n)
+
+
+def chunks_tabled(pool, policy, b, seed, **kwargs):
+    """``dm_bootstrap_replicas`` and the number of chunks it tabled."""
+    with mock.patch.object(dm, "_count_tables", wraps=dm._count_tables) as tables:
+        result = dm.dm_bootstrap_replicas(pool, policy, b, seed, **kwargs)
+    return result, tables.call_count
 
 
 def loop_mean_replicas(values, b, seed):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from opeci import (
+    Policy,
     PriorSpec,
     TupleDataset,
     build_empirical_model,
@@ -26,12 +27,15 @@ from opeci import (
     uniform_policy,
 )
 from opeci import solvers
-from opeci.dm import dm_bootstrap_replicas, replica_chunk_size
+from opeci.dm import dm_bootstrap_replicas, support_slots
 from opeci.empirical import augment_noisy_rewards, resample_counts, sample_tuples
 from opeci.mdp import make_bernoulli_bandit
 from opeci.errors import SolverError, ValidationError
 
-from _oracles import dm_value_via_qe, fixed_point, loop_replicas, qe_fixed_point
+from _oracles import (
+    bootstrap_chunk, chunks_tabled, dm_value_via_qe, fixed_point, full_table_replicas,
+    loop_replicas, qe_fixed_point,
+)
 
 
 def exhaustive_model(mdp, kappa=0.0):
@@ -245,11 +249,11 @@ class TestDmBootstrapReplicas:
         data, policy = case()
         pool = augment_noisy_rewards(data, 0.25 * float(np.std(data.r))) if noisy else data
         # more than one chunk, the last one partial
-        distinct, _ = resample_counts(pool, data.n, ("eq", 1))
-        b = replica_chunk_size(data.num_states, data.num_actions, distinct.n) + 7
-        point, diffs = dm_bootstrap_replicas(
+        b = bootstrap_chunk(pool, data.n, policy, ("eq", 1)) + 7
+        (point, diffs), chunks = chunks_tabled(
             pool, policy, b, ("eq", 1), kappa=kappa, discount=gamma, n=data.n
         )
+        assert chunks == 2
         ref_point, ref_diffs = loop_replicas(pool, data.n, policy, b, ("eq", 1), kappa, gamma)
         assert point == ref_point
         assert np.abs(diffs - ref_diffs).max() <= 1e-12
@@ -305,16 +309,64 @@ class TestDmBootstrapReplicas:
 
     def test_chunking_cannot_change_results(self):
         data, policy = lake_case()
-        distinct, _ = resample_counts(data, data.n, 5)
-        chunk = replica_chunk_size(data.num_states, data.num_actions, distinct.n)
-        small = dm_bootstrap_replicas(
+        chunk = bootstrap_chunk(data, data.n, policy, 5)
+        small, small_chunks = chunks_tabled(
             data, policy, chunk + 3, 5, kappa=0.0, discount=0.999, n=data.n
         )
-        large = dm_bootstrap_replicas(
+        large, large_chunks = chunks_tabled(
             data, policy, 3 * chunk, 5, kappa=0.0, discount=0.999, n=data.n
         )
+        assert (small_chunks, large_chunks) == (2, 3)
         assert small[0] == large[0]
         assert np.array_equal(small[1], large[1][: chunk + 3])
+
+    # Support widths 1, 2 and 3 with a zero between two supported actions;
+    # then widths 1 and 2 only, so the tables keep 2 of the 3 action columns.
+    PARTIAL_TARGETS = {
+        "mixed": [[1.0, 0.0, 0.0], [0.5, 0.0, 0.5], [0.2, 0.3, 0.5], [0.0, 1.0, 0.0]],
+        "narrow": [[0.0, 0.0, 1.0], [0.4, 0.0, 0.6], [0.0, 1.0, 0.0], [0.7, 0.3, 0.0]],
+    }
+
+    @pytest.mark.parametrize("target", sorted(PARTIAL_TARGETS))
+    @pytest.mark.parametrize("kappa", [0.0, 0.05])
+    @pytest.mark.parametrize("noisy", [False, True])
+    def test_partial_support_equals_full_tables(self, target, kappa, noisy):
+        # (s, a) is drawn uniformly, so the data visits every pair off the support
+        data = sample_tuples(make_random_mdp(4, 3, 0.9, rng_seed=50), 120, rng_seed=51)
+        pool = augment_noisy_rewards(data, 0.25 * float(np.std(data.r))) if noisy else data
+        policy = Policy(np.array(self.PARTIAL_TARGETS[target]))
+        b = bootstrap_chunk(pool, data.n, policy, 52) + 7
+        (point, diffs), chunks = chunks_tabled(
+            pool, policy, b, 52, kappa=kappa, discount=0.9, n=data.n
+        )
+        assert chunks == 2
+        ref_point, ref_diffs = full_table_replicas(pool, data.n, policy, b, 52, kappa, 0.9)
+        assert point == ref_point
+        assert np.array_equal(diffs, ref_diffs)
+
+    def test_support_slots(self):
+        slots, probs = support_slots(np.array(self.PARTIAL_TARGETS["narrow"]))
+        assert slots.tolist() == [[-1, -1, 0], [0, -1, 1], [-1, 0, -1], [0, 1, -1]]
+        assert probs.tolist() == [[1.0, 0.0], [0.4, 0.6], [1.0, 0.0], [0.7, 0.3]]
+        full = np.full((2, 3), 1 / 3)
+        assert support_slots(full)[0] is None and support_slots(full)[1] is full
+
+    def test_off_support_rewards_never_read(self):
+        # The target never takes action 1.  A replica that draws its reward 1e308
+        # twice overflows that pair's reward sum; full tables then multiplied the
+        # inf by pi = 0 and named the replica non-finite.  The support tables
+        # never read the pair, so the replicas are those of tame rewards there.
+        def pool(big):
+            return TupleDataset.from_tuples(
+                [(0, 0, 0, 1.0, 0), (0, 0, 0, 0.0, 0), (0, 0, 1, big, 0), (0, 0, 1, -big, 0)],
+                1, 2,
+            )
+
+        target = Policy(np.array([[1.0, 0.0]]))
+        huge = dm_bootstrap_replicas(pool(1e308), target, 100, 9, kappa=0.0, discount=0.5, n=4)
+        tame = dm_bootstrap_replicas(pool(1.0), target, 100, 9, kappa=0.0, discount=0.5, n=4)
+        assert np.isfinite(huge[1]).all()
+        assert huge[0] == tame[0] and np.array_equal(huge[1], tame[1])
 
     def test_non_finite_replica_named(self):
         # the two rewards cancel in the original data; a replica drawing one twice overflows

@@ -21,9 +21,9 @@ from opeci import (
 )
 from opeci.bootstrap import bootstrap_replicas
 from opeci.empirical import resample_counts, sample_tuples
-from opeci.mdp import make_random_mdp
+from opeci.mdp import make_bernoulli_bandit, make_random_mdp
 
-from _oracles import episode_set, logged_tuples
+from _oracles import episode_set, logged_tuples, unique_resample_counts
 
 
 def single_tuple_dataset(r=1.0, num_states=3, num_actions=2):
@@ -338,6 +338,37 @@ class TestResampling:
         p = c / (3 * data.n)
         se = np.sqrt(data.n * p * (1 - p) / len(rows))
         assert (np.abs(rows.mean(axis=0) - c / 3) < 5 * se).all()
+
+    @staticmethod
+    def grouping_pool(name):
+        if name == "signed-zeros":
+            return TupleDataset.from_tuples(
+                [(0, 1, 0, -0.0, 1), (0, 1, 0, 2.0, 1), (0, 1, 0, 0.0, 1),
+                 (1, 0, 1, 0.0, 0), (1, 0, 1, -0.0, 0), (0, 1, 0, 0.0, 1)], 2, 2,
+            )
+        if name == "bandit":
+            mdp, count, horizon = make_bernoulli_bandit(0.5), 500, 1
+        else:
+            mdp, count, horizon = make_frozen_lake(), 200, 10_000
+        policy = perturb_policy_epsilon_greedy(optimal_policy(mdp), 0.2)
+        data = tuples_from_episodes(sample_episodes(mdp, policy, count, horizon, rng_seed=17))
+        return augment_noisy_rewards(data, 0.1) if name == "noisy-lake" else data
+
+    @pytest.mark.parametrize("name", ["bandit", "lake", "noisy-lake", "signed-zeros"])
+    def test_grouping_equals_three_unique_calls(self, name):
+        pool = self.grouping_pool(name)
+        distinct, draw = resample_counts(pool, 25, 18)
+        ref_distinct, ref_draw = unique_resample_counts(pool, 25, 18)
+        assert tuple_digest(distinct) == tuple_digest(ref_distinct)
+        assert np.array_equal(draw(64), ref_draw(64))
+
+    def test_signed_zero_rewards_are_one_tuple(self):
+        distinct, draw = resample_counts(self.grouping_pool("signed-zeros"), 6000, 19)
+        # each group keeps its first occurrence's bits: -0.0 at (0, 1, 0), 0.0 at (1, 0, 1)
+        assert distinct.r.tolist() == [-0.0, 2.0, 0.0]
+        assert np.signbit(distinct.r).tolist() == [True, False, False]
+        # multiplicities 3, 1, 2 of the 6 tuples
+        assert np.abs(draw(1)[0] / 6000 - [0.5, 1 / 6, 1 / 3]).max() < 0.03
 
     def test_unsupported_data_rejected(self):
         with pytest.raises(ValidationError, match="cannot resample a list"):

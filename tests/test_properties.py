@@ -17,13 +17,13 @@ from opeci import (
     exact_policy_value, per_decision_is, sample_episodes, solvers,
 )
 from opeci import dm, mdp as mdp_module
-from opeci.empirical import TupleDataset, augment_noisy_rewards, resample_counts, sample_tuples
+from opeci.empirical import TupleDataset, augment_noisy_rewards, sample_tuples
 from opeci.io import load_episodes, load_mdp, load_policy, save_episodes
-from opeci.mdp import Episode, Step, make_random_mdp, make_random_policy, optimal_policy, q_values
+from opeci.mdp import Episode, Policy, Step, make_random_mdp, make_random_policy, optimal_policy, q_values
 
 from _oracles import (
-    episode_set, lockstep_episodes, loop_replicas, range_bounds, recursive_estimate,
-    save_episodes_reference, with_terminals,
+    bootstrap_chunk, chunks_tabled, episode_set, lockstep_episodes, loop_replicas, range_bounds,
+    recursive_estimate, save_episodes_reference, with_terminals,
 )
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=50)
@@ -83,23 +83,30 @@ def test_dm_value_ignores_tuple_order(num_states, num_actions, n, discount, kapp
     noisy=st.booleans(),
     chunk_bytes=st.integers(0, 4000),
     extra=st.integers(1, 40),
+    zeroed=st.booleans(),
     seed=seeds,
 )
 def test_batched_dm_bootstrap_equals_per_replica_loop(
-    num_states, num_actions, n, discount, kappa, noisy, chunk_bytes, extra, seed
+    num_states, num_actions, n, discount, kappa, noisy, chunk_bytes, extra, zeroed, seed
 ):
     mdp = make_random_mdp(num_states, num_actions, discount, (seed, "mdp"))
     policy = make_random_policy(num_states, num_actions, (seed, "policy"))
+    if zeroed:
+        # each action off the support with probability 1/2, each state keeping one
+        rng = np.random.default_rng(seed)
+        keep = rng.random((num_states, num_actions)) < 0.5
+        keep[np.arange(num_states), rng.integers(num_actions, size=num_states)] = True
+        policy = Policy(policy.probs * keep / (policy.probs * keep).sum(axis=1, keepdims=True))
     pool = sample_tuples(mdp, n, (seed, "tuples"))
     if noisy:
         pool = augment_noisy_rewards(pool, 0.25 * float(np.std(pool.r)))
     # A small chunk budget makes b span more than one chunk.
     with mock.patch.object(dm, "_CHUNK_BYTES", chunk_bytes):
-        distinct, _ = resample_counts(pool, n, (seed, "boot"))
-        b = dm.replica_chunk_size(num_states, num_actions, distinct.n) + extra
-        point, diffs = dm.dm_bootstrap_replicas(
+        b = bootstrap_chunk(pool, n, policy, (seed, "boot")) + extra
+        (point, diffs), chunks = chunks_tabled(
             pool, policy, b, (seed, "boot"), kappa=kappa, discount=discount, n=n
         )
+    assert chunks >= 2
     ref_point, ref_diffs = loop_replicas(pool, n, policy, b, (seed, "boot"), kappa, discount)
     assert point == ref_point
     assert np.abs(diffs - ref_diffs).max() <= 1e-12
