@@ -5,7 +5,8 @@ per-episode IS or DR estimates: each replica averages a uniform
 with-replacement resample of the n values.  All b replicas draw their indices
 from one generator seeded (master seed, "indices"), in (rows, n) blocks of
 about ``_CHUNK_BYTES`` that do not change the draws.  DM replicas come from
-``dm.dm_bootstrap_replicas``; ``interval_from_replicas`` inverts either kind.
+``dm.dm_bootstrap_replicas``; ``interval_from_replicas`` inverts either kind
+into a two-sided interval.
 """
 
 from __future__ import annotations
@@ -94,21 +95,12 @@ def bootstrap_replicas(values, b: int, rng_seed):
     return point, diffs
 
 
-def interval_from_replicas(
-    point: float, diffs: np.ndarray, alpha: float, side: str = "two"
-) -> ConfidenceInterval:
-    """Invert recentered replica quantiles into an interval around the point."""
+def interval_from_replicas(point: float, diffs: np.ndarray, alpha: float) -> ConfidenceInterval:
+    """Invert recentered replica quantiles into a two-sided 1 - alpha interval
+    around the point.  Either endpoint at 2 * alpha is the one-sided 1 - alpha
+    bound on its side."""
     if not 0.0 < alpha < 1.0:
         raise ValidationError("alpha must lie in (0, 1)")
-    if side == "two":
-        lower = point - quantile(diffs, 1.0 - alpha / 2.0)
-        upper = point - quantile(diffs, alpha / 2.0)
-    elif side == "lower":
-        lower = point - quantile(diffs, 1.0 - alpha)
-        upper = math.inf
-    elif side == "upper":
-        lower = -math.inf
-        upper = point - quantile(diffs, alpha)
-    else:
-        raise ValidationError(f"side must be 'two', 'lower', or 'upper', not {side!r}")
+    lower = point - quantile(diffs, 1.0 - alpha / 2.0)
+    upper = point - quantile(diffs, alpha / 2.0)
     return ConfidenceInterval(lower, upper, point, 1.0 - alpha)

@@ -97,12 +97,11 @@ def _cmd_coverage(args) -> int:
 
 def _cmd_check_grad(args) -> int:
     report = check_gradients(cases=args.cases, tol=args.tol, rng_seed=args.seed)
-    for case in report.cases:
-        status = "fail" if case.error or case.max_rel_error >= report.tol else "ok"
-        detail = case.error or f"max_rel_error={case.max_rel_error:.3e}"
-        print(f"case {case.case_index}: {status} ({detail})")
+    for case, error in enumerate(report.max_rel_errors):
+        status = "fail" if error >= report.tol else "ok"
+        print(f"case {case}: {status} (max_rel_error={error:.3e})")
     if report.passed:
-        print(f"PASS: {len(report.cases)} cases under tol={report.tol:g}")
+        print(f"PASS: {len(report.max_rel_errors)} cases under tol={report.tol:g}")
         return 0
     print(f"FAIL: gradient check exceeded tol={report.tol:g}")
     return 1

@@ -78,9 +78,9 @@ _FIELDS = {
     "alphas": (NUMBERS, 1, lambda xs: all(0.0 < x < 1.0 for x in xs) and _distinct(xs),
                "a list of distinct numbers in (0, 1)"),
     "target_policy": (frozenset({str, dict}), 0,
-                      lambda p: not isinstance(p, dict) or list(p) == ["probs"]
+                      lambda p: p == "optimal" or list(p) == ["probs"]  # list() of a string: its chars
                       or (list(p) == ["path"] and isinstance(p["path"], str)),
-                      "a string or an object whose one key is path (a string) or probs"),
+                      '"optimal" or an object whose one key is path (a string) or probs'),
     "behavior_epsilon": (NUMBERS, 0, lambda x: 0.0 <= x <= 1.0, "a number in [0, 1]"),
     "trials": (INTEGERS, 0, lambda x: x >= 1, "a positive integer"),
     "bootstrap_b": (INTEGERS, 0, None, "an integer"),
@@ -188,11 +188,9 @@ def resolve_target(mdp: TabularMdp, config: ExperimentConfig) -> Policy:
     spec = config.target_policy
     if spec == "optimal":
         return optimal_policy(mdp)
-    if isinstance(spec, dict) and "path" in spec:
+    if "path" in spec:
         return load_policy(spec["path"])
-    if isinstance(spec, dict):
-        return policy_from_doc(spec, "target_policy")
-    raise ValidationError(f"cannot resolve target policy from {spec!r}")
+    return policy_from_doc(spec, "target_policy")
 
 
 def _environment_key(config: ExperimentConfig) -> int:

@@ -22,7 +22,9 @@ states of a test MDP as absorbing terminals.
 ``qe_fixed_point`` (Q-evaluation) and ``value_iteration_policy`` iterate
 contractions, the references for the dense solve and ``optimal_policy``.
 ``influence_per_tuple`` builds one tuple's dense perturbation tables and sums
-them, the reference for the closed form in ``sensitivity.influence``.
+them, the reference for the closed form in ``sensitivity.influence``, and
+``sparse_case_data`` draws a random model whose data leave half the (s, a)
+pairs unvisited, in ``sensitivity._random_case_data``'s draw order.
 """
 
 import dataclasses
@@ -40,9 +42,13 @@ from opeci import (
 )
 from opeci import dm
 from opeci.dm import dm_q, empirical_on_policy_distribution
-from opeci.empirical import EmpiricalModel, _count_tables, blend_tables, resample_counts
+from opeci.empirical import (
+    EmpiricalModel, _count_tables, blend_tables, resample_counts, sample_tuples,
+)
 from opeci.io import write_lines
-from opeci.mdp import Episode, EpisodeSet, Step, StepColumns, check_policy
+from opeci.mdp import (
+    Episode, EpisodeSet, Step, StepColumns, check_policy, make_random_mdp, make_random_policy,
+)
 from opeci.seeding import as_generator
 from opeci.sensitivity import InfluenceBreakdown
 
@@ -422,3 +428,19 @@ def influence_per_tuple(model: EmpiricalModel, policy: Policy, tup) -> Influence
         total=total,
         weight_ratio=ratio,
     )
+
+
+def sparse_case_data(rng, num_states, num_actions):
+    """(mdp, policy, data, discount) drawn from ``rng`` as
+    ``sensitivity._random_case_data`` draws them, with the data restricted to
+    tuples whose pair index s * num_actions + a falls in the lower half, so
+    the upper half of the pairs stays unvisited (all tuples stay if none
+    falls there)."""
+    gamma = float(rng.uniform(0.3, 0.9))
+    mdp = make_random_mdp(num_states, num_actions, gamma, rng)
+    policy = make_random_policy(num_states, num_actions, rng)
+    extra = sample_tuples(mdp, 10 * num_states * num_actions, rng)
+    keep = extra.s * num_actions + extra.a < (num_states * num_actions) // 2
+    if not keep.any():
+        keep[:] = True
+    return mdp, policy, extra[keep], gamma

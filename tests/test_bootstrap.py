@@ -18,8 +18,8 @@ from opeci.bootstrap import bootstrap_replicas, interval_from_replicas
 from _oracles import loop_mean_replicas
 
 
-def mean_interval(values, alpha, b, rng_seed, side="two"):
-    return interval_from_replicas(*bootstrap_replicas(values, b, rng_seed), alpha, side)
+def mean_interval(values, alpha, b, rng_seed):
+    return interval_from_replicas(*bootstrap_replicas(values, b, rng_seed), alpha)
 
 
 class TestQuantile:
@@ -90,17 +90,6 @@ class TestBootstrapInterval:
         b = mean_interval(values, 0.1, 200, rng_seed=7)
         assert (a.lower, a.upper, a.point_estimate) == (b.lower, b.upper, b.point_estimate)
 
-    def test_one_sided_intervals(self):
-        values = np.random.default_rng(8).normal(size=50)
-        lower_ci = mean_interval(values, 0.1, 200, 9, side="lower")
-        upper_ci = mean_interval(values, 0.1, 200, 9, side="upper")
-        assert lower_ci.upper == math.inf
-        assert upper_ci.lower == -math.inf
-        # the one-sided 1-alpha bound is the two-sided 1-2*alpha endpoint
-        two = mean_interval(values, 0.2, 200, 9)
-        assert lower_ci.lower == pytest.approx(two.lower, abs=1e-15)
-        assert upper_ci.upper == pytest.approx(two.upper, abs=1e-15)
-
     def test_non_finite_replica_named(self):
         # the values cancel in the original data; a replica drawing one twice overflows
         values = np.array([1e308, -1e308])
@@ -126,8 +115,6 @@ class TestBootstrapInterval:
             interval_from_replicas(point, diffs, 0.0)
         with pytest.raises(ValidationError, match="b must be >= 2"):
             bootstrap_replicas(values, 1, 0)
-        with pytest.raises(ValidationError):
-            interval_from_replicas(point, diffs, 0.1, side="sideways")
 
     def test_mean_bootstrap_coverage_smoke(self):
         # small-scale calibration check; the full oracle-sized run lives in

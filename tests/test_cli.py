@@ -388,13 +388,13 @@ class TestMalformedInputs:
         {"noise_coef": -0.5}, {"environment": {"type": "bernoulli_bandit", "prob": 0.9}},
         {"target_policy": {"probs": [[1.0]], "epsilon": 0.3}},
         {"target_policy": {"path": "target.json", "probs": [[1.0]]}},
-        {"target_policy": {"path": 5}},
+        {"target_policy": {"path": 5}}, {"target_policy": "greedy"},
     ], ids=[
         "sizes", "target_policy", "target_policy-strings", "bootstrap_b", "kappa", "discount",
         "trials", "max_horizon", "sizes-float", "master_seed", "noise_coef", "methods", "alphas",
         "trials-bool", "kappa-nan", "environment", "noise_coef-negative",
         "environment-unknown-field", "target_policy-unknown-key", "target_policy-path-and-probs",
-        "target_policy-path-kind",
+        "target_policy-path-kind", "target_policy-greedy",
     ])
     def test_malformed_coverage_config(self, tmp_path, capsys, override):
         config = {

@@ -209,9 +209,8 @@ class TestEnvironmentsAndPolicies:
         assert policy.probs.shape == (1, 1)
 
     def test_bad_policy_spec(self):
-        config = bandit_config(target_policy="sorcery")
-        with pytest.raises(ValidationError):
-            resolve_target(build_environment(config), config)
+        with pytest.raises(ValidationError, match="config field target_policy must be"):
+            bandit_config(target_policy="sorcery")
 
     @pytest.mark.parametrize("spec", [
         {"probs": [[1.0]], "epsilon": 0.3}, {"path": "target.json", "probs": [[1.0]]}, {},

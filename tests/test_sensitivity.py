@@ -1,7 +1,5 @@
 """Influence functional, finite-difference agreement, and the blow-up probe."""
 
-import math
-
 import numpy as np
 import pytest
 
@@ -25,7 +23,7 @@ from opeci.errors import ValidationError
 from opeci.seeding import as_generator
 from opeci.sensitivity import _random_case_data
 
-from _oracles import influence_per_tuple, logged_tuples
+from _oracles import influence_per_tuple, logged_tuples, sparse_case_data
 
 
 def full_support_case(seed, num_states=4, num_actions=2, gamma=0.8):
@@ -51,11 +49,13 @@ def one_row(tup, num_states, num_actions):
 
 
 def gradient_check_probes(kappa, full_support, rng_seed, cases):
-    """Yield each gradient-check case's model, policy and probe tuples, drawn
-    in ``check_gradients``'s order from its per-case generator."""
+    """Yield each gradient-check case's data, model, policy and probe tuples,
+    drawn in ``check_gradients``'s order from its per-case generator; without
+    full support the data leave half the (s, a) pairs unvisited."""
+    case_data = _random_case_data if full_support else sparse_case_data
     for case in range(cases):
         rng = as_generator(("gradcheck", rng_seed, case))
-        _, policy, data, gamma = _random_case_data(rng, 4, 2, full_support)
+        _, policy, data, gamma = case_data(rng, 4, 2)
         model = build_empirical_model(data, None, kappa, discount=gamma)
         tuples = [
             (
@@ -64,7 +64,15 @@ def gradient_check_probes(kappa, full_support, rng_seed, cases):
             )
             for _ in range(50)
         ]
-        yield model, policy, TupleDataset.from_tuples(tuples, 4, 2)
+        yield data, model, policy, TupleDataset.from_tuples(tuples, 4, 2)
+
+
+def max_rel_error(closed, quotients):
+    """Largest relative gap, with ``check_gradients``' floor of 1e-3 times
+    the largest magnitude."""
+    scale = np.maximum(np.abs(closed), np.abs(quotients))
+    floor = max(1e-3 * scale.max(), 1e-12)
+    return float((np.abs(closed - quotients) / np.maximum(scale, floor)).max())
 
 
 class TestInfluence:
@@ -164,7 +172,7 @@ class TestInfluence:
     def test_matches_per_tuple_reference(self, kappa, full_support):
         fields = ("reward_term", "initial_state_term", "next_state_term", "total", "weight_ratio")
         checked = 0
-        for model, policy, probes in gradient_check_probes(kappa, full_support, 0, 10):
+        for _, model, policy, probes in gradient_check_probes(kappa, full_support, 0, 10):
             if kappa == 0.0:
                 probes = probes[model.counts[probes.s, probes.a] > 0]
             got = influence(model, policy, probes)
@@ -218,30 +226,44 @@ class TestCheckGradients:
     def test_full_support_suite_passes(self):
         report = check_gradients(cases=8, tol=1e-3, rng_seed=1)
         assert report.passed
-        assert max(c.max_rel_error for c in report.cases) < 1e-3
+        assert len(report.max_rel_errors) == 8
+        assert max(report.max_rel_errors) < 1e-3
+
+    @pytest.mark.parametrize("rng_seed", range(4))
+    def test_every_case_visits_every_pair(self, rng_seed):
+        # so ``influence`` at kappa = 0 cannot meet an unvisited pair
+        for case in range(20):
+            rng = as_generator(("gradcheck", rng_seed, case))
+            _, _, data, gamma = _random_case_data(rng, 4, 2)
+            assert (build_empirical_model(data, discount=gamma).counts > 0).all()
 
     def test_sparse_kappa_zero_reports_breach(self):
-        report = check_gradients(cases=4, tol=1e-3, rng_seed=2, full_support=False)
-        assert not report.passed
-        assert any(c.error is not None for c in report.cases)
+        for _, model, policy, probes in gradient_check_probes(0.0, False, 2, 4):
+            with pytest.raises(UnvisitedPairError):
+                influence(model, policy, probes)
 
     def test_sparse_kappa_zero_error_strings(self):
-        report = check_gradients(kappa=0.0, full_support=False)
         pairs = [
             (3, 1), (2, 0), (2, 0), (3, 0), (3, 0), (2, 1), (3, 1), (2, 1), (2, 1), (3, 0),
             (3, 1), (3, 1), (3, 0), (2, 1), (3, 1), (2, 1), (3, 0), (2, 1), (2, 1), (3, 0),
         ]
-        assert [c.error for c in report.cases] == [
+        errors = []
+        for _, model, policy, probes in gradient_check_probes(0.0, False, 0, 20):
+            with pytest.raises(UnvisitedPairError) as caught:
+                influence(model, policy, probes)
+            errors.append(str(caught.value))
+        assert errors == [
             f"pair (s={s}, a={a}) is unvisited and kappa=0: derivative diverges"
             for s, a in pairs
         ]
-        assert all(math.isnan(c.max_rel_error) for c in report.cases)
 
     def test_sparse_with_kappa_passes(self):
-        report = check_gradients(
-            cases=6, tol=1e-3, kappa=0.1, rng_seed=3, full_support=False
-        )
-        assert report.passed
+        for data, model, policy, probes in gradient_check_probes(0.1, False, 3, 6):
+            closed = influence(model, policy, probes).total
+            quotients = finite_difference_influence(
+                data, policy, probes, 1e-6, 0.1, discount=model.discount
+            )
+            assert max_rel_error(closed, quotients) < 1e-3
 
     @pytest.mark.parametrize("cases", [0, -1])
     def test_no_cases_rejected(self, cases):
