@@ -36,11 +36,9 @@ def replica_chunk_size(num_states: int, width: int, num_distinct: int) -> int:
 def support_slots(policy_probs: np.ndarray) -> tuple:
     """(slots, slot_probs): each state's actions with pi(a|s) > 0 take slots
     0..w-1 in action order and the others slot -1; the (S, w) slot_probs pad
-    a state of narrower support with 0.  (None, policy_probs) when every
-    action has support."""
+    a state of narrower support with 0.  With every action in the support,
+    action a takes slot a and slot_probs equals policy_probs."""
     support = policy_probs > 0
-    if support.all():
-        return None, policy_probs
     slots = np.where(support, support.cumsum(axis=1) - 1, -1)
     slot_probs = np.zeros((len(slots), slots.max() + 1))
     slot_probs[support.nonzero()[0], slots[support]] = policy_probs[support]

@@ -206,7 +206,7 @@ def build_empirical_model(
     total = float(w.sum())
 
     counts, reward_sums, transition_counts, initial_counts = (
-        table[0] for table in _count_tables(data, w[None])
+        table[0] for table in _count_tables(data, w[None], np.broadcast_to(np.arange(A), (S, A)))
     )
     mean_reward, transitions, initial_dist = blend_tables(
         counts, reward_sums, transition_counts, initial_counts, total, priors, kappa
@@ -227,22 +227,19 @@ def build_empirical_model(
     )
 
 
-def _count_tables(tuples: TupleDataset, masses: np.ndarray, slots=None) -> tuple:
+def _count_tables(tuples: TupleDataset, masses: np.ndarray, slots: np.ndarray) -> tuple:
     """Count tables of m weightings of the tuples, stacked on a leading axis.
 
     Returns (counts, reward_sums, transition_counts, initial_counts).
     ``masses`` is an (m, K) array of the K tuples' masses in each weighting.
     Each table is one weighted bincount over the m*K entries, so reward sums
     add mass * reward in tuple order.  ``slots``, an (S, A) map of pairs to
-    columns 0..w-1 or -1 (left out), gives the pair tables w columns in place
-    of A; the initial counts take every tuple.
+    columns 0..w-1 or -1 (left out), gives the pair tables w columns; slot a
+    for every action a tables all A.  The initial counts take every tuple.
     """
-    S, A = tuples.num_states, tuples.num_actions
-    if slots is None:
-        column, width, on = tuples.a, A, slice(None)
-    else:
-        column, width = slots[tuples.s, tuples.a], int(slots.max()) + 1
-        on = column >= 0
+    S = tuples.num_states
+    column, width = slots[tuples.s, tuples.a], int(slots.max()) + 1
+    on = column >= 0
     m, pair, pair_masses = len(masses), (tuples.s * width + column)[on], masses[:, on]
     with np.errstate(over="ignore"):  # a non-finite replica is its caller's to name
         reward_masses = pair_masses * tuples.r[on]

@@ -396,5 +396,7 @@ def read_report(path) -> CoverageReport:
                 spec = _CELL_FIELDS.get(name, (NUMBERS, 0, None, "a number"))
                 _check_field(value, *spec, f"cell field {name}")
         return CoverageReport(cells=cells, config=ExperimentConfig.from_dict(doc["config"]))
-    except (KeyError, TypeError, ValidationError) as exc:
+    except ValidationError as exc:
+        raise ValidationError(f"report sidecar {source} is malformed: {exc}") from exc
+    except (KeyError, TypeError) as exc:
         raise ValidationError(f"report sidecar {source} is malformed: {exc!r}") from exc

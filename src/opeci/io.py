@@ -12,11 +12,9 @@ lines ``opeci gen-data`` writes, and reading them is most of an ``opeci
 interval`` call on a large file.  Whole documents (MDP specs, policies,
 configs and report sidecars) are small and stay on json, whose ``NaN`` then
 fails the field check that names the field; orjson refuses ``NaN`` at the
-parse.  Every file is written by json, whose bytes the golden files pin.
-When at most a quarter of an episode set's steps are distinct, as in a
-Frozen Lake file, ``save_episodes`` renders each distinct step once and
-joins the texts into each line; the bytes are still those json writes for
-the whole line.
+parse.  Every file is written in the bytes json writes, which the golden
+files pin; ``save_episodes`` renders each distinct step once and joins the
+texts into each episode's line.
 """
 
 from __future__ import annotations
@@ -199,22 +197,18 @@ def load_policy(path) -> Policy:
 
 
 def _step_texts(cols):
-    """json's text of each step in order, each distinct step rendered once,
-    or None when more than a quarter of the steps are distinct.
+    """An iterator over json's text of each step in order, each distinct step
+    rendered once.
 
     Steps are compared on the bit patterns of their fields: -0.0 equals 0.0,
-    but json writes them differently.  Past about two fifths of the steps
-    distinct, one json.dumps per step costs more than one per line.
+    but json writes them differently.  ``EpisodeSet`` keeps rewards and
+    probabilities finite, and ``%r`` writes a finite float as json does.
     """
     fields = [*(col.view(np.uint64) for col in cols[1:6]), cols.terminal]
     mixed = np.zeros(cols.s.size, np.uint64)
     for column in fields:
         mixed *= np.uint64(0x9E3779B97F4A7C15)
         mixed += column
-    # Equal steps hash equal, so there are no more distinct hashes than steps.
-    hashes = np.sort(mixed)
-    if 4 * (np.count_nonzero(hashes[1:] != hashes[:-1]) + 1) > hashes.size:
-        return None
     # Sorted by its hash, each step sits next to its equals.  A step starts a
     # new group unless every field equals the step's before it, so a hash
     # collision can split a group but never merge two steps.
@@ -229,16 +223,16 @@ def _step_texts(cols):
     first = order[new]
     rows = zip(*(col[first].tolist() for col in cols[1:6]),
                cols.terminal[first].astype(np.int64).tolist())
-    return iter(np.array([*map(json.dumps, rows)], object)[key].tolist())
+    texts = map("[%d, %d, %r, %d, %r, %d]".__mod__, rows)
+    return iter(np.array([*texts], object)[key].tolist())
 
 
 def save_episodes(episodes: EpisodeSet, path, discount: float | None = None) -> None:
     """One JSON line per episode, preceded by a metadata header line; each
     line is written as it is made.
 
-    When steps repeat, each distinct step is rendered by json once and its
-    text joined into every line that holds it; otherwise json renders each
-    line whole.  Either way the bytes are those json writes for the line.
+    Each distinct step is rendered once and its text joined into every line
+    that holds it; the bytes are those json writes for the line.
     """
     header = {
         "meta": {
@@ -247,19 +241,11 @@ def save_episodes(episodes: EpisodeSet, path, discount: float | None = None) -> 
             "discount": discount,
         }
     }
-    cols = episodes.columns
-    texts = _step_texts(cols)
-    if texts is None:
-        steps = zip(*(col.tolist() for col in cols[1:6]), cols.terminal.astype(np.int64).tolist())
-        lines = (
-            json.dumps({"initial_state": s0, "steps": list(islice(steps, length))})
-            for s0, length in zip(cols.s0.tolist(), cols.lengths.tolist())
-        )
-    else:
-        lines = (
-            '{"initial_state": %d, "steps": [%s]}' % (s0, ", ".join(islice(texts, length)))
-            for s0, length in zip(cols.s0.tolist(), cols.lengths.tolist())
-        )
+    cols, texts = episodes.columns, _step_texts(episodes.columns)
+    lines = (
+        '{"initial_state": %d, "steps": [%s]}' % (s0, ", ".join(islice(texts, length)))
+        for s0, length in zip(cols.s0.tolist(), cols.lengths.tolist())
+    )
     write_lines(path, "episodes", chain([json.dumps(header)], lines))
 
 

@@ -25,6 +25,8 @@ contractions, the references for the dense solve and ``optimal_policy``.
 them, the reference for the closed form in ``sensitivity.influence``, and
 ``sparse_case_data`` draws a random model whose data leave half the (s, a)
 pairs unvisited, in ``sensitivity._random_case_data``'s draw order.
+``exact_bandit_coverage`` is the b=inf coverage of the basic DM interval on
+a Bernoulli bandit at discount 0, a finite sum over binomial outcomes.
 """
 
 import dataclasses
@@ -35,6 +37,7 @@ from itertools import accumulate, chain, islice
 from unittest import mock
 
 import numpy as np
+from scipy.stats import binom
 
 from opeci import (
     Policy, SolverError, UnvisitedPairError, ValidationError, build_empirical_model, dm_value,
@@ -73,7 +76,10 @@ def full_table_replicas(pool, n, policy, b, seed, kappa, discount):
     model = build_empirical_model(pool, kappa=kappa, discount=discount)
     point = dm_value(model, policy)
     distinct, draw = resample_counts(pool, n, seed)
-    blended = blend_tables(*_count_tables(distinct, draw(b)), float(n), model.priors, kappa)
+    S, A = pool.num_states, pool.num_actions
+    every_action = np.broadcast_to(np.arange(A), (S, A))
+    tables = _count_tables(distinct, draw(b), every_action)
+    blended = blend_tables(*tables, float(n), model.priors, kappa)
     return point, solvers.policy_value(*blended, policy.probs, discount) - point
 
 
@@ -444,3 +450,22 @@ def sparse_case_data(rng, num_states, num_actions):
     if not keep.any():
         keep[:] = True
     return mdp, policy, extra[keep], gamma
+
+
+def exact_bandit_coverage(p, n, alpha):
+    """The b=inf coverage of the basic 1 - alpha DM interval on n one-step
+    episodes of a Bernoulli(p) bandit at discount 0: a sum over the
+    k ~ Binomial(n, p) successes of the data.
+
+    The DM value is then the sample mean k/n and a replica is
+    Binomial(n, k/n)/n, so at b=inf the replica quantiles are binomial
+    quantiles on the 1/n lattice.  The endpoints are formed in the float
+    operations of ``interval_from_replicas``, so a truth on the lattice is
+    covered or not as that arithmetic decides.
+    """
+    k = np.arange(n + 1)
+    point = k / n
+    low_diff = binom.ppf(alpha / 2, n, point) / n - point
+    high_diff = binom.ppf(1 - alpha / 2, n, point) / n - point
+    covered = (point - high_diff <= p) & (p <= point - low_diff)
+    return float(binom.pmf(k, n, p)[covered].sum())

@@ -349,7 +349,9 @@ class TestDmBootstrapReplicas:
         assert slots.tolist() == [[-1, -1, 0], [0, -1, 1], [-1, 0, -1], [0, 1, -1]]
         assert probs.tolist() == [[1.0, 0.0], [0.4, 0.6], [1.0, 0.0], [0.7, 0.3]]
         full = np.full((2, 3), 1 / 3)
-        assert support_slots(full)[0] is None and support_slots(full)[1] is full
+        slots, probs = support_slots(full)
+        assert slots.tolist() == [[0, 1, 2], [0, 1, 2]]
+        assert np.array_equal(probs, full)
 
     def test_off_support_rewards_never_read(self):
         # The target never takes action 1.  A replica that draws its reward 1e308

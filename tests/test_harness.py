@@ -1,6 +1,7 @@
 """Coverage harness: determinism, aggregation, report emission, replay."""
 
 import json
+import math
 import re
 
 import numpy as np
@@ -24,6 +25,8 @@ from opeci.harness import (
 )
 from opeci.io import save_mdp
 from opeci.mdp import make_frozen_lake, optimal_policy, perturb_policy_epsilon_greedy
+
+from _oracles import exact_bandit_coverage
 
 
 def bandit_config(**overrides):
@@ -157,6 +160,25 @@ class TestRunCoverageExperiment:
         cell = report.cell("dm-boot", 40, 0.1)
         assert float(np.median(lows)) == cell.median_lower
 
+    # At b=1000 a replica quantile falls between lattice points, where the
+    # b=inf sum puts it on one.  200,000 simulated trials of each cell read
+    # +0.0054 and +0.0090 (p=0.5), -0.0048 and -0.0025 (p=0.1) off the sum,
+    # each +-0.0009, so the Wilson band at z=3 is widened by 0.011 a side.
+    @pytest.mark.parametrize("p", [0.5, 0.1])
+    def test_dm_boot_coverage_matches_exact_bandit_oracle(self, p):
+        trials, z, lattice = 5000, 3.0, 0.011
+        report = run_coverage_experiment(bandit_config(
+            environment={"type": "bernoulli_bandit", "p": p}, sizes=(500,),
+            methods=("dm-boot",), alphas=(0.1, 0.2), trials=trials, bootstrap_b=1000,
+            master_seed=2026,
+        ))
+        for alpha in (0.1, 0.2):
+            c, zz = report.cell("dm-boot", 500, alpha).coverage, z * z / trials
+            centre = (c + zz / 2) / (1 + zz)
+            half = z / (1 + zz) * math.sqrt(c * (1 - c) / trials + zz / (4 * trials))
+            exact = exact_bandit_coverage(p, 500, alpha)
+            assert centre - half - lattice <= exact <= centre + half + lattice, (alpha, c, exact)
+
     def test_config_validation(self):
         with pytest.raises(ValidationError):
             run_coverage_experiment(bandit_config(trials=0))
@@ -251,6 +273,20 @@ class TestReportIO:
         sidecar.write_text(json.dumps({"empty-object": {}, "list": []}.get(malform, doc)))
         with pytest.raises(ValidationError, match=re.escape(f"report sidecar {sidecar} is malformed")):
             read_report(out)
+
+    def test_invalid_config_in_sidecar_named_by_message(self, tmp_path):
+        out = tmp_path / "coverage.csv"
+        emit_report(run_coverage_experiment(bandit_config(trials=2)), out)
+        sidecar = tmp_path / "coverage.csv.json"
+        doc = json.loads(sidecar.read_text())
+        doc["config"]["target_policy"] = "greedy"
+        sidecar.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError) as raised:
+            read_report(out)
+        message = str(raised.value)
+        assert message.startswith(f"report sidecar {sidecar} is malformed: invalid config: ")
+        assert "config field target_policy must be" in message
+        assert "ValidationError(" not in message
 
     def test_csv_shape_and_header(self, tmp_path):
         config = bandit_config()

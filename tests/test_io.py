@@ -16,7 +16,7 @@ from opeci import (
     sample_episodes,
 )
 from opeci.io import (
-    _MAX_DEPTH, _step_texts, load_episodes, load_mdp, load_policy, save_episodes, save_mdp,
+    _MAX_DEPTH, load_episodes, load_mdp, load_policy, save_episodes, save_mdp,
     save_policy,
 )
 from opeci.mdp import Episode, Step
@@ -110,15 +110,18 @@ class TestEpisodeFiles:
         )
 
     def test_bytes_equal_reference_writer_whether_or_not_steps_repeat(self, tmp_path):
-        # The lake repeats its steps, so each distinct step is rendered once;
-        # a 30-state random MDP's steps are mostly distinct, so json renders
-        # each line whole.
+        # The lake repeats its steps and a 30-state random MDP's are mostly
+        # distinct; then episodes of no steps, and signed zeros, the least
+        # subnormal and a float json writes in exponent form.
         lake, mdp = make_frozen_lake(), make_random_mdp(30, 3, 0.9, 4)
-        for episodes, repeats in (
-            (sample_episodes(lake, optimal_policy(lake), 50, 60, rng_seed=3), True),
-            (sample_episodes(mdp, make_random_policy(30, 3, 5), 50, 10, rng_seed=3), False),
+        tricky = [Step(0, 1, r, 2, p, False)
+                  for r, p in ((0.0, 5e-324), (-0.0, 1.0), (5e-324, 0.5), (1e16, 1e-05))]
+        for episodes in (
+            sample_episodes(lake, optimal_policy(lake), 50, 60, rng_seed=3),
+            sample_episodes(mdp, make_random_policy(30, 3, 5), 50, 10, rng_seed=3),
+            episode_set((Episode(2, ()), Episode(0, ())), 3, 3),
+            episode_set((Episode(0, (*tricky, tricky[1], tricky[0])), Episode(1, (tricky[1],))), 3, 3),
         ):
-            assert (_step_texts(episodes.columns) is not None) == repeats
             path, reference = tmp_path / "episodes.jsonl", tmp_path / "reference.jsonl"
             save_episodes(episodes, path, 0.9)
             save_episodes_reference(episodes, reference, 0.9)

@@ -162,9 +162,8 @@ _logged_steps = st.builds(
     st.sampled_from([1.0, 0.5, 1e-05, 5e-324, 0.1 + 0.2]) | st.floats(0.0, 1.0, exclude_min=True),
     st.sampled_from([False, True, 0, 1]),
 )
-# Steps drawn from a pool of up to six: a long file repeats them, so the
-# writer renders each distinct step once; a short one leaves them mostly
-# distinct, so json renders each line whole.
+# Steps drawn from a pool of up to six: a long file repeats them and a short
+# one leaves them mostly distinct.
 _logged_episodes = st.lists(_logged_steps, min_size=1, max_size=6).flatmap(
     lambda pool: st.lists(
         st.builds(Episode, st.integers(0, 2), st.lists(st.sampled_from(pool), max_size=12).map(tuple)),
