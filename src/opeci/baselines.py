@@ -16,7 +16,7 @@ import numpy as np
 from .bootstrap import ConfidenceInterval
 from .dm import dm_q
 from .errors import ValidationError
-from .mdp import EpisodeSet, Policy, check_discount, check_policy
+from .mdp import EpisodeSet, Policy, _freeze, check_discount, check_policy
 from . import solvers
 
 
@@ -28,9 +28,7 @@ class PerEpisodeEstimates:
     range_bound: float
 
     def __post_init__(self):
-        values = np.ascontiguousarray(self.values, dtype=np.float64)
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "values", _freeze(self.values))
 
     @property
     def m(self) -> int:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .mdp import EpisodeSet, _cdf, categorical, check_discount
+from .mdp import EpisodeSet, _cdf, _freeze, categorical, check_discount, check_rows
 from .seeding import as_generator
 
 
@@ -50,9 +50,7 @@ class TupleDataset:
         for name in _COLUMNS:
             column = np.asarray(getattr(self, name))
             _check_kind(name, column.dtype)
-            column = np.ascontiguousarray(column, np.float64 if name == "r" else np.int64)
-            column.setflags(write=False)
-            object.__setattr__(self, name, column)
+            object.__setattr__(self, name, _freeze(column, np.float64 if name == "r" else np.int64))
         columns = [getattr(self, name) for name in _COLUMNS]
         if any(c.ndim != 1 for c in columns) or len({len(c) for c in columns}) > 1:
             raise ValidationError(
@@ -104,41 +102,42 @@ class PriorSpec:
     the value.  This matches what zero-initialized Q-evaluation does with
     pairs the data never updates.  (A uniform row prior would act on
     goal-seeking domains as a teleporter out of absorbing states and badly
-    inflate values.)
+    inflate values.)  The reward means must be finite numbers, and a given
+    transition prior is kept frozen once it is an (S, A, S) table whose rows
+    pass ``check_rows``.  ``resolve`` raises ValidationError when the means
+    do not broadcast to the model's (S, A) or the prior has another shape.
     """
 
     reward_mean: float | np.ndarray = 0.0
     transition_probs: np.ndarray | None = None
 
     def __post_init__(self):
-        # Written so that NaN fails every test.
-        if not np.isfinite(np.asarray(self.reward_mean, dtype=np.float64)).all():
+        try:
+            finite = np.isfinite(np.asarray(self.reward_mean, dtype=np.float64)).all()
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"reward prior must hold numbers ({exc})") from None
+        if not finite:  # NaN is not finite either
             raise ValidationError("reward prior must be finite")
         if self.transition_probs is not None:
-            trans = np.asarray(self.transition_probs, dtype=np.float64)
-            if not (
-                trans.ndim == 3
-                and (trans >= 0.0).all()
-                and (np.abs(trans.sum(axis=2) - 1.0) <= 1e-12).all()
-            ):
-                raise ValidationError(
-                    "transition prior must be an (S, A, S) table of finite, non-negative "
-                    "rows summing to 1"
-                )
+            trans = check_rows(self.transition_probs, "transition prior row")
+            if trans.ndim != 3:
+                raise ValidationError(f"transition prior must be (S, A, S), not shape {trans.shape}")
+            object.__setattr__(self, "transition_probs", trans)
 
     def resolve(self, num_states: int, num_actions: int) -> tuple:
-        reward = np.broadcast_to(
-            np.asarray(self.reward_mean, dtype=np.float64), (num_states, num_actions)
-        )
-        if self.transition_probs is None:
-            trans = np.zeros((num_states, num_actions, num_states))
-            trans[np.arange(num_states), :, np.arange(num_states)] = 1.0
-        else:
-            trans = np.asarray(self.transition_probs, dtype=np.float64)
-            if trans.shape != (num_states, num_actions, num_states):
-                raise ValidationError(
-                    f"transition prior shape {trans.shape} != {(num_states, num_actions, num_states)}"
-                )
+        S, A = num_states, num_actions
+        try:
+            reward = np.broadcast_to(np.asarray(self.reward_mean, dtype=np.float64), (S, A))
+        except ValueError:
+            raise ValidationError(
+                f"reward prior shape {np.shape(self.reward_mean)} does not broadcast to {(S, A)}"
+            ) from None
+        trans = self.transition_probs
+        if trans is None:
+            trans = np.zeros((S, A, S))
+            trans[np.arange(S), :, np.arange(S)] = 1.0
+        elif trans.shape != (S, A, S):
+            raise ValidationError(f"transition prior shape {trans.shape} != {(S, A, S)}")
         return np.asarray(reward), trans
 
 

@@ -107,23 +107,6 @@ def _write(path, what: str, chunks) -> None:
         raise ValidationError(f"cannot write {what} {path}: {exc}") from exc
 
 
-def save_mdp(mdp: TabularMdp, path) -> None:
-    doc = {
-        "num_states": mdp.num_states,
-        "num_actions": mdp.num_actions,
-        "transitions": mdp.transitions.tolist(),
-        "rewards": [
-            [[[v, p] for v, p in mdp.rewards[s][a]] for a in range(mdp.num_actions)]
-            for s in range(mdp.num_states)
-        ],
-        "initial_dist": mdp.initial_dist.tolist(),
-        "discount": mdp.discount,
-        "terminal_states": sorted(mdp.terminal_states),
-        "r_max": mdp.r_max,
-    }
-    write_text(path, "MDP spec", json.dumps(doc))
-
-
 # JSON kinds as sets of Python types.  ``type(x)`` is tested, so ``True`` is
 # never an integer or a number.
 INTEGERS = frozenset({int})
@@ -178,10 +161,6 @@ def load_mdp(path) -> TabularMdp:
     # AttributeError: a JSON list that holds "map" has no .get.
     except (KeyError, TypeError, IndexError, ValueError, OverflowError, AttributeError) as exc:
         raise ValidationError(f"malformed MDP spec {path}: {exc}") from exc
-
-
-def save_policy(policy: Policy, path) -> None:
-    write_text(path, "policy", json.dumps({"probs": policy.probs.tolist()}))
 
 
 def policy_from_doc(doc, source) -> Policy:

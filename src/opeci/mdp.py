@@ -31,16 +31,36 @@ _MOVES = {LEFT: (0, -1), DOWN: (1, 0), RIGHT: (0, 1), UP: (-1, 0)}
 DEFAULT_LAKE_MAP = ("SFFF", "FHFH", "FFFH", "HFFG")
 
 
-def _freeze(array: np.ndarray) -> np.ndarray:
-    array = np.ascontiguousarray(array, dtype=np.float64)
+def _freeze(array, dtype=np.float64) -> np.ndarray:
+    """A contiguous, read-only ``dtype`` array of ``array``: the array itself,
+    made read-only, when it already is contiguous ``dtype``, else a copy."""
+    array = np.ascontiguousarray(array, dtype)
     array.setflags(write=False)
     return array
 
 
+def check_rows(table, what: str) -> np.ndarray:
+    """``table`` frozen, once every row along its last axis is non-negative
+    and sums to 1 within ``_SUM_TOL``; NaN and +-inf fail both tests.
+    Otherwise raises ValidationError naming ``what``, the first bad row by
+    (s, a) and its deficit; a ragged or non-numeric table raises it too."""
+    try:
+        table = _freeze(table)
+        deficit = 1.0 - table.sum(axis=-1)
+    except (TypeError, ValueError) as exc:  # also a 0-d table, which has no rows
+        raise ValidationError(f"{what} entries must be numbers in equal-length rows ({exc})") from None
+    bad = np.argwhere(~((np.abs(deficit) <= _SUM_TOL) & (table >= 0.0).all(axis=-1)))
+    if len(bad):
+        row = tuple(bad[0])
+        at = f" at ({', '.join(f'{k}={i}' for k, i in zip('sa', row))})" if row else ""
+        raise ValidationError(f"{what}{at} must be non-negative and sum to 1 (deficit {deficit[row]})")
+    return table
+
+
 def _reward_table(rewards, num_states: int, num_actions: int, r_max: float) -> tuple:
-    """rewards[s][a] as tuples of (value, prob) float pairs, once each support
-    has non-negative probabilities summing to 1 and values within ``r_max``.
-    Every test fails on NaN."""
+    """rewards[s][a] as tuples of (value, prob) float pairs, once the supports,
+    padded with (0, 0) pairs as ``outcome_tables`` pads them, pass
+    ``check_rows`` and every value lies within ``r_max`` (NaN does not)."""
     S, A = num_states, num_actions
     if len(rewards) != S or any(len(row) != A for row in rewards):
         raise ValidationError(f"rewards must hold {S} rows of {A} supports each")
@@ -48,18 +68,15 @@ def _reward_table(rewards, num_states: int, num_actions: int, r_max: float) -> t
         tuple(tuple((float(v), float(p)) for v, p in support) for support in row)
         for row in rewards
     )
-    for s, row in enumerate(table):
-        for a, support in enumerate(row):
-            deficit = 1.0 - sum(p for _, p in support)
-            if not (abs(deficit) <= _SUM_TOL and all(p >= 0.0 for _, p in support)):
-                raise ValidationError(
-                    f"reward support at (s={s}, a={a}) must be non-negative and sum to 1 "
-                    f"(deficit {deficit})"
-                )
-            if not all(abs(v) <= r_max for v, _ in support):
-                raise ValidationError(
-                    f"reward values at (s={s}, a={a}) exceed bound r_max={r_max}: {support}"
-                )
+    supports = [support for row in table for support in row]
+    padded = np.array(list(zip_longest(*supports, fillvalue=(0.0, 0.0)))).reshape(-1, S * A, 2)
+    check_rows(padded[..., 1].T.reshape(S, A, -1), "reward support")
+    outside = np.flatnonzero(~(np.abs(padded[..., 0]) <= r_max).all(axis=0))
+    if outside.size:
+        s, a = divmod(int(outside[0]), A)
+        raise ValidationError(
+            f"reward values at (s={s}, a={a}) exceed bound r_max={r_max}: {table[s][a]}"
+        )
     return table
 
 
@@ -105,7 +122,8 @@ class TabularMdp:
 
     def __post_init__(self):
         S, A = self.num_states, self.num_actions
-        transitions, initial = _freeze(self.transitions), _freeze(self.initial_dist)
+        transitions = check_rows(self.transitions, "transition row")
+        initial = check_rows(self.initial_dist, "initial_dist")
         for name, table, shape in (
             ("transitions", transitions, (S, A, S)), ("initial_dist", initial, (S,)),
         ):
@@ -113,21 +131,6 @@ class TabularMdp:
                 raise ValidationError(f"{name} shape {table.shape} != {shape}")
         discount, r_max = check_discount(self.discount), float(self.r_max)
         rewards = _reward_table(self.rewards, S, A, r_max)
-        # NaN fails every test below.
-        sums = transitions.sum(axis=2)
-        if not (1.0 - _SUM_TOL <= sums.min() and sums.max() <= 1.0 + _SUM_TOL
-                and transitions.min() >= 0.0):
-            deficit = np.abs(1.0 - sums)
-            s, a = np.argwhere(~(deficit <= _SUM_TOL) | (transitions < 0.0).any(axis=2))[0]
-            raise ValidationError(
-                f"transition row at (s={s}, a={a}) must be non-negative and sum to 1 "
-                f"(deficit {deficit[s, a]})"
-            )
-        deficit = abs(1.0 - initial.sum())
-        if not (deficit <= _SUM_TOL and initial.min() >= 0.0):
-            raise ValidationError(
-                f"initial_dist must be non-negative and sum to 1 (deficit {deficit})"
-            )
         terminal = sorted(set(map(int, self.terminal_states)))
         if terminal:
             if not 0 <= terminal[0] <= terminal[-1] < S:
@@ -172,16 +175,10 @@ class Policy:
     probs: np.ndarray  # (S, A)
 
     def __post_init__(self):
-        probs = _freeze(self.probs)
+        probs = check_rows(self.probs, "policy row")
         if probs.ndim != 2 or probs.size == 0:
             raise ValidationError(
                 f"policy table must be a non-empty (S, A) array, not shape {probs.shape}"
-            )
-        deficit = np.abs(probs.sum(axis=1) - 1.0).max()
-        # NaN fails both comparisons and an infinite entry leaves an infinite deficit.
-        if not (probs.min() >= 0.0 and deficit <= _SUM_TOL):
-            raise ValidationError(
-                f"policy rows must be finite, non-negative and sum to 1 (worst deficit {deficit})"
             )
         object.__setattr__(self, "probs", probs)
 
@@ -243,9 +240,7 @@ class EpisodeSet:
                 raise ValidationError(
                     f"column {name} is {column.ndim}-d {column.dtype}, not 1-d {dtype}"
                 )
-        cols = StepColumns(*map(np.ascontiguousarray, cols, COLUMN_DTYPES))
-        for column in cols:
-            column.setflags(write=False)
+        cols = StepColumns(*map(_freeze, cols, COLUMN_DTYPES))
         lengths = cols.lengths
         sizes = {column.size for column in cols[1:7]} | {int(lengths.sum())}
         if len(sizes) > 1 or lengths.size != cols.s0.size or (lengths < 0).any():

@@ -8,7 +8,9 @@ object at a time, against the flat-column sweep in ``opeci.baselines``.
 ``episode_set`` flattens step objects to columns field by field, the
 reference that ``EpisodeSet.episodes`` is checked against.
 ``save_episodes_reference`` writes an episode file with one ``json.dumps``
-per line, the bytes that ``io.save_episodes`` must reproduce.
+per line, the bytes that ``io.save_episodes`` must reproduce, and
+``save_mdp`` and ``save_policy`` write the MDP and policy files that tests
+feed to the loaders and the CLI.
 ``lockstep_episodes`` draws the sampler's uniforms in its order and picks
 each category with ``bisect_right``, one step object at a time.
 ``loop_replicas`` is the per-replica reference for the batched DM bootstrap,
@@ -48,7 +50,7 @@ from opeci.dm import dm_q, empirical_on_policy_distribution
 from opeci.empirical import (
     EmpiricalModel, _count_tables, blend_tables, resample_counts, sample_tuples,
 )
-from opeci.io import write_lines
+from opeci.io import write_lines, write_text
 from opeci.mdp import (
     Episode, EpisodeSet, Step, StepColumns, check_policy, make_random_mdp, make_random_policy,
 )
@@ -167,6 +169,29 @@ def save_episodes_reference(episodes, path, discount=None):
         for s0, length in zip(cols.s0.tolist(), cols.lengths.tolist())
     )
     write_lines(path, "episodes", chain([json.dumps(header)], lines))
+
+
+def save_mdp(mdp, path):
+    """The MDP spec file of ``mdp``, every field written out, for ``io.load_mdp``."""
+    doc = {
+        "num_states": mdp.num_states,
+        "num_actions": mdp.num_actions,
+        "transitions": mdp.transitions.tolist(),
+        "rewards": [
+            [[[v, p] for v, p in mdp.rewards[s][a]] for a in range(mdp.num_actions)]
+            for s in range(mdp.num_states)
+        ],
+        "initial_dist": mdp.initial_dist.tolist(),
+        "discount": mdp.discount,
+        "terminal_states": sorted(mdp.terminal_states),
+        "r_max": mdp.r_max,
+    }
+    write_text(path, "MDP spec", json.dumps(doc))
+
+
+def save_policy(policy, path):
+    """The policy file of ``policy``, for ``io.load_policy``."""
+    write_text(path, "policy", json.dumps({"probs": policy.probs.tolist()}))
 
 
 def _bisect_pick(probs, u):
@@ -452,10 +477,12 @@ def sparse_case_data(rng, num_states, num_actions):
     return mdp, policy, extra[keep], gamma
 
 
-def exact_bandit_coverage(p, n, alpha):
+def exact_bandit_coverage(p, n, alpha, side=None):
     """The b=inf coverage of the basic 1 - alpha DM interval on n one-step
     episodes of a Bernoulli(p) bandit at discount 0: a sum over the
-    k ~ Binomial(n, p) successes of the data.
+    k ~ Binomial(n, p) successes of the data.  With ``side`` "lower" or
+    "upper", the coverage of that endpoint alone, the one-sided 1 - alpha/2
+    bound.
 
     The DM value is then the sample mean k/n and a replica is
     Binomial(n, k/n)/n, so at b=inf the replica quantiles are binomial
@@ -467,5 +494,6 @@ def exact_bandit_coverage(p, n, alpha):
     point = k / n
     low_diff = binom.ppf(alpha / 2, n, point) / n - point
     high_diff = binom.ppf(1 - alpha / 2, n, point) / n - point
-    covered = (point - high_diff <= p) & (p <= point - low_diff)
+    below, above = point - high_diff <= p, p <= point - low_diff
+    covered = {None: below & above, "lower": below, "upper": above}[side]
     return float(binom.pmf(k, n, p)[covered].sum())

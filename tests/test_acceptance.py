@@ -34,9 +34,7 @@ from opeci.empirical import sample_tuples
 from opeci.harness import ExperimentConfig, run_coverage_experiment
 
 from _oracles import dm_value_via_qe
-
-MASTER_SEED = 20240817
-WORKERS = 2
+from pinned_outputs import CRITERION_7, CRITERION_8, MASTER_SEED, WORKERS
 
 
 def report_line(name, ok, detail):
@@ -46,16 +44,7 @@ def report_line(name, ok, detail):
 
 @pytest.fixture(scope="module")
 def lake_report():
-    config = ExperimentConfig(
-        environment={"type": "frozen_lake"},
-        discount=0.999,
-        sizes=(10, 50, 100, 200),
-        methods=("dm-boot", "dm-noisy-boot", "hoeffding", "student-t"),
-        alphas=(0.1,),
-        trials=200,
-        bootstrap_b=1000,
-        master_seed=MASTER_SEED,
-    )
+    config = ExperimentConfig(**CRITERION_8)
     start = time.monotonic()
     report = run_coverage_experiment(config, workers=WORKERS)
     return report, time.monotonic() - start
@@ -146,17 +135,7 @@ def test_criterion_06_noise_variance_identity():
 
 
 def test_criterion_07_bandit_mean_bootstrap_coverage():
-    config = ExperimentConfig(
-        environment={"type": "bernoulli_bandit", "p": 0.5},
-        discount=0.0,
-        sizes=(500,),
-        methods=("dm-boot",),
-        alphas=(0.1,),
-        trials=1000,
-        bootstrap_b=1000,
-        max_horizon=1,
-        master_seed=MASTER_SEED,
-    )
+    config = ExperimentConfig(**CRITERION_7)
     start = time.monotonic()
     report = run_coverage_experiment(config, workers=WORKERS)
     elapsed = time.monotonic() - start

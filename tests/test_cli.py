@@ -16,8 +16,10 @@ import opeci
 from opeci import make_frozen_lake, optimal_policy, perturb_policy_epsilon_greedy
 from opeci.cli import _build_parser, main
 from opeci.harness import METHODS, method_intervals
-from opeci.io import load_episodes, load_policy, save_mdp, save_policy
+from opeci.io import load_episodes, load_policy
 from opeci.mdp import TabularMdp, uniform_policy
+
+from _oracles import save_mdp, save_policy
 
 
 def run_cli(args, capsys):

@@ -193,6 +193,16 @@ class TestPriorSpec:
         with pytest.raises(ValidationError, match="transition prior"):
             PriorSpec(transition_probs=rows)
 
+    def test_non_numeric_reward_prior_rejected(self):
+        with pytest.raises(ValidationError, match="reward prior must hold numbers"):
+            PriorSpec(reward_mean=[[0.0, "a"]])
+
+    def test_reward_prior_not_broadcasting_to_pairs_rejected(self):
+        data = TupleDataset.from_tuples([(0, 0, 0, 1.0, 1), (1, 1, 1, 0.0, 0)], 2, 2)
+        priors = PriorSpec(reward_mean=np.zeros(3))
+        with pytest.raises(ValidationError, match=r"reward prior shape \(3,\) does not broadcast"):
+            build_empirical_model(data, priors, 0.1, discount=0.9)
+
     def test_valid_prior_resolves(self):
         rows = point_transition_rows(3, 2)
         reward, trans = PriorSpec(0.5, rows).resolve(3, 2)

@@ -23,10 +23,9 @@ from opeci.harness import (
     resolve_target,
     run_single_trial,
 )
-from opeci.io import save_mdp
 from opeci.mdp import make_frozen_lake, optimal_policy, perturb_policy_epsilon_greedy
 
-from _oracles import exact_bandit_coverage
+from _oracles import exact_bandit_coverage, save_mdp
 
 
 def bandit_config(**overrides):
@@ -164,20 +163,40 @@ class TestRunCoverageExperiment:
     # b=inf sum puts it on one.  200,000 simulated trials of each cell read
     # +0.0054 and +0.0090 (p=0.5), -0.0048 and -0.0025 (p=0.1) off the sum,
     # each +-0.0009, so the Wilson band at z=3 is widened by 0.011 a side.
+    # The alpha=0.2 lower endpoint alone, the one-sided 0.9 bound, read
+    # +0.0034 (p=0.5) and +0.0063 (p=0.1) off its sum over 400,000 simulated
+    # trials, each +-0.0005, so its band is widened by 0.007 a side.
     @pytest.mark.parametrize("p", [0.5, 0.1])
-    def test_dm_boot_coverage_matches_exact_bandit_oracle(self, p):
-        trials, z, lattice = 5000, 3.0, 0.011
+    def test_dm_boot_coverage_matches_exact_bandit_oracle(self, p, monkeypatch):
+        trials, z = 5000, 3.0
+        rows, run_trial = [], harness.run_single_trial
+
+        def recorded_trial(*args):
+            trial_rows = run_trial(*args)
+            rows.extend(trial_rows)
+            return trial_rows
+
+        monkeypatch.setattr(harness, "run_single_trial", recorded_trial)
         report = run_coverage_experiment(bandit_config(
             environment={"type": "bernoulli_bandit", "p": p}, sizes=(500,),
             methods=("dm-boot",), alphas=(0.1, 0.2), trials=trials, bootstrap_b=1000,
             master_seed=2026,
         ))
-        for alpha in (0.1, 0.2):
-            c, zz = report.cell("dm-boot", 500, alpha).coverage, z * z / trials
+
+        def within_band(c, exact, lattice):
+            zz = z * z / trials
             centre = (c + zz / 2) / (1 + zz)
             half = z / (1 + zz) * math.sqrt(c * (1 - c) / trials + zz / (4 * trials))
+            return centre - half - lattice <= exact <= centre + half + lattice
+
+        for alpha in (0.1, 0.2):
+            c = report.cell("dm-boot", 500, alpha).coverage
             exact = exact_bandit_coverage(p, 500, alpha)
-            assert centre - half - lattice <= exact <= centre + half + lattice, (alpha, c, exact)
+            assert within_band(c, exact, 0.011), (alpha, c, exact)
+        truth = report.cell("dm-boot", 500, 0.2).true_value
+        c = np.mean([lower <= truth for _, alpha, lower, _ in rows if alpha == 0.2])
+        exact = exact_bandit_coverage(p, 500, 0.2, side="lower")
+        assert len(rows) == 2 * trials and within_band(c, exact, 0.007), (c, exact)
 
     def test_config_validation(self):
         with pytest.raises(ValidationError):

@@ -15,13 +15,10 @@ from opeci import (
     optimal_policy,
     sample_episodes,
 )
-from opeci.io import (
-    _MAX_DEPTH, load_episodes, load_mdp, load_policy, save_episodes, save_mdp,
-    save_policy,
-)
+from opeci.io import _MAX_DEPTH, load_episodes, load_mdp, load_policy, save_episodes
 from opeci.mdp import Episode, Step
 
-from _oracles import episode_set, save_episodes_reference
+from _oracles import episode_set, save_episodes_reference, save_mdp, save_policy
 
 
 class TestMdpFiles:

@@ -3,12 +3,14 @@
 import dataclasses
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
 
 from opeci import (
     Policy,
+    PriorSpec,
     TabularMdp,
     ValidationError,
     exact_policy_value,
@@ -464,3 +466,82 @@ class TestPolicyValidation:
 
     def test_round_off_within_tolerance_accepted(self):
         Policy(np.array([[0.1, 0.2, 0.7 + 1e-15]]))
+
+
+def row_table(shape, rows):
+    """A table of ``shape`` whose rows are all (1, 0, ...), with each of
+    ``rows`` ({location: entries}) written over the start of its row."""
+    table = np.zeros(shape)
+    table[..., 0] = 1.0
+    for location, entries in rows.items():
+        table[location] = 0.0
+        table[location][: len(entries)] = entries
+    return table
+
+
+_ONES_REWARDS = [[((1.0, 1.0),)] * 2] * 3
+_START = row_table((3,), {})
+_STAY = row_table((3, 2, 3), {})
+
+# Every table whose rows must be distributions: (row name, shape, constructor).
+# The reward supports are read as (3, 2, 2) tables of the probabilities of
+# the values 0 and 1.
+ROW_TABLES = {
+    "policy": ("policy row", (3, 2), Policy),
+    "transitions": (
+        "transition row", (3, 2, 3),
+        lambda table: TabularMdp(3, 2, table, _ONES_REWARDS, _START, 0.7),
+    ),
+    "initial_dist": (
+        "initial_dist", (3,), lambda table: TabularMdp(3, 2, _STAY, _ONES_REWARDS, table, 0.7),
+    ),
+    "transition prior": (
+        "transition prior row", (3, 2, 3), lambda table: PriorSpec(transition_probs=table),
+    ),
+    "reward supports": (
+        "reward support", (3, 2, 2),
+        lambda table: TabularMdp(
+            3, 2, _STAY,
+            [[tuple(zip((0.0, 1.0), probs)) for probs in row] for row in table.tolist()],
+            _START, 0.7,
+        ),
+    ),
+}
+
+
+# Two row locations in C order by table rank, and the first as messages name it.
+_FIRST_AND_LATER = {
+    1: ((), (), ""), 2: ((1,), (2,), " at (s=1)"), 3: ((1, 1), (2, 0), " at (s=1, a=1)"),
+}
+
+
+@pytest.mark.parametrize("table", ROW_TABLES)
+def test_rows_of_every_table_checked_alike(table):
+    what, shape, construct = ROW_TABLES[table]
+    first, later, at = _FIRST_AND_LATER[len(shape)]
+    named = rf"^{re.escape(what + at)} must be non-negative and sum to 1 \(deficit "
+    # The first bad row is named with its deficit.
+    with pytest.raises(ValidationError, match=named + r"0\.25\)$"):
+        construct(row_table(shape, {later: [0.5, 0.0], first: [0.5, 0.25]}))
+    # Non-finite entries, and a negative one in a row that sums to 1.
+    for entries in ([np.nan, 1.0], [np.inf, 1.0], [-np.inf, 1.0], [2.0, -1.0]):
+        with pytest.raises(ValidationError, match=named):
+            construct(row_table(shape, {first: entries}))
+    # Rows within 1e-12 of summing to 1 pass.
+    with pytest.raises(ValidationError, match=named + r"(1\.99|2\.00)\d*e-12\)$"):
+        construct(row_table(shape, {first: [0.5, 0.5 - 2e-12]}))
+    construct(row_table(shape, {first: [0.5, 0.5 - 5e-13]}))
+
+
+# The reward supports are pairs rather than one array, and are left out.
+@pytest.mark.parametrize("bad", ["a", [0.5, 0.5]], ids=["string", "ragged"])
+@pytest.mark.parametrize("table", [t for t in ROW_TABLES if t != "reward supports"])
+def test_ragged_or_non_numeric_table_named(table, bad):
+    what, shape, construct = ROW_TABLES[table]
+    nested = row_table(shape, {}).tolist()
+    row = nested
+    for i in _FIRST_AND_LATER[len(shape)][0]:
+        row = row[i]
+    row[1] = bad
+    with pytest.raises(ValidationError, match=rf"^{re.escape(what)} entries must be numbers"):
+        construct(nested)
