@@ -49,9 +49,9 @@ def check_rows(table, what: str) -> np.ndarray:
         deficit = 1.0 - table.sum(axis=-1)
     except (TypeError, ValueError) as exc:  # also a 0-d table, which has no rows
         raise ValidationError(f"{what} entries must be numbers in equal-length rows ({exc})") from None
-    bad = np.argwhere(~((np.abs(deficit) <= _SUM_TOL) & (table >= 0.0).all(axis=-1)))
-    if len(bad):
-        row = tuple(bad[0])
+    if not (np.abs(deficit).max(initial=0.0) <= _SUM_TOL and table.min(initial=0.0) >= 0.0):
+        bad = ~((np.abs(deficit) <= _SUM_TOL) & (table >= 0.0).all(axis=-1))
+        row = tuple(np.argwhere(bad)[0])
         at = f" at ({', '.join(f'{k}={i}' for k, i in zip('sa', row))})" if row else ""
         raise ValidationError(f"{what}{at} must be non-negative and sum to 1 (deficit {deficit[row]})")
     return table
@@ -71,9 +71,9 @@ def _reward_table(rewards, num_states: int, num_actions: int, r_max: float) -> t
     supports = [support for row in table for support in row]
     padded = np.array(list(zip_longest(*supports, fillvalue=(0.0, 0.0)))).reshape(-1, S * A, 2)
     check_rows(padded[..., 1].T.reshape(S, A, -1), "reward support")
-    outside = np.flatnonzero(~(np.abs(padded[..., 0]) <= r_max).all(axis=0))
-    if outside.size:
-        s, a = divmod(int(outside[0]), A)
+    values = np.abs(padded[..., 0])
+    if not values.max(initial=0.0) <= r_max:
+        s, a = divmod(int(np.flatnonzero(~(values <= r_max).all(axis=0))[0]), A)
         raise ValidationError(
             f"reward values at (s={s}, a={a}) exceed bound r_max={r_max}: {table[s][a]}"
         )
