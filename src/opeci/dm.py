@@ -3,9 +3,11 @@
 ``dm_value``, ``dm_q`` and ``empirical_on_policy_distribution`` are the
 ``opeci.mdp`` evaluators, which solve an empirical model as they do a true one.
 ``dm_bootstrap_replicas`` computes the bootstrap replicas of the DM value in
-stacked batches from multinomial counts over the distinct tuples of a pool.
-Its count tables cover only the target policy's support: a pair the policy
-never takes adds an exact 0 to the value, so it is not tabled.
+stacked batches from multinomial counts over the distinct tuples of a pool,
+once the tuples at pairs the target policy never takes are merged into one
+tuple per start state.  Such a pair adds an exact 0 to the value and reaches
+a replica only through the start-state counts, so it is not tabled, and
+merging its tuples leaves the law of every replica unchanged.
 """
 
 from __future__ import annotations
@@ -45,6 +47,21 @@ def support_slots(policy_probs: np.ndarray) -> tuple:
     return slots, slot_probs
 
 
+def merge_off_support(pool: TupleDataset, slots: np.ndarray) -> TupleDataset:
+    """The pool with every tuple at a pair off the support (slot -1) moved to
+    the first such tuple's (s, a) with reward 0 and next state 0, so that
+    ``resample_counts`` groups them into one distinct tuple per start state.
+    A pool with no tuple off the support is returned as it is."""
+    off = slots[pool.s, pool.a] < 0
+    if not off.any():
+        return pool
+    first = off.argmax()
+    return TupleDataset(
+        pool.s0, np.where(off, pool.s[first], pool.s), np.where(off, pool.a[first], pool.a),
+        np.where(off, 0.0, pool.r), np.where(off, 0, pool.sp), pool.num_states, pool.num_actions,
+    )
+
+
 def dm_bootstrap_replicas(
     pool: TupleDataset,
     policy: Policy,
@@ -60,8 +77,10 @@ def dm_bootstrap_replicas(
 
     Replica k is the DM value, up to the order reward sums add in, of
     ``build_empirical_model(distinct, weights=row)`` for the k-th count row
-    that ``resample_counts(pool, n, rng_seed)`` draws.  Chunks of
-    ``replica_chunk_size`` replicas are drawn, tabled over the
+    that ``resample_counts(merge_off_support(pool, slots), n, rng_seed)``
+    draws: a value on the merged distinct tuples, whose law is that of a
+    resample of the pool.  The point estimate is the pool's own.
+    Chunks of ``replica_chunk_size`` replicas are drawn, tabled over the
     ``support_slots`` columns, blended and solved as one stack each, and
     chunking changes no replica's value.  Pairs off the support are not
     tabled, so their rewards cannot make a replica non-finite; below 8
@@ -72,8 +91,8 @@ def dm_bootstrap_replicas(
         raise ValidationError("b must be >= 2")
     model = build_empirical_model(pool, kappa=kappa, discount=discount)
     point = dm_value(model, policy)
-    distinct, draw = resample_counts(pool, n, rng_seed)
     slots, slot_probs = support_slots(policy.probs)
+    distinct, draw = resample_counts(merge_off_support(pool, slots), n, rng_seed)
     chunk = replica_chunk_size(model.num_states, slot_probs.shape[1], distinct.n)
     diffs = np.empty(b)
     for start in range(0, b, chunk):

@@ -32,11 +32,14 @@ DEFAULT_LAKE_MAP = ("SFFF", "FHFH", "FFFH", "HFFG")
 
 
 def _freeze(array, dtype=np.float64) -> np.ndarray:
-    """A contiguous, read-only ``dtype`` array of ``array``: the array itself,
-    made read-only, when it already is contiguous ``dtype``, else a copy."""
-    array = np.ascontiguousarray(array, dtype)
-    array.setflags(write=False)
-    return array
+    """A contiguous, read-only ``dtype`` array of ``array``: the array itself
+    when it already is a read-only contiguous ``dtype`` array, else a copy,
+    so the caller's own array stays writable."""
+    frozen = np.ascontiguousarray(array, dtype)
+    if frozen is array and frozen.flags.writeable:
+        frozen = frozen.copy()
+    frozen.setflags(write=False)
+    return frozen
 
 
 def check_rows(table, what: str) -> np.ndarray:
@@ -57,16 +60,27 @@ def check_rows(table, what: str) -> np.ndarray:
     return table
 
 
+def _support_pairs(support, s: int, a: int) -> tuple:
+    """The reward support at (s, a) as (value, prob) float pairs."""
+    try:
+        return tuple((float(v), float(p)) for v, p in support)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(
+            f"reward support at (s={s}, a={a}) must hold (value, prob) pairs of numbers ({exc})"
+        ) from None
+
+
 def _reward_table(rewards, num_states: int, num_actions: int, r_max: float) -> tuple:
-    """rewards[s][a] as tuples of (value, prob) float pairs, once the supports,
-    padded with (0, 0) pairs as ``outcome_tables`` pads them, pass
-    ``check_rows`` and every value lies within ``r_max`` (NaN does not)."""
+    """rewards[s][a] as tuples of (value, prob) float pairs, once each support
+    holds pairs of numbers, the supports, padded with (0, 0) pairs as
+    ``outcome_tables`` pads them, pass ``check_rows`` and every value lies
+    within ``r_max`` (NaN does not)."""
     S, A = num_states, num_actions
     if len(rewards) != S or any(len(row) != A for row in rewards):
         raise ValidationError(f"rewards must hold {S} rows of {A} supports each")
     table = tuple(
-        tuple(tuple((float(v), float(p)) for v, p in support) for support in row)
-        for row in rewards
+        tuple(_support_pairs(support, s, a) for a, support in enumerate(row))
+        for s, row in enumerate(rewards)
     )
     supports = [support for row in table for support in row]
     padded = np.array(list(zip_longest(*supports, fillvalue=(0.0, 0.0)))).reshape(-1, S * A, 2)

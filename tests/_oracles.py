@@ -13,10 +13,13 @@ per line, the bytes that ``io.save_episodes`` must reproduce, and
 feed to the loaders and the CLI.
 ``lockstep_episodes`` draws the sampler's uniforms in its order and picks
 each category with ``bisect_right``, one step object at a time.
+``merged_per_tuple`` rewrites a pool's tuples at pairs the target never
+takes one tuple at a time, the reference for ``dm.merge_off_support``;
 ``loop_replicas`` is the per-replica reference for the batched DM bootstrap,
 ``full_table_replicas`` the bit-exact one that tables every action instead of
-the target's support, ``unique_resample_counts`` groups a pool's distinct
-tuples with three ``np.unique`` calls, the reference for ``resample_counts``,
+the target's support (or, unmerged, the bootstrap before the merge),
+``unique_resample_counts`` groups a pool's distinct tuples with three
+``np.unique`` calls, the reference for ``resample_counts``,
 and ``bootstrap_chunk`` and ``chunks_tabled`` give the chunk a DM bootstrap
 uses and the chunks it tables.  ``loop_mean_replicas`` is the reference for
 the blocked mean bootstrap of a value array, and ``with_terminals`` marks
@@ -42,8 +45,8 @@ import numpy as np
 from scipy.stats import binom
 
 from opeci import (
-    Policy, SolverError, UnvisitedPairError, ValidationError, build_empirical_model, dm_value,
-    solvers,
+    Policy, SolverError, TupleDataset, UnvisitedPairError, ValidationError, build_empirical_model,
+    dm_value, solvers,
 )
 from opeci import dm
 from opeci.dm import dm_q, empirical_on_policy_distribution
@@ -58,26 +61,40 @@ from opeci.seeding import as_generator
 from opeci.sensitivity import InfluenceBreakdown
 
 
+def merged_per_tuple(pool, policy):
+    """The pool with each tuple at a pair where the target's probability is 0
+    replaced by (s0, s, a, 0.0, 0), (s, a) the first such tuple's pair."""
+    rows, first = [], None
+    for s0, s, a, r, sp in logged_tuples(pool):
+        if policy.probs[s, a] == 0:
+            first = first or (s, a)
+            s, a, r, sp = *first, 0.0, 0
+        rows.append((s0, s, a, r, sp))
+    return TupleDataset.from_tuples(rows, pool.num_states, pool.num_actions)
+
+
 def loop_replicas(pool, n, policy, b, seed, kappa, discount):
-    """The per-replica reference: draw all b count rows of n pool tuples in one
-    block, then build each replica's model from its row as tuple weights, and solve."""
+    """The per-replica reference: draw all b count rows of n tuples of the
+    merged pool in one block, then build each replica's model from its row as
+    tuple weights, and solve."""
 
     def value(d, weights=None):
         model = build_empirical_model(d, kappa=kappa, discount=discount, weights=weights)
         return dm_value(model, policy)
 
-    distinct, draw = resample_counts(pool, n, seed)
+    distinct, draw = resample_counts(merged_per_tuple(pool, policy), n, seed)
     point = value(pool)
     return point, np.array([value(distinct, row) - point for row in draw(b)])
 
 
-def full_table_replicas(pool, n, policy, b, seed, kappa, discount):
+def full_table_replicas(pool, n, policy, b, seed, kappa, discount, merged=True):
     """The DM replicas from full (S, A) tables: the b count rows in one stack
     through ``_count_tables``, ``blend_tables`` and ``solvers.policy_value``
-    with the policy's own rows, as the bootstrap tabled every action."""
+    with the policy's own rows, as the bootstrap tabled every action.  With
+    ``merged=False`` the counts are drawn over the pool's own distinct tuples."""
     model = build_empirical_model(pool, kappa=kappa, discount=discount)
     point = dm_value(model, policy)
-    distinct, draw = resample_counts(pool, n, seed)
+    distinct, draw = resample_counts(merged_per_tuple(pool, policy) if merged else pool, n, seed)
     S, A = pool.num_states, pool.num_actions
     every_action = np.broadcast_to(np.arange(A), (S, A))
     tables = _count_tables(distinct, draw(b), every_action)
@@ -98,7 +115,7 @@ def unique_resample_counts(pool, n, rng_seed):
 
 def bootstrap_chunk(pool, n, policy, seed):
     """The replicas per chunk of ``dm_bootstrap_replicas`` on this pool and target."""
-    distinct, _ = resample_counts(pool, n, seed)
+    distinct, _ = resample_counts(merged_per_tuple(pool, policy), n, seed)
     width = dm.support_slots(policy.probs)[1].shape[1]
     return dm.replica_chunk_size(pool.num_states, width, distinct.n)
 

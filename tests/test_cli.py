@@ -675,8 +675,8 @@ class TestCoverageCommand:
     # sha256 of the CSV and of its sidecar for a small lake run of all seven
     # methods: any change to a draw, a table, a solve, an interval or the
     # report format shows here.
-    GOLDEN_CSV = "63641489fbc907e497225bcb14786f11406dfafa26280549e138b205012ba521"
-    GOLDEN_SIDECAR = "f780f7462d44083ff9e2967a715b6d8ccaee3bea2d89f42d83cb62e68a6e1a92"
+    GOLDEN_CSV = "0e8baac32472b49ed2a034dafbb4d6771dba913624a45b5ecc5492fba75ef054"
+    GOLDEN_SIDECAR = "bbaf765c8246876faa5fee4b3a8315e0a3b43bc47285ac4a49c7c7a84c935c6a"
 
     def test_lake_report_pinned(self, tmp_path, capsys):
         config_path, out = tmp_path / "config.json", tmp_path / "coverage.csv"

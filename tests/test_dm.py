@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from opeci import (
     Policy,
@@ -27,14 +28,14 @@ from opeci import (
     uniform_policy,
 )
 from opeci import solvers
-from opeci.dm import dm_bootstrap_replicas, support_slots
+from opeci.dm import dm_bootstrap_replicas, merge_off_support, support_slots
 from opeci.empirical import augment_noisy_rewards, resample_counts, sample_tuples
 from opeci.mdp import make_bernoulli_bandit
 from opeci.errors import SolverError, ValidationError
 
 from _oracles import (
     bootstrap_chunk, chunks_tabled, dm_value_via_qe, fixed_point, full_table_replicas,
-    loop_replicas, qe_fixed_point,
+    loop_replicas, merged_per_tuple, qe_fixed_point,
 )
 
 
@@ -260,13 +261,14 @@ class TestDmBootstrapReplicas:
 
     # sha256 of the point estimate and b=1000 replica differences on plain
     # 0/1-reward data; they pin the multinomial count draws with the seed
-    # (seed, "multinomial") together with the tables and the stacked solve,
-    # on episodes from the lockstep sampler.
+    # (seed, "multinomial") over the merged distinct tuples together with the
+    # tables and the stacked solve, on episodes from the lockstep sampler.
+    # The bandit's target takes both actions, so it merges nothing.
     GOLDEN = {
-        ("lake10", 0.0): "8bae33c2a2f75ba4fd92cb0c7a2b6a6363e84e5c1a0d419b683084e7189b102d",
-        ("lake10", 0.05): "80ad24fab2db9bc6efc561b22e0b59a90586a3c8e0bbd40136e19d3e89c2342e",
-        ("lake200", 0.0): "54e3e52f1108b2709193d3b629a84f94f349f7c441cac8d0f94a01bbd59f2c4b",
-        ("lake200", 0.05): "8580c5d451408dbcd275c895b973b1956e57c33570d3fc78aebdd686a769f998",
+        ("lake10", 0.0): "635119d4d4e08b3c381e3b4e624ab1c4c1e98aa58c803ab1f66c051da5eefb76",
+        ("lake10", 0.05): "5512307461515e23bca6fd1d76544d883145c70119bb4c29191ce2348b592261",
+        ("lake200", 0.0): "ee46c0dab0e538517e2057df75462b1e85e8ac3dda9704fb6470a9872f4a1490",
+        ("lake200", 0.05): "8473e83d71985de0cd9b68e2c31fd9dcdd81871d5c8e91e66fbc67d7a5a6f468",
         ("bandit", 0.0): "198e4ee11428bab0df28901b4c6f44a3ad2060451a68b6aa722a6b3ad7f97389",
         ("bandit", 0.05): "20e3006d0b230efbecc25cf4da34a11407389814b3eb167320ec40884459f6ed",
     }
@@ -274,10 +276,10 @@ class TestDmBootstrapReplicas:
     # The same digests for dm-noisy-boot replicas: n tuples resampled from the
     # 3n-tuple pool that noise scale 0.25 * std(r) augments, as the harness does.
     NOISY_GOLDEN = {
-        ("lake10", 0.0): "6be18c1b48789b800593a133218f91e9f7b9401d03f6d9081590e7a7f96d381b",
-        ("lake10", 0.05): "b25dd3ffc8345cb18824e0bdcaf7ad7587e8f75e51bafa1df6f5ae4897849ed0",
-        ("lake200", 0.0): "b3c33c9c3e0e65e5d3eeff1c523b4705923ecad567c2e6d118598e04f5ffabf3",
-        ("lake200", 0.05): "ffb601e91ffa88417a72d83d3522f7504af2ae313a20d1214bf09e9b19495930",
+        ("lake10", 0.0): "39f0ed1bc4bd3e7ea7d6c688953e55080e9fe17df5ead37b0f73c5e4bf506815",
+        ("lake10", 0.05): "b5d86f58ad66af2f4940f99e98d2c31d7e009c1b9d54b10c066ef92e5d4cd82e",
+        ("lake200", 0.0): "6fcc60bb666b8251bc9c8e63827bc8ca7adb184f9b36b099383d67386f75551c",
+        ("lake200", 0.05): "475e581f0776ebfd85af99de7caddda5323da934be6ae2700ee1ec2532d8419a",
         ("bandit", 0.0): "03e8d1450b981177610bacf221b2c9d58fa5f17d81c95e24b7e8b744db80aa46",
         ("bandit", 0.05): "fd3cdb9169785c569f49cebc9008729d2beccfd220ef6b467f7aab9a5a9193bd",
     }
@@ -352,6 +354,70 @@ class TestDmBootstrapReplicas:
         slots, probs = support_slots(full)
         assert slots.tolist() == [[0, 1, 2], [0, 1, 2]]
         assert np.array_equal(probs, full)
+
+    @pytest.mark.parametrize("target", sorted(PARTIAL_TARGETS) + ["full"])
+    def test_merge_equals_per_tuple_loop(self, target):
+        data = sample_tuples(make_random_mdp(4, 3, 0.9, rng_seed=50), 120, rng_seed=51)
+        probs = np.full((4, 3), 1 / 3) if target == "full" else self.PARTIAL_TARGETS[target]
+        policy = Policy(np.array(probs))
+        merged = merge_off_support(data, support_slots(policy.probs)[0])
+        reference = merged_per_tuple(data, policy)
+        for name in ("s0", "s", "a", "r", "sp"):
+            assert np.array_equal(getattr(merged, name), getattr(reference, name)), name
+        assert (merged is data) == (target == "full")
+
+    def test_merged_count_has_law_of_summed_off_support_counts(self):
+        # The target takes action 0 only; seven of the ten tuples sit at action 1,
+        # from both start states, one of them twice.
+        pool = TupleDataset.from_tuples(
+            [(0, 0, 0, 1.0, 1), (1, 0, 0, 0.0, 0), (1, 1, 0, 0.5, 1),
+             (0, 0, 1, 1.0, 0), (0, 1, 1, 0.0, 1), (0, 1, 1, 0.0, 1), (1, 0, 1, 1.0, 1),
+             (1, 1, 1, 0.5, 0), (1, 0, 1, 0.0, 0), (0, 1, 1, 1.0, 0)],
+            2, 2,
+        )
+        policy, n, m = Policy(np.array([[1.0, 0.0], [1.0, 0.0]])), 6, 20_000
+        merged = merge_off_support(pool, support_slots(policy.probs)[0])
+        distinct, draw = resample_counts(merged, n, 60)
+        off = policy.probs[distinct.s, distinct.a] == 0
+        assert distinct.s0[off].tolist() == [0, 1]  # one merged tuple per start state
+        merged_counts = draw(m)[:, off]
+        full, full_draw = resample_counts(pool, n, 61)
+        full_off, full_counts = policy.probs[full.s, full.a] == 0, full_draw(m)
+        summed = np.stack([full_counts[:, full_off & (full.s0 == s0)].sum(axis=1)
+                           for s0 in (0, 1)], axis=1)
+        # Both are (off at s0=0, off at s0=1, the rest) ~ multinomial(6; 4/10, 3/10, 3/10).
+        law = [(k0, k1, stats.multinomial.pmf([k0, k1, n - k0 - k1], n, [0.4, 0.3, 0.3]))
+               for k0 in range(n + 1) for k1 in range(n + 1 - k0)]
+        for counts in (merged_counts, summed):
+            observed = np.array([np.sum((counts[:, 0] == k0) & (counts[:, 1] == k1))
+                                 for k0, k1, _ in law])
+            expected = m * np.array([p for _, _, p in law])
+            assert stats.chisquare(observed, expected).pvalue > 1e-3
+
+    # Old scheme (counts over the pool's own distinct tuples, through the oracle)
+    # against the merged one, on criterion-8 lake data.  20,000 replicas a side;
+    # the seeds and the p > 0.001 threshold were fixed before the first run.
+    @pytest.mark.parametrize("episodes", [10, 50])
+    @pytest.mark.parametrize("kappa", [0.0, 0.05])
+    @pytest.mark.parametrize("noisy", [False, True])
+    def test_merged_replicas_have_the_law_of_unmerged(self, episodes, kappa, noisy):
+        lake = make_frozen_lake(discount=0.999)
+        target = optimal_policy(lake)
+        behavior = perturb_policy_epsilon_greedy(target, 0.2)
+        data = tuples_from_episodes(
+            sample_episodes(lake, behavior, episodes, 10_000, rng_seed=("ks", episodes))
+        )
+        pool = augment_noisy_rewards(data, 0.25 * float(np.std(data.r))) if noisy else data
+        seed = ("ks", episodes, kappa, noisy)
+        point, new = dm_bootstrap_replicas(
+            pool, target, 20_000, seed + ("new",), kappa=kappa, discount=0.999, n=data.n
+        )
+        old = np.concatenate([
+            full_table_replicas(pool, data.n, target, 1000, seed + ("old", k), kappa, 0.999,
+                                merged=False)[1]
+            for k in range(20)
+        ])
+        assert stats.ks_2samp(new, old).pvalue > 1e-3
 
     def test_off_support_rewards_never_read(self):
         # The target never takes action 1.  A replica that draws its reward 1e308

@@ -12,6 +12,7 @@ from opeci import (
     Policy,
     PriorSpec,
     TabularMdp,
+    TupleDataset,
     ValidationError,
     exact_policy_value,
     make_bernoulli_bandit,
@@ -88,6 +89,18 @@ class TestValidate:
             self.build(terminal_states=frozenset({0}))
         with pytest.raises(ValidationError, match="terminal states"):
             self.build(terminal_states=frozenset({3}))
+
+    @pytest.mark.parametrize(
+        "support, error",
+        [(((1.0, "a"),), "could not convert"), (((1.0, 0.5, 0.5),), "too many values"),
+         ((1.0,), "cannot unpack"), (1.0, "not iterable")],
+        ids=["string", "three entries", "bare float entry", "bare float support"],
+    )
+    def test_malformed_reward_support_named(self, support, error):
+        rewards = [[((1.0, 1.0),)] * 2, [((1.0, 1.0),), support], [((1.0, 1.0),)] * 2]
+        message = rf"^reward support at \(s=1, a=1\) must hold \(value, prob\) pairs .*{error}"
+        with pytest.raises(ValidationError, match=message):
+            self.build(rewards=rewards)
 
     def test_nan_rejected(self):
         nan = float("nan")
@@ -545,3 +558,20 @@ def test_ragged_or_non_numeric_table_named(table, bad):
     row[1] = bad
     with pytest.raises(ValidationError, match=rf"^{re.escape(what)} entries must be numbers"):
         construct(nested)
+
+
+def test_constructors_leave_the_callers_arrays_writable():
+    # A contiguous array of the wanted dtype used to be frozen in place.
+    probs, transitions, initial = np.array([[0.5, 0.5]]), np.ones((1, 2, 1)), np.ones(1)
+    columns = [np.zeros(2, np.int64) for _ in range(3)] + [np.ones(2), np.zeros(2, np.int64)]
+    policy = Policy(probs)
+    mdp = TabularMdp(1, 2, transitions, [[((1.0, 1.0),)] * 2], initial, 0.5)
+    data = TupleDataset(*columns, 1, 2)
+    for array in (probs, transitions, initial, *columns):
+        assert array.flags.writeable
+    for frozen in (policy.probs, mdp.transitions, mdp.initial_dist, data.s0, data.r):
+        assert not frozen.flags.writeable
+    probs[0, 0], transitions[0, 0, 0], columns[3][0] = 0.0, 0.0, 7.0
+    assert policy.probs[0, 0] == 0.5 and mdp.transitions[0, 0, 0] == 1.0 and data.r[0] == 1.0
+    # A read-only array of the wanted kind is taken as it is.
+    assert Policy(policy.probs).probs is policy.probs
