@@ -258,6 +258,8 @@ def load_episodes(path) -> tuple:
         if not set(lists.terminal) <= {0, 1}:
             raise ValidationError(f"logged terminal flags must be {flags}")
         columns = StepColumns(*map(np.array, lists, COLUMN_DTYPES))
+        for column in columns:  # fresh arrays, which EpisodeSet then keeps uncopied
+            column.setflags(write=False)
         return EpisodeSet(columns, num_states, num_actions), discount
     except ValidationError:
         raise

@@ -399,6 +399,8 @@ def sample_episodes(
         behavior_prob=policy.probs.reshape(-1)[sa], terminal=~going[sp],
         lengths=np.bincount(episode, minlength=count),
     )
+    for column in columns:  # fresh arrays, which EpisodeSet then keeps uncopied
+        column.setflags(write=False)
     return EpisodeSet(columns, mdp.num_states, A)
 
 
