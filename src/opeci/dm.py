@@ -18,7 +18,7 @@ from .bootstrap import _CHUNK_BYTES, check_replicas
 from .empirical import TupleDataset, _count_tables, blend_tables, build_empirical_model
 from .empirical import resample_counts
 from .errors import SolverError, ValidationError
-from .mdp import Policy, exact_policy_value as dm_value, q_values as dm_q
+from .mdp import Policy, _read_only, exact_policy_value as dm_value, q_values as dm_q
 from .mdp import on_policy_distribution as empirical_on_policy_distribution
 from . import solvers
 
@@ -56,10 +56,11 @@ def merge_off_support(pool: TupleDataset, slots: np.ndarray) -> TupleDataset:
     if not off.any():
         return pool
     first = off.argmax()
-    return TupleDataset(
-        pool.s0, np.where(off, pool.s[first], pool.s), np.where(off, pool.a[first], pool.a),
-        np.where(off, 0.0, pool.r), np.where(off, 0, pool.sp), pool.num_states, pool.num_actions,
-    )
+    columns = _read_only([
+        np.where(off, pool.s[first], pool.s), np.where(off, pool.a[first], pool.a),
+        np.where(off, 0.0, pool.r), np.where(off, 0, pool.sp),
+    ])
+    return TupleDataset(pool.s0, *columns, pool.num_states, pool.num_actions)
 
 
 def dm_bootstrap_replicas(

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .mdp import EpisodeSet, _cdf, _freeze, categorical, check_discount, check_rows
+from .mdp import EpisodeSet, _cdf, _freeze, _read_only, categorical, check_discount, check_rows
 from .seeding import as_generator
 
 
@@ -295,11 +295,13 @@ def augment_noisy_rewards(data: TupleDataset, noise_scale: float) -> TupleDatase
     if not 0.0 <= noise_scale < math.inf:
         raise ValidationError("noise_scale must be a finite number >= 0")
     return TupleDataset(
-        np.tile(data.s0, 3),
-        np.tile(data.s, 3),
-        np.tile(data.a, 3),
-        np.concatenate([data.r, data.r + noise_scale, data.r - noise_scale]),
-        np.tile(data.sp, 3),
+        *_read_only([
+            np.tile(data.s0, 3),
+            np.tile(data.s, 3),
+            np.tile(data.a, 3),
+            np.concatenate([data.r, data.r + noise_scale, data.r - noise_scale]),
+            np.tile(data.sp, 3),
+        ]),
         data.num_states,
         data.num_actions,
     )

@@ -27,7 +27,8 @@ import numpy as np
 import orjson
 
 from .errors import ValidationError
-from .mdp import COLUMN_DTYPES, EpisodeSet, Policy, StepColumns, TabularMdp, make_frozen_lake
+from .mdp import COLUMN_DTYPES, EpisodeSet, Policy, StepColumns, TabularMdp, _read_only
+from .mdp import make_frozen_lake
 
 
 def read_json(path, what: str, *, lines: bool = False):
@@ -258,9 +259,7 @@ def load_episodes(path) -> tuple:
         if not set(lists.terminal) <= {0, 1}:
             raise ValidationError(f"logged terminal flags must be {flags}")
         columns = StepColumns(*map(np.array, lists, COLUMN_DTYPES))
-        for column in columns:  # fresh arrays, which EpisodeSet then keeps uncopied
-            column.setflags(write=False)
-        return EpisodeSet(columns, num_states, num_actions), discount
+        return EpisodeSet(_read_only(columns), num_states, num_actions), discount
     except ValidationError:
         raise
     except (KeyError, TypeError, ValueError, OverflowError) as exc:

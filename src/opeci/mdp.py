@@ -42,6 +42,14 @@ def _freeze(array, dtype=np.float64) -> np.ndarray:
     return frozen
 
 
+def _read_only(arrays):
+    """``arrays``, each made read-only in place: fresh arrays that their maker
+    hands to a constructor, which then keeps them uncopied."""
+    for array in arrays:
+        array.setflags(write=False)
+    return arrays
+
+
 def check_rows(table, what: str) -> np.ndarray:
     """``table`` frozen, once every row along its last axis is non-negative
     and sums to 1 within ``_SUM_TOL``; NaN and +-inf fail both tests.
@@ -399,9 +407,7 @@ def sample_episodes(
         behavior_prob=policy.probs.reshape(-1)[sa], terminal=~going[sp],
         lengths=np.bincount(episode, minlength=count),
     )
-    for column in columns:  # fresh arrays, which EpisodeSet then keeps uncopied
-        column.setflags(write=False)
-    return EpisodeSet(columns, mdp.num_states, A)
+    return EpisodeSet(_read_only(columns), mdp.num_states, A)
 
 
 def _deterministic_reward(value: float) -> tuple:
